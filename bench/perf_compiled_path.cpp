@@ -7,12 +7,16 @@
 //     SelfStabilizingSourceFilter / AutomatonProtocol) through the virtual
 //     display()/update() path, i.e. the pre-compiled production round loop;
 //   * compiled — the mirrored CompiledPopulation with set_compiled(true):
-//     memoized display table, (state id, outcome index) → packed-edge
-//     update table, no virtual dispatch in the hot loop.  The default build
-//     gate is left in place, so rounds whose fresh states would cost more
-//     to compile than to interpret (SSF memory accumulation) honestly fall
-//     back to the virtual path — the SSF row reports what a user of
-//     --compiled actually gets, not a forced best case.
+//     memoized display table, compile-on-miss (state, outcome index) →
+//     edge cell tables, no virtual dispatch in the hot loop.  SSF's fresh
+//     memory histograms miss nearly every round and pay one compile() per
+//     agent — the SSF row reports what a user of --compiled actually gets,
+//     not a forced best case.
+//
+// Most rows time calibrated slices of rounds from round 1.  The sf_full
+// row times one whole run() — planned horizon, opinions counted every
+// round — at perfbench's sf_h64_compiled configuration, where boosting
+// dominates and the first rounds say little.
 //
 // Before any timing, the harness replays every smoke-sized configuration
 // through BOTH paths (plus the compiled population's own virtual fallback)
@@ -49,9 +53,14 @@ double seconds_since(Clock::time_point start) {
 }
 
 struct Config {
+  const char* row;       // CI floor key: "table" | "sf" | "ssf" | "sf_full"
   const char* protocol;  // "table" | "sf" | "ssf"
   std::uint64_t n;
   std::uint64_t h;
+  std::uint64_t s1 = 1;
+  // Full-horizon rows time one whole run() (planned SF horizon, opinions
+  // counted every round) per path instead of calibrated slices of steps.
+  bool full_horizon = false;
 };
 
 // SF and Table run the binary channel at δ = 0.2 (the perf_round_kernel
@@ -87,9 +96,12 @@ struct Setup {
 
 Setup make_setup(const Config& cfg) {
   if (std::strcmp(cfg.protocol, "sf") == 0) {
-    const PopulationConfig pop{.n = cfg.n, .s1 = 1, .s0 = 0};
+    const PopulationConfig pop{.n = cfg.n, .s1 = cfg.s1, .s0 = 0};
+    // Full-horizon rows use the default c1 of the CLI and perfbench.
     const SfSchedule schedule =
-        make_sf_schedule(pop, Holdings{cfg.h}, Delta{kSfDelta}, C1{2.0});
+        cfg.full_horizon
+            ? make_sf_schedule(pop, Holdings{cfg.h}, Delta{kSfDelta})
+            : make_sf_schedule(pop, Holdings{cfg.h}, Delta{kSfDelta}, C1{2.0});
     return Setup{.interpreted = std::make_unique<SourceFilter>(pop, schedule),
                  .compiled = make_compiled_sf(pop, schedule),
                  .keepalive = nullptr,
@@ -215,7 +227,50 @@ struct ConfigResult {
   double compiled_rounds_per_sec;
 };
 
+struct FullRun {
+  double rounds_per_sec = 0.0;
+  std::uint64_t digest = 0;
+  RunResult result;
+};
+
+// One run() over the planned horizon, the way a user of --compiled runs
+// it: the per-round opinion count included.
+FullRun full_run(const Config& cfg, Path path) {
+  Setup s = make_setup(cfg);
+  PullProtocol& protocol = pick_protocol(s, path);
+  AggregateEngine engine;
+  Rng rng(kTimingSeed);
+  const auto start = Clock::now();
+  FullRun out;
+  out.result = run(protocol, engine, s.noise, Opinion{1},
+                   RunConfig{.h = cfg.h,
+                             .max_rounds = s.horizon,
+                             .compiled = path == Path::Compiled},
+                   rng);
+  const double elapsed = seconds_since(start);
+  out.rounds_per_sec =
+      static_cast<double>(s.horizon) / (elapsed > 0.0 ? elapsed : 1e-9);
+  out.digest = engine.replay_digest();
+  return out;
+}
+
 ConfigResult run_config(const Config& cfg, bool smoke) {
+  if (cfg.full_horizon) {
+    // The row gates its own identity: both paths run the same seed over
+    // the same horizon and must agree before the ratio means anything.
+    const FullRun interp = full_run(cfg, Path::Interpreted);
+    const FullRun comp = full_run(cfg, Path::Compiled);
+    NOISYPULL_CHECK(interp.digest == comp.digest &&
+                        interp.result.correct_at_end ==
+                            comp.result.correct_at_end &&
+                        interp.result.first_all_correct ==
+                            comp.result.first_all_correct,
+                    "full-horizon row: compiled run differs from interpreted");
+    return ConfigResult{.config = cfg,
+                        .rounds_timed = make_setup(cfg).horizon,
+                        .interpreted_rounds_per_sec = interp.rounds_per_sec,
+                        .compiled_rounds_per_sec = comp.rounds_per_sec};
+  }
   // Calibrate the repetition count off one interpreted round so both paths
   // of a config are timed over the same number of rounds.
   std::uint64_t rounds = 3;
@@ -240,7 +295,7 @@ void emit_json(std::FILE* out, bool smoke,
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"compiled_path\",\n");
-  std::fprintf(out, "  \"schema_version\": 1,\n");
+  std::fprintf(out, "  \"schema_version\": 2,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"hardware_threads\": %u,\n", hw);
   // All rows are single-lane AggregateEngine, sampler cache ON, so the
@@ -252,11 +307,16 @@ void emit_json(std::FILE* out, bool smoke,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     std::fprintf(out, "    {\n");
+    std::fprintf(out, "      \"row\": \"%s\",\n", r.config.row);
     std::fprintf(out, "      \"protocol\": \"%s\",\n", r.config.protocol);
     std::fprintf(out, "      \"n\": %llu,\n",
                  static_cast<unsigned long long>(r.config.n));
     std::fprintf(out, "      \"h\": %llu,\n",
                  static_cast<unsigned long long>(r.config.h));
+    std::fprintf(out, "      \"s1\": %llu,\n",
+                 static_cast<unsigned long long>(r.config.s1));
+    std::fprintf(out, "      \"full_horizon\": %s,\n",
+                 r.config.full_horizon ? "true" : "false");
     std::fprintf(out, "      \"rounds_timed\": %llu,\n",
                  static_cast<unsigned long long>(r.rounds_timed));
     std::fprintf(out,
@@ -293,10 +353,15 @@ int main(int argc, char** argv) {
 
   // Identity gate at smoke sizes, in every mode (cheap: a few seconds).
   const Config identity_configs[] = {
-      {.protocol = "table", .n = 20000, .h = 8},
-      {.protocol = "sf", .n = 20000, .h = 4},
-      {.protocol = "ssf", .n = 2000, .h = 4},
+      {.row = "table", .protocol = "table", .n = 20000, .h = 8},
+      {.row = "sf", .protocol = "sf", .n = 20000, .h = 4},
+      {.row = "ssf", .protocol = "ssf", .n = 2000, .h = 4},
   };
+  // perfbench's sf_h64_compiled configuration, over its whole horizon
+  // (1173 rounds): boosting dominates, which the first-rounds rows never
+  // reach.  Cheap enough (about a second per path) to run in --smoke too.
+  const Config full_sf{.row = "sf_full", .protocol = "sf", .n = 10000,
+                       .h = 64, .s1 = 100, .full_horizon = true};
   std::printf("perf_compiled_path: identity gate (3 protocols x 3 paths)\n");
   if (!check_identity(identity_configs, /*rounds=*/48)) {
     std::fprintf(stderr, "perf_compiled_path: identity gate FAILED\n");
@@ -308,11 +373,16 @@ int main(int argc, char** argv) {
   if (smoke) {
     configs.assign(std::begin(identity_configs), std::end(identity_configs));
   } else {
-    configs.push_back(Config{.protocol = "sf", .n = 1000000, .h = 4});
-    configs.push_back(Config{.protocol = "sf", .n = 100000, .h = 16});
-    configs.push_back(Config{.protocol = "table", .n = 1000000, .h = 8});
-    configs.push_back(Config{.protocol = "ssf", .n = 20000, .h = 4});
+    configs.push_back(
+        Config{.row = "sf", .protocol = "sf", .n = 1000000, .h = 4});
+    configs.push_back(
+        Config{.row = "sf", .protocol = "sf", .n = 100000, .h = 16});
+    configs.push_back(
+        Config{.row = "table", .protocol = "table", .n = 1000000, .h = 8});
+    configs.push_back(
+        Config{.row = "ssf", .protocol = "ssf", .n = 20000, .h = 4});
   }
+  configs.push_back(full_sf);
 
   std::vector<ConfigResult> results;
   for (const Config& cfg : configs) {

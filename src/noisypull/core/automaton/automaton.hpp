@@ -120,11 +120,12 @@ struct CompiledEdge {
 //
 // Thread-safety contract: interning automata (SF/SSF mirrors) are called
 // from the engines' block-parallel update phase through
-// CompiledPopulation::update, so compile()/transition() must be internally
-// synchronized (the mirrors guard their intern tables with a mutex).  The
-// *ids* handed out then depend on call interleaving, which is harmless:
-// every observable — display, opinion, transition law — is a function of
-// the interned concrete state, never of the id.
+// CompiledPopulation (update() and cells compiled on a miss), so
+// compile()/transition() must be internally synchronized (the mirrors
+// guard their intern tables with a mutex).  The *ids* handed out then
+// depend on call interleaving, which is harmless: every observable —
+// display, opinion, transition law — is a function of the interned
+// concrete state, never of the id.
 class AgentAutomaton {
  public:
   virtual ~AgentAutomaton() = default;

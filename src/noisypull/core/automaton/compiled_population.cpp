@@ -1,6 +1,5 @@
 #include "noisypull/core/automaton/compiled_population.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace noisypull {
@@ -12,6 +11,8 @@ CompiledPopulation::CompiledPopulation(std::vector<CompiledGroup> groups,
   for (CompiledGroup& cg : groups) {
     NOISYPULL_CHECK(cg.count >= 1, "empty compiled group");
     NOISYPULL_CHECK(cg.automaton != nullptr, "group needs an automaton");
+    NOISYPULL_CHECK(groups_.size() < CellTable::kMaxGroups,
+                    "too many compiled groups for the cell key");
     if (alphabet_ == 0) alphabet_ = cg.automaton->alphabet_size();
     NOISYPULL_CHECK(cg.automaton->alphabet_size() == alphabet_,
                     "all groups must share one alphabet");
@@ -20,6 +21,7 @@ CompiledPopulation::CompiledPopulation(std::vector<CompiledGroup> groups,
     g.automaton = std::move(cg.automaton);
     g.agent_begin = state_.size();
     g.agent_end = state_.size() + cg.count;
+    g.key_bits = static_cast<std::uint64_t>(gi) << CellTable::kGroupShift;
     groups_.push_back(std::move(g));
     for (std::uint64_t i = 0; i < cg.count; ++i) {
       group_of_.push_back(gi);
@@ -53,6 +55,24 @@ Opinion CompiledPopulation::opinion(std::uint64_t agent) const {
   return g.automaton->opinion(state_[agent]);
 }
 
+std::uint64_t CompiledPopulation::count_opinion(Opinion o) const {
+  std::uint64_t count = 0;
+  for (const Group& g : groups_) {
+    std::vector<Opinion>& memo = g.opinion_table;
+    for (std::uint64_t i = g.agent_begin; i < g.agent_end; ++i) {
+      const AutomatonState s = state_[i];
+      // Interned ids are contiguous, so filling [size, s] covers every id
+      // the group can currently hold.
+      while (s >= memo.size()) {
+        memo.push_back(
+            g.automaton->opinion(static_cast<AutomatonState>(memo.size())));
+      }
+      if (memo[s] == o) ++count;
+    }
+  }
+  return count;
+}
+
 void CompiledPopulation::begin_display_round(std::uint64_t round) {
   for (Group& g : groups_) {
     const std::uint64_t sig = g.automaton->display_signature(round);
@@ -75,96 +95,139 @@ void CompiledPopulation::extend_display_table(Group& g, std::uint64_t round,
   }
 }
 
-namespace {
-
-// resize() with geometric capacity growth.  Interned state ids (and with
-// them the row tables) grow a little nearly every round; libstdc++'s
-// resize() allocates exactly the requested size, which would make the
-// repeated extensions quadratic in total copying.
-template <typename Vec>
-void grow_to(Vec& v, std::size_t size, typename Vec::value_type fill = {}) {
-  if (size <= v.size()) return;
-  if (v.capacity() < size) v.reserve(std::max(size, v.capacity() * 2));
-  v.resize(size, fill);
-}
-
-}  // namespace
-
-bool CompiledPopulation::build_update_tables(std::uint64_t round,
-                                             const ObservationSampler& sampler) {
-  NOISYPULL_CHECK(sampler.mode() == ObservationSampler::Mode::InverseCdf,
-                  "compiled update tables need an enumerable outcome space");
-  const std::uint64_t num_out = sampler.num_outcomes();
-  NOISYPULL_ASSERT(num_out >= 1);
+void CompiledPopulation::begin_update_round(std::uint64_t round,
+                                            std::uint64_t num_outcomes,
+                                            std::size_t journals) {
+  NOISYPULL_CHECK(
+      num_outcomes >= 1 && num_outcomes - 1 <= CellTable::kOutcomeMask,
+      "compiled cells need an enumerable outcome space");
   for (Group& g : groups_) {
     const std::uint64_t sig = g.automaton->update_signature(round);
     UpdateTable& t = g.update_tables[sig];  // node-stable across inserts
-    if (t.num_outcomes == 0) t.num_outcomes = num_out;
-    NOISYPULL_CHECK(t.num_outcomes == num_out,
+    if (t.num_outcomes == 0) t.num_outcomes = num_outcomes;
+    NOISYPULL_CHECK(t.num_outcomes == num_outcomes,
                     "outcome space changed across rounds sharing an update "
                     "signature (h and alphabet are fixed per run)");
-    g.active = &t;
+    g.active = &t.cells;
   }
-  // Occupancy pass: find the states agents actually hold at the start of
-  // this round whose rows are not yet compiled.  States created mid-round
-  // are never read back within the round (state writes are only re-read
-  // next round), so this is exhaustive for the coming parallel phase.
-  // row_built doubles as the visited mark (2 = pending this round).  Each
-  // group's agents are one contiguous index run (see the constructor), so
-  // the pass walks group ranges with the table hoisted — this O(n) scan
-  // runs every round and would otherwise pay a group lookup per agent.
-  pending_rows_.clear();
-  for (std::uint32_t gi = 0; gi < groups_.size(); ++gi) {
-    UpdateTable& t = *groups_[gi].active;
-    const std::uint64_t begin = groups_[gi].agent_begin;
-    const std::uint64_t end = groups_[gi].agent_end;
-    for (std::uint64_t i = begin; i < end; ++i) {
-      const AutomatonState s = state_[i];
-      if (s >= t.row_built.size()) grow_to(t.row_built, s + 1);
-      if (t.row_built[s] != 0) continue;
-      t.row_built[s] = 2;
-      pending_rows_.emplace_back(gi, s);
-    }
-  }
+  update_round_ = round;
+  if (journals_.size() < journals) journals_.resize(journals);
+}
 
-  // Build gate (see the header): when compiling the missing rows costs more
-  // than the round they serve, un-mark and decline — the engine runs this
-  // round through the virtual per-agent path instead.
-  const double build_cost =
-      static_cast<double>(pending_rows_.size()) * static_cast<double>(num_out);
-  if (build_cost > table_build_limit_ * static_cast<double>(num_agents_)) {
-    for (const auto& [gi, s] : pending_rows_) {
-      groups_[gi].active->row_built[s] = 0;
-    }
-    return false;
+AutomatonState CompiledPopulation::resolve_miss(
+    CellTable& journal, const Group& g, std::uint64_t key,
+    const ObservationSampler& sampler, Rng& rng) {
+  const CellTable::Cell* c = journal.find(key);
+  if (c == nullptr) {
+    // compile() draws nothing: the agent's next draws are the edge's own,
+    // exactly as on a hit.
+    SymbolCounts obs(alphabet_);
+    sampler.outcome_counts(key & CellTable::kOutcomeMask, obs);
+    c = &journal.insert(
+        key, g.automaton->compile(static_cast<AutomatonState>(key >> 32),
+                                  update_round_, obs));
   }
+  return journal.resolve(*c, rng);
+}
 
-  for (const auto& [gi, s] : pending_rows_) {
-    Group& g = groups_[gi];
-    UpdateTable& t = *g.active;
-    t.row_built[s] = 1;
-    const std::uint64_t row = static_cast<std::uint64_t>(s) * t.num_outcomes;
-    grow_to(t.edges, row + t.num_outcomes);
-    sampler.for_each_outcome([&](std::uint64_t idx, const SymbolCounts& obs) {
-      const CompiledEdge e = g.automaton->compile(s, round, obs);
-      PackedEdge& p = t.edges[row + idx];
-      p.kind = static_cast<std::uint8_t>(e.kind);
-      p.target = e.target;
-      if (e.kind == CompiledEdge::Kind::InverseCdf) {
-        NOISYPULL_CHECK(!e.law.empty(), "empty transition law");
-        NOISYPULL_CHECK(t.law_prob.size() + e.law.size() <=
-                            static_cast<std::size_t>(~std::uint32_t{0}),
-                        "pooled law storage exceeds 32-bit indexing");
-        p.law_begin = static_cast<std::uint32_t>(t.law_prob.size());
-        p.law_len = static_cast<std::uint32_t>(e.law.size());
-        for (const WeightedState& ws : e.law) {
-          t.law_prob.push_back(ws.prob);
-          t.law_target.push_back(ws.state);
-        }
-      }
+void CompiledPopulation::end_update_round() {
+  const std::uint64_t cap = kCellsPerAgent * num_agents_;
+  for (CellTable& journal : journals_) {
+    journal.for_each([&](const CellTable::Cell& c) {
+      const auto gi = static_cast<std::size_t>(
+          (c.key >> CellTable::kGroupShift) & CellTable::kMaxGroups);
+      CellTable& table = *groups_[gi].active;
+      if (table.find(c.key) != nullptr) return;  // compiled by another block
+      if (table.size() >= cap) table.clear();
+      table.insert_from(c, journal);
+      ++cells_compiled_;
     });
+    journal.clear();
   }
-  return true;
+}
+
+std::uint64_t CompiledPopulation::table_cells() const noexcept {
+  std::uint64_t cells = 0;
+  for (const Group& g : groups_) {
+    for (const auto& [sig, t] : g.update_tables) cells += t.cells.capacity();
+  }
+  return cells;
+}
+
+// --------------------------------------------------------------------------
+// CellTable
+
+CellTable::Cell& CellTable::place(std::uint64_t key) {
+  if ((filled_.size() + 1) * 2 > slots_.size()) grow();
+  std::size_t i = slot_of(key);
+  while (slots_[i].key != kEmptyKey) {
+    NOISYPULL_ASSERT(slots_[i].key != key);
+    i = (i + 1) & mask_;
+  }
+  filled_.push_back(static_cast<std::uint32_t>(i));
+  Cell& c = slots_[i];
+  c.key = key;
+  return c;
+}
+
+void CellTable::grow() {
+  NOISYPULL_CHECK(slots_.size() <= (std::size_t{1} << 31),
+                  "cell table exceeds 32-bit slot indexing");
+  std::vector<Cell> old(slots_.size() * 2);
+  old.swap(slots_);
+  mask_ = slots_.size() - 1;
+  --shift_;
+  std::vector<std::uint32_t> order;
+  order.swap(filled_);
+  for (const std::uint32_t s : order) {
+    const Cell& c = old[s];
+    std::size_t i = slot_of(c.key);
+    while (slots_[i].key != kEmptyKey) i = (i + 1) & mask_;
+    slots_[i] = c;
+    filled_.push_back(static_cast<std::uint32_t>(i));
+  }
+}
+
+const CellTable::Cell& CellTable::insert(std::uint64_t key,
+                                         const CompiledEdge& e) {
+  Cell& c = place(key);
+  c.kind = static_cast<std::uint8_t>(e.kind);
+  c.target = e.target;
+  if (e.kind == CompiledEdge::Kind::InverseCdf) {
+    NOISYPULL_CHECK(!e.law.empty(), "empty transition law");
+    NOISYPULL_CHECK(law_prob_.size() + e.law.size() <=
+                        static_cast<std::size_t>(~std::uint32_t{0}),
+                    "pooled law storage exceeds 32-bit indexing");
+    c.target[0] = static_cast<AutomatonState>(law_prob_.size());
+    c.target[1] = static_cast<AutomatonState>(e.law.size());
+    for (const WeightedState& ws : e.law) {
+      law_prob_.push_back(ws.prob);
+      law_target_.push_back(ws.state);
+    }
+  }
+  return c;
+}
+
+void CellTable::insert_from(const Cell& c, const CellTable& from) {
+  Cell& mine = place(c.key);
+  mine.kind = c.kind;
+  mine.target = c.target;
+  if (static_cast<CompiledEdge::Kind>(c.kind) ==
+      CompiledEdge::Kind::InverseCdf) {
+    mine.target[0] = static_cast<AutomatonState>(law_prob_.size());
+    const std::uint32_t end = c.target[0] + c.target[1];
+    for (std::uint32_t k = c.target[0]; k < end; ++k) {
+      law_prob_.push_back(from.law_prob_[k]);
+      law_target_.push_back(from.law_target_[k]);
+    }
+  }
+}
+
+void CellTable::clear() {
+  for (const std::uint32_t s : filled_) slots_[s].key = kEmptyKey;
+  filled_.clear();
+  law_prob_.clear();
+  law_target_.clear();
 }
 
 std::unique_ptr<CompiledPopulation> make_compiled_sf(

@@ -124,47 +124,37 @@ std::vector<WeightedState> SfAutomaton::transition(
   Concrete c = states_[state];
 
   if (round < schedule_.phase_rounds) {
-    c.counter1 += obs[1];
+    c.balance += static_cast<std::int64_t>(obs[1]);
     return {{intern(c), 1.0}};
   }
   if (round < schedule_.boosting_start()) {
-    c.counter0 += obs[0];
+    c.balance -= static_cast<std::int64_t>(obs[0]);
     if (round + 1 != schedule_.boosting_start()) return {{intern(c), 1.0}};
     // finish_listening: weak ← majority of the two counters, tie → coin;
-    // current ← weak; boost counters reset (already 0 during listening).
-    // The listening counters are dead state from here on — no later
-    // transition or display reads them — so they are zeroed too: an
-    // exactness-preserving lumping that keeps the chain's support small.
-    const bool tie = c.counter1 == c.counter0;
-    const Opinion majority = c.counter1 > c.counter0 ? 1 : 0;
-    c.counter1 = 0;
-    c.counter0 = 0;
-    c.boost_ones = 0;
-    c.boost_total = 0;
+    // current ← weak; the balance restarts at 0 for the boost counters.
+    // Only current is kept: nothing after this round reads weak.
+    const bool tie = c.balance == 0;
+    const Opinion majority = c.balance > 0 ? 1 : 0;
+    c.balance = 0;
     if (!tie) {
-      c.weak = majority;
       c.current = majority;
       return {{intern(c), 1.0}};
     }
     Concrete heads = c;
-    heads.weak = 1;
     heads.current = 1;
     Concrete tails = c;
-    tails.weak = 0;
     tails.current = 0;
     return coin_split(intern(heads), intern(tails));
   }
   if (round >= schedule_.total_rounds()) return {{state, 1.0}};
-  c.boost_ones += obs[1];
-  c.boost_total += obs.total();
+  c.balance += static_cast<std::int64_t>(obs[1]) -
+               static_cast<std::int64_t>(obs[0]);
   if (!is_subphase_end(round)) return {{intern(c), 1.0}};
   // finish_subphase: current ← majority of boost ones vs zeros, tie → coin.
-  const std::uint64_t zeros = c.boost_total - c.boost_ones;
-  const std::uint64_t ones = c.boost_ones;
-  c.boost_ones = 0;
-  c.boost_total = 0;
-  if (ones != zeros) {
-    c.current = ones > zeros ? 1 : 0;
+  const std::int64_t balance = c.balance;
+  c.balance = 0;
+  if (balance != 0) {
+    c.current = balance > 0 ? 1 : 0;
     return {{intern(c), 1.0}};
   }
   Concrete heads = c;
@@ -185,45 +175,37 @@ CompiledEdge SfAutomaton::compile(AutomatonState state, std::uint64_t round,
   Concrete c = states_[state];
 
   if (round < schedule_.phase_rounds) {
-    c.counter1 += obs[1];
+    c.balance += static_cast<std::int64_t>(obs[1]);
     return CompiledEdge::deterministic(intern(c));
   }
   if (round < schedule_.boosting_start()) {
-    c.counter0 += obs[0];
+    c.balance -= static_cast<std::int64_t>(obs[0]);
     if (round + 1 != schedule_.boosting_start()) {
       return CompiledEdge::deterministic(intern(c));
     }
-    const bool tie = c.counter1 == c.counter0;
-    const Opinion majority = c.counter1 > c.counter0 ? 1 : 0;
-    c.counter1 = 0;
-    c.counter0 = 0;
-    c.boost_ones = 0;
-    c.boost_total = 0;
+    const bool tie = c.balance == 0;
+    const Opinion majority = c.balance > 0 ? 1 : 0;
+    c.balance = 0;
     if (!tie) {
-      c.weak = majority;
       c.current = majority;
       return CompiledEdge::deterministic(intern(c));
     }
     Concrete heads = c;
-    heads.weak = 1;
     heads.current = 1;
     Concrete tails = c;
-    tails.weak = 0;
     tails.current = 0;
     return CompiledEdge::coin(intern(tails), intern(heads));
   }
   if (round >= schedule_.total_rounds()) {
     return CompiledEdge::deterministic(state);
   }
-  c.boost_ones += obs[1];
-  c.boost_total += obs.total();
+  c.balance += static_cast<std::int64_t>(obs[1]) -
+               static_cast<std::int64_t>(obs[0]);
   if (!is_subphase_end(round)) return CompiledEdge::deterministic(intern(c));
-  const std::uint64_t zeros = c.boost_total - c.boost_ones;
-  const std::uint64_t ones = c.boost_ones;
-  c.boost_ones = 0;
-  c.boost_total = 0;
-  if (ones != zeros) {
-    c.current = ones > zeros ? 1 : 0;
+  const std::int64_t balance = c.balance;
+  c.balance = 0;
+  if (balance != 0) {
+    c.current = balance > 0 ? 1 : 0;
     return CompiledEdge::deterministic(intern(c));
   }
   Concrete heads = c;

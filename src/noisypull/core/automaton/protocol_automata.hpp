@@ -13,10 +13,11 @@
 //
 //  * SfAutomaton — the exact mirror of core/SourceFilter for one agent
 //    role (source with a fixed preference, or non-source).  The concrete
-//    state (counter1, counter0, weak, current, boost_ones, boost_total) is
-//    interned on demand; protocol coin tosses (listening / sub-phase ties)
-//    become ½-½ probability splits in transition() and single next_bool()
-//    draws in compile() — exactly the draws SourceFilter::update makes.
+//    state, lumped to what later rounds read (the current opinion and the
+//    balance of the active counter pair), is interned on demand; protocol
+//    coin tosses (listening / sub-phase ties) become ½-½ probability
+//    splits in transition() and single next_bool() draws in compile() —
+//    exactly the draws SourceFilter::update makes.
 //
 //  * SsfAutomaton — the exact mirror of core/SelfStabilizingSourceFilter
 //    (stale_flush = 0) for one role.  Memory flush ties split the state up
@@ -37,9 +38,10 @@
 
 // <mutex> is allowlisted here by tools/noisypull_lint.cpp's threading-header
 // rule: the interning tables of the SF/SSF mirrors are grown lazily from the
-// engines' block-parallel update phase (CompiledPopulation::update), so
-// lookup+insert must be atomic.  Ids depend on interleaving; observables
-// never do (see the AgentAutomaton thread-safety contract).
+// engines' block-parallel update phase (CompiledPopulation's update() and
+// cells compiled on a miss), so lookup+insert must be atomic.  Ids depend on
+// interleaving; observables never do (see the AgentAutomaton thread-safety
+// contract).
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -120,20 +122,21 @@ class SfAutomaton final : public AgentAutomaton {
   std::uint64_t display_signature(std::uint64_t round) const override;
 
  private:
+  // Exact lumping of SourceFilter's agent state to what later rounds read.
+  // One signed balance stands for both counter pairs: counter1 − counter0
+  // while listening, boost_ones − boost_zeros while boosting.
+  // finish_listening and finish_subphase read nothing but its sign, and
+  // the phases never overlap (each finish zeroes it), so one state per
+  // balance replaces one per counter pair, and boosting balances recur
+  // across sub-phase rounds.  The weak opinion is dropped too: after
+  // finish_listening copies it into current, no transition, display or
+  // opinion reads it.
   struct Concrete {
-    std::uint64_t counter1 = 0;
-    std::uint64_t counter0 = 0;
-    std::uint64_t boost_ones = 0;
-    std::uint64_t boost_total = 0;
-    Opinion weak = 0;
+    std::int64_t balance = 0;
     Opinion current = 0;
 
     bool operator<(const Concrete& rhs) const {
-      if (counter1 != rhs.counter1) return counter1 < rhs.counter1;
-      if (counter0 != rhs.counter0) return counter0 < rhs.counter0;
-      if (boost_ones != rhs.boost_ones) return boost_ones < rhs.boost_ones;
-      if (boost_total != rhs.boost_total) return boost_total < rhs.boost_total;
-      if (weak != rhs.weak) return weak < rhs.weak;
+      if (balance != rhs.balance) return balance < rhs.balance;
       return current < rhs.current;
     }
   };

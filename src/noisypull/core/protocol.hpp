@@ -87,6 +87,19 @@ class PullProtocol {
   // The agent's current output opinion Y^(agent).
   virtual Opinion opinion(std::uint64_t agent) const = 0;
 
+  // Number of agents whose opinion() is `o` — the run loop's per-round
+  // convergence count (sim/runner.hpp count_correct).  The default asks
+  // every agent; a protocol with a cheaper exact answer may override it
+  // (CompiledPopulation memoizes opinions per interned state).
+  virtual std::uint64_t count_opinion(Opinion o) const {
+    std::uint64_t count = 0;
+    const std::uint64_t n = num_agents();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (opinion(i) == o) ++count;
+    }
+    return count;
+  }
+
   // Number of rounds the protocol is designed to run, or 0 if it has no
   // intrinsic horizon (self-stabilizing and baseline protocols).
   virtual std::uint64_t planned_rounds() const { return 0; }

@@ -28,7 +28,7 @@ void Engine::set_threads(unsigned lanes) {
 
 void Engine::for_each_block(std::uint64_t n, std::uint64_t round_key,
                             const BlockBody& body) {
-  const std::uint64_t blocks = (n + kBlockSize - 1) / kBlockSize;
+  const std::uint64_t blocks = num_blocks(n);
   const auto run_block = [&](std::uint64_t b) {
     // Counter substream: a function of (round_key, b) only — never of the
     // lane that happens to execute the block — so serial and pooled
@@ -191,22 +191,25 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
 
   const std::uint64_t round_key = rng.next();
   if (access.population != nullptr &&
-      sampler_.mode() == ObservationSampler::Mode::InverseCdf &&
-      access.population->build_update_tables(round, sampler_)) {
-    // Table-driven update phase: one sample_index() + one packed-edge apply
-    // per agent, no virtual dispatch.  Faulted agents take the per-agent
-    // virtual fallback, which consumes the identical draws (sample() and
-    // sample_index() share one uniform and one stopping rule).
+      sampler_.mode() == ObservationSampler::Mode::InverseCdf) {
+    // Table-driven update phase: one sample_index() + one cell apply per
+    // agent, no virtual dispatch; cells missing from the tables compile on
+    // the spot into the block's journal.  Faulted agents take the
+    // per-agent virtual fallback, which consumes the identical draws
+    // (sample() and sample_index() share one uniform and one stopping
+    // rule).
     CompiledPopulation& pop = *access.population;
+    pop.begin_update_round(round, sampler_.num_outcomes(), num_blocks(n));
     const bool faults_possible =
         access.force_virtual_updates || access.stalled_until != nullptr;
     for_each_block(
         n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
+          const std::size_t journal = block_of(begin);
           if (!faults_possible) {
             // No fault decorator this round: the whole block takes the
             // group-hoisted tight loop — same draws, same writes, without
             // the per-agent group lookup and fault check.
-            pop.apply_block(begin, end, sampler_, brng);
+            pop.apply_block(journal, begin, end, sampler_, brng);
             return;
           }
           SymbolCounts obs(d);
@@ -216,16 +219,16 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
               sampler_.sample(brng, obs);
               protocol.update(i, round, obs, brng);
             } else {
-              pop.apply(i, sampler_.sample_index(brng), brng);
+              pop.apply(journal, i, sampler_, sampler_.sample_index(brng),
+                        brng);
             }
           }
         });
+    pop.end_update_round();
     return;
   }
-  // Virtual path — also the compiled mode's whole-round fallback when the
-  // outcome space is not enumerable (Decomposition mode) or when this
-  // round's missing transition rows fail the build gate
-  // (core/automaton/compiled_population.hpp): per-agent
+  // Virtual path — also the compiled mode's path when the outcome space is
+  // not enumerable (Decomposition mode): per-agent
   // CompiledPopulation::update mirrors the production draws exactly.
   for_each_block(
       n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
@@ -341,40 +344,39 @@ void HeterogeneousEngine::step(PullProtocol& protocol,
   }
 
   const std::uint64_t round_key = rng.next();
-  if (access.population != nullptr) {
-    // The outcome enumeration is a function of (h, d) only, so any one
-    // InverseCdf sampler can build this round's transition tables; agents
-    // whose channel group fell back to Decomposition (tiny groups under the
-    // amortization gate) take the per-agent virtual fallback instead.
-    const ObservationSampler* enumerator = nullptr;
-    for (const ObservationSampler& s : samplers_) {
-      if (s.mode() == ObservationSampler::Mode::InverseCdf) {
-        enumerator = &s;
-        break;
-      }
+  // The outcome enumeration is a function of (h, d) only, so every
+  // InverseCdf sampler of the round shares it; agents whose channel group
+  // fell back to Decomposition (tiny groups under the amortization gate)
+  // take the per-agent virtual fallback instead.
+  const ObservationSampler* enumerator = nullptr;
+  for (const ObservationSampler& s : samplers_) {
+    if (s.mode() == ObservationSampler::Mode::InverseCdf) {
+      enumerator = &s;
+      break;
     }
-    if (enumerator != nullptr &&
-        access.population->build_update_tables(round, *enumerator)) {
-      CompiledPopulation& pop = *access.population;
-      for_each_block(
-          n, round_key,
-          [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
-            SymbolCounts obs(d);
-            for (std::uint64_t i = begin; i < end; ++i) {
-              const ObservationSampler& smp =
-                  samplers_[static_cast<std::size_t>(group_of_[i])];
-              if (smp.mode() != ObservationSampler::Mode::InverseCdf ||
-                  needs_virtual_update(access, i, round)) {
-                obs.clear();
-                smp.sample(brng, obs);
-                protocol.update(i, round, obs, brng);
-              } else {
-                pop.apply(i, smp.sample_index(brng), brng);
-              }
+  }
+  if (access.population != nullptr && enumerator != nullptr) {
+    CompiledPopulation& pop = *access.population;
+    pop.begin_update_round(round, enumerator->num_outcomes(), num_blocks(n));
+    for_each_block(
+        n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
+          const std::size_t journal = block_of(begin);
+          SymbolCounts obs(d);
+          for (std::uint64_t i = begin; i < end; ++i) {
+            const ObservationSampler& smp =
+                samplers_[static_cast<std::size_t>(group_of_[i])];
+            if (smp.mode() != ObservationSampler::Mode::InverseCdf ||
+                needs_virtual_update(access, i, round)) {
+              obs.clear();
+              smp.sample(brng, obs);
+              protocol.update(i, round, obs, brng);
+            } else {
+              pop.apply(journal, i, smp, smp.sample_index(brng), brng);
             }
-          });
-      return;
-    }
+          }
+        });
+    pop.end_update_round();
+    return;
   }
   for_each_block(
       n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {

@@ -138,6 +138,14 @@ class Engine {
       PullProtocol& protocol, const CompiledAccess& access,
       std::uint64_t round);
 
+  // Number of blocks of [0, n), and the block holding agent `begin`.
+  static std::size_t num_blocks(std::uint64_t n) noexcept {
+    return static_cast<std::size_t>((n + kBlockSize - 1) / kBlockSize);
+  }
+  static std::size_t block_of(std::uint64_t agent) noexcept {
+    return static_cast<std::size_t>(agent / kBlockSize);
+  }
+
   // Runs body(begin, end, block_rng) for every block [begin, end) of
   // [0, n), where block b's rng is Rng(round_key, b) — serially when lanes
   // == 1, on the pool otherwise.  The caller draws round_key from the run

@@ -237,17 +237,28 @@ std::uint64_t ObservationSampler::sample_index_uncached(double target) const {
   return result;
 }
 
-void ObservationSampler::for_each_outcome(const OutcomeVisitor& visit) const {
+void ObservationSampler::outcome_counts(std::uint64_t index,
+                                        SymbolCounts& obs) const {
   NOISYPULL_CHECK(mode_ == Mode::InverseCdf,
-                  "for_each_outcome() requires the inverse-CDF mode: the "
+                  "outcome_counts() requires the inverse-CDF mode: the "
                   "outcome space must be enumerable (see the reset() gate)");
-  SymbolCounts obs(d_);
-  std::uint64_t index = 0;
+  NOISYPULL_CHECK(index < outcome_count_, "outcome index out of range");
+  NOISYPULL_CHECK(obs.size == d_,
+                  "observation buffer does not match the sampler alphabet");
+  if (d_ == 2) {
+    obs.c[0] = h_ - index;
+    obs.c[1] = index;
+    return;
+  }
+  if (!outcomes_.empty()) {
+    for (std::size_t s = 0; s < d_; ++s) obs.c[s] = outcomes_[index][s];
+    return;
+  }
+  std::uint64_t at = 0;
   enumerate([&](double /*pmf*/, std::span<const std::uint64_t> counts) {
+    if (at++ < index) return true;
     for (std::size_t s = 0; s < d_; ++s) obs.c[s] = counts[s];
-    visit(index, obs);
-    ++index;
-    return true;
+    return false;
   });
 }
 

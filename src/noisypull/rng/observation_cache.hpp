@@ -39,7 +39,6 @@
 // samplers (tests/test_observation_cache.cpp).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -116,8 +115,18 @@ class ObservationSampler {
         for (std::size_t i = 0; i < m; ++i) le += cum_[i] <= target ? 1 : 0;
         idx = le;
       } else {
-        idx = static_cast<std::size_t>(
-            std::upper_bound(cum_.begin(), cum_.end(), target) - cum_.begin());
+        // Branchless binary search for the same count: each step keeps the
+        // half whose first element is still <= target, selected with a
+        // conditional move instead of a mispredicting branch.
+        const double* base = cum_.data();
+        std::size_t len = m;
+        while (len > 1) {
+          const std::size_t half = len / 2;
+          base = base[half] <= target ? base + half : base;
+          len -= half;
+        }
+        idx = static_cast<std::size_t>(base - cum_.data()) +
+              (*base <= target ? 1 : 0);
       }
       if (idx >= m) idx = m - 1;
       return static_cast<std::uint64_t>(idx);
@@ -130,12 +139,13 @@ class ObservationSampler {
   // threshold is wall-clock-only and can never affect a trajectory.
   static constexpr std::size_t kLinearScanOutcomes = 64;
 
-  // Visits every outcome of the canonical enumeration once, in index order:
-  // visit(index, counts).  Used to build per-round transition tables (one
-  // pass, amortized over all agents).  InverseCdf mode only.
-  using OutcomeVisitor =
-      std::function<void(std::uint64_t, const SymbolCounts&)>;
-  void for_each_outcome(const OutcomeVisitor& visit) const;
+  // Writes the count vector of outcome `index` of the canonical enumeration
+  // into obs (obs.size must equal d) — the decode of sample_index().  The
+  // compiled engine path calls it once per transition cell it compiles
+  // (core/automaton/compiled_population.hpp), never per agent.  Binary
+  // outcomes decode analytically and cached k-ary ones from the table; the
+  // uncached k-ary decode walks the enumeration.  InverseCdf mode only.
+  void outcome_counts(std::uint64_t index, SymbolCounts& obs) const;
 
   // Called by split() once per outcome that received a positive share:
   // (share, outcome count vector of length d).

@@ -5,10 +5,12 @@
 #include "noisypull/common/check.hpp"
 
 namespace noisypull {
-namespace {
 
-template <typename Protocol>
-std::uint64_t count_correct_impl(const Protocol& protocol, Opinion correct) {
+std::uint64_t count_correct(const PullProtocol& protocol, Opinion correct) {
+  return protocol.count_opinion(correct);
+}
+
+std::uint64_t count_correct(const PushProtocol& protocol, Opinion correct) {
   std::uint64_t count = 0;
   const std::uint64_t n = protocol.num_agents();
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -16,6 +18,8 @@ std::uint64_t count_correct_impl(const Protocol& protocol, Opinion correct) {
   }
   return count;
 }
+
+namespace {
 
 // Shared run loop: the PULL and PUSH engines expose the same step()
 // signature, so the bookkeeping (trajectory, streaks, stability) is common.
@@ -51,7 +55,7 @@ RunResult run_impl(Protocol& protocol, EngineT& engine,
       throw OperationCancelled();
     }
     engine.step(protocol, noise, Holdings{cfg.h}, t, rng);
-    const std::uint64_t good = count_correct_impl(protocol, correct);
+    const std::uint64_t good = count_correct(protocol, correct);
     if (cfg.record_trajectory) result.trajectory.push_back(good);
     if (good == n) {
       if (streak_start == kNever) streak_start = t;
@@ -60,7 +64,7 @@ RunResult run_impl(Protocol& protocol, EngineT& engine,
     }
   }
   result.rounds_run = rounds;
-  result.correct_at_end = count_correct_impl(protocol, correct);
+  result.correct_at_end = count_correct(protocol, correct);
   result.all_correct_at_end = result.correct_at_end == n;
   result.first_all_correct = streak_start;
 
@@ -72,7 +76,7 @@ RunResult run_impl(Protocol& protocol, EngineT& engine,
         throw OperationCancelled();
       }
       engine.step(protocol, noise, Holdings{cfg.h}, t, rng);
-      held = count_correct_impl(protocol, correct) == n;
+      held = count_correct(protocol, correct) == n;
       ++result.rounds_run;
     }
     result.stable = held;
@@ -82,13 +86,6 @@ RunResult run_impl(Protocol& protocol, EngineT& engine,
 
 }  // namespace
 
-std::uint64_t count_correct(const PullProtocol& protocol, Opinion correct) {
-  return count_correct_impl(protocol, correct);
-}
-
-std::uint64_t count_correct(const PushProtocol& protocol, Opinion correct) {
-  return count_correct_impl(protocol, correct);
-}
 
 RunResult run(PullProtocol& protocol, Engine& engine, const NoiseMatrix& noise,
               Opinion correct, const RunConfig& cfg, Rng& rng) {

@@ -19,12 +19,18 @@
 //     forged/stalled/drop fallbacks route exactly the faulted agents through
 //     the virtual path and nobody else's draws move;
 //   * heterogeneous channel groups too small to amortize the inverse-CDF
-//     table fall back per agent without disturbing the fast-path agents.
+//     table fall back per agent without disturbing the fast-path agents;
+//   * compile-on-miss: no fault-free InverseCdf round reaches the virtual
+//     update(), and misses compiled concurrently by several engine blocks
+//     leave digests and the table telemetry (cells_compiled, table_cells)
+//     independent of the lane count.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -128,11 +134,6 @@ std::unique_ptr<CompiledPopulation> make_compiled(Proto p) {
       pop = make_compiled_ssf(kPop, MemoryBudget{16});
       break;
   }
-  // At n = 48 the default build gate would route most rounds through the
-  // virtual path (row compilation rarely amortizes over so few agents);
-  // force the fast path so the matrix genuinely exercises it.  The gate's
-  // own identity is pinned separately in DefaultBuildGateKeepsIdentity.
-  if (pop) pop->set_table_build_limit(1e18);
   return pop;
 }
 
@@ -231,36 +232,63 @@ TEST(CompiledSampler, SampleIndexMatchesSampleDrawForDraw) {
     const std::vector<double> weights =
         d == 2 ? std::vector<double>{0.3, 0.7}
                : std::vector<double>{0.2, 0.5, 0.3};
-    for (bool cache : {true, false}) {
-      ObservationSampler sampler;
-      sampler.reset(/*h=*/6, weights, cache);
-      ASSERT_EQ(sampler.mode(), ObservationSampler::Mode::InverseCdf);
+    // h = 6: the linear partial-sum count (<= 64 outcomes); the larger h
+    // (81 and 91 outcomes) takes the binary search.
+    const std::uint64_t big_h = d == 2 ? 80 : 12;
+    for (const std::uint64_t h : {std::uint64_t{6}, big_h}) {
+      for (bool cache : {true, false}) {
+        ObservationSampler sampler;
+        sampler.reset(h, weights, cache);
+        ASSERT_EQ(sampler.mode(), ObservationSampler::Mode::InverseCdf);
 
-      // Canonical enumeration, index → counts.
-      std::vector<std::vector<std::uint64_t>> outcomes(sampler.num_outcomes());
-      sampler.for_each_outcome(
-          [&](std::uint64_t index, const SymbolCounts& obs) {
-            ASSERT_LT(index, outcomes.size());
-            for (std::size_t s = 0; s < d; ++s) {
-              outcomes[index].push_back(obs[static_cast<Symbol>(s)]);
-            }
-          });
-
-      Rng by_index(17);
-      Rng by_counts(17);
-      SymbolCounts obs(d);
-      for (int draw = 0; draw < 256; ++draw) {
-        const std::uint64_t index = sampler.sample_index(by_index);
-        sampler.sample(by_counts, obs);
-        ASSERT_LT(index, outcomes.size());
-        for (std::size_t s = 0; s < d; ++s) {
-          ASSERT_EQ(outcomes[index][s], obs[static_cast<Symbol>(s)])
-              << "d=" << d << " cache=" << cache << " draw=" << draw;
+        Rng by_index(17);
+        Rng by_counts(17);
+        SymbolCounts obs(d);
+        SymbolCounts decoded(d);
+        for (int draw = 0; draw < 256; ++draw) {
+          const std::uint64_t index = sampler.sample_index(by_index);
+          sampler.sample(by_counts, obs);
+          ASSERT_LT(index, sampler.num_outcomes());
+          sampler.outcome_counts(index, decoded);
+          for (std::size_t s = 0; s < d; ++s) {
+            ASSERT_EQ(decoded[static_cast<Symbol>(s)],
+                      obs[static_cast<Symbol>(s)])
+                << "d=" << d << " h=" << h << " cache=" << cache
+                << " draw=" << draw;
+          }
         }
+        // Identical rng consumption: the streams stay in lockstep.
+        EXPECT_EQ(by_index.next(), by_counts.next());
       }
-      // Identical rng consumption: the streams stay in lockstep.
-      EXPECT_EQ(by_index.next(), by_counts.next());
     }
+  }
+}
+
+TEST(CompiledSampler, OutcomeCountsDecodesTheCanonicalEnumeration) {
+  for (std::size_t d : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    const std::vector<double> weights(d, 1.0);
+    ObservationSampler cached;
+    ObservationSampler uncached;
+    cached.reset(/*h=*/5, weights, true);
+    uncached.reset(/*h=*/5, weights, false);
+    ASSERT_EQ(cached.num_outcomes(), uncached.num_outcomes());
+    std::set<std::vector<std::uint64_t>> seen;
+    SymbolCounts a(d);
+    SymbolCounts b(d);
+    for (std::uint64_t k = 0; k < cached.num_outcomes(); ++k) {
+      cached.outcome_counts(k, a);
+      uncached.outcome_counts(k, b);
+      std::vector<std::uint64_t> v(a.c.begin(), a.c.begin() + d);
+      EXPECT_EQ(v, std::vector<std::uint64_t>(b.c.begin(), b.c.begin() + d))
+          << "d=" << d << " k=" << k;
+      EXPECT_EQ(a.total(), 5u);
+      seen.insert(v);
+    }
+    EXPECT_EQ(seen.size(), cached.num_outcomes()) << "d=" << d;
+    cached.outcome_counts(0, a);  // NEXCOM starts at (h, 0, ..., 0)
+    EXPECT_EQ(a[0], 5u);
+    cached.outcome_counts(cached.num_outcomes() - 1, a);  // ends at (0, ..., h)
+    EXPECT_EQ(a[d - 1], 5u);
   }
 }
 
@@ -395,23 +423,197 @@ TEST(CompiledPathEdge, UndersizedHeterogeneousGroupFallsBackPerAgent) {
 }
 
 // ---------------------------------------------------------------------------
-// The default build gate (table_build_limit = 1.0) declines rounds whose row
-// compilation would not amortize; declined rounds run the virtual path and
-// the trajectory must not move.
+// Compile-on-miss: an InverseCdf round without faults never reaches the
+// virtual update().
 
-TEST(CompiledPathEdge, DefaultBuildGateKeepsIdentity) {
-  for (Proto proto : {Proto::Sf, Proto::Ssf}) {
+// Forwarding decorator that counts virtual update() calls while passing
+// compiled_access() through, so the engine still drives the inner
+// population's fast path directly.
+class CountingProtocol final : public PullProtocol {
+ public:
+  explicit CountingProtocol(PullProtocol& inner) : inner_(inner) {}
+  std::size_t alphabet_size() const override { return inner_.alphabet_size(); }
+  std::uint64_t num_agents() const override { return inner_.num_agents(); }
+  Symbol display(std::uint64_t agent, std::uint64_t round) const override {
+    return inner_.display(agent, round);
+  }
+  void update(std::uint64_t agent, std::uint64_t round,
+              const SymbolCounts& obs, Rng& rng) override {
+    updates_.fetch_add(1, std::memory_order_relaxed);
+    inner_.update(agent, round, obs, rng);
+  }
+  Opinion opinion(std::uint64_t agent) const override {
+    return inner_.opinion(agent);
+  }
+  std::uint64_t planned_rounds() const override {
+    return inner_.planned_rounds();
+  }
+  CompiledAccess compiled_access() override {
+    return inner_.compiled_access();
+  }
+  std::uint64_t virtual_updates() const {
+    return updates_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  PullProtocol& inner_;
+  std::atomic<std::uint64_t> updates_{0};
+};
+
+TEST(CompiledPathEdge, InverseCdfRoundsMakeNoVirtualUpdates) {
+  for (Proto proto : {Proto::Table, Proto::Sf, Proto::Ssf}) {
     const ProtoParams pp = params_of(proto);
-    const auto ref_protocol = make_compiled(proto);  // forced fast path
-    AggregateEngine ref_engine;
-    ref_engine.set_compiled(true);
-    const RunOut reference = run(*ref_protocol, ref_engine, pp, 41);
+    const auto reference_pop = make_compiled(proto);
+    AggregateEngine reference_engine;
+    const RunOut reference = run(*reference_pop, reference_engine, pp, 41);
 
-    const auto gated = make_compiled(proto);
-    gated->set_table_build_limit(1.0);  // back to the production default
+    const auto pop = make_compiled(proto);
+    CountingProtocol counted(*pop);
     AggregateEngine engine;
     engine.set_compiled(true);
-    EXPECT_EQ(run(*gated, engine, pp, 41), reference) << proto_name(proto);
+    const RunOut got = run(counted, engine, pp, 41);
+    EXPECT_EQ(got, reference) << proto_name(proto);
+    EXPECT_EQ(counted.virtual_updates(), 0u) << proto_name(proto);
+    EXPECT_GT(pop->cells_compiled(), 0u) << proto_name(proto);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Several engine blocks: misses compile concurrently into per-block
+// journals.  Digests, opinions and the deterministic table telemetry must
+// not depend on the lane count or on a pass-through FaultyEngine, and
+// stall/drop plans must keep identity with the interpreted run.
+
+constexpr std::uint64_t kBigN = 3 * 4096 + 517;  // four blocks, one ragged
+constexpr PopulationConfig kBigPop{.n = kBigN, .s1 = 40, .s0 = 12};
+
+// A short full SF schedule (listening, boosting, terminated tail) so the
+// run crosses every update signature in a few dozen rounds.
+constexpr SfSchedule kBigSchedule{.h = 8,
+                                  .m = 8,
+                                  .phase_rounds = 4,
+                                  .w = 8,
+                                  .subphase_rounds = 3,
+                                  .num_subphases = 4,
+                                  .final_rounds = 4};
+
+struct BigCase {
+  std::unique_ptr<CompiledPopulation> pop;
+  ProtoParams pp;
+};
+
+BigCase make_big(Proto p) {
+  if (p == Proto::Sf) {
+    return {make_compiled_sf(kBigPop, kBigSchedule),
+            {.d = 2, .h = 8, .rounds = kBigSchedule.total_rounds() + 2}};
+  }
+  return {make_compiled_ssf(kBigPop, MemoryBudget{16}),
+          {.d = 4, .h = 4, .rounds = 20}};
+}
+
+FaultPlan big_plan(Proto p, bool with_drop) {
+  FaultPlan plan = p == Proto::Ssf ? FaultPlan::for_ssf(/*correct=*/1)
+                                   : FaultPlan::for_binary(/*correct=*/1);
+  plan.seed = 5;
+  plan.first_eligible = kBigPop.s0 + kBigPop.s1;
+  plan.stall.crash_rate = 0.05;
+  if (with_drop) plan.drop.p = 0.2;
+  return plan;
+}
+
+struct BigOut {
+  RunOut run;
+  std::uint64_t cells_compiled = 0;
+  std::uint64_t table_cells = 0;
+  bool operator==(const BigOut&) const = default;
+};
+
+BigOut run_big(Proto p, bool compiled, unsigned lanes,
+               const FaultPlan* plan) {
+  BigCase c = make_big(p);
+  AggregateEngine inner;
+  std::unique_ptr<FaultyEngine> faulty;
+  Engine* engine = &inner;
+  if (plan != nullptr) {
+    faulty = std::make_unique<FaultyEngine>(inner, *plan);
+    engine = faulty.get();
+  }
+  engine->set_compiled(compiled);
+  engine->set_threads(lanes);
+  BigOut out;
+  out.run = run(*c.pop, *engine, c.pp, 77);
+  out.cells_compiled = c.pop->cells_compiled();
+  out.table_cells = c.pop->table_cells();
+  return out;
+}
+
+TEST(CompiledPathEdge, ConcurrentMissesKeepIdentityAcrossLanes) {
+  for (Proto proto : {Proto::Sf, Proto::Ssf}) {
+    const BigOut reference = run_big(proto, /*compiled=*/false, 1, nullptr);
+    const BigOut base = run_big(proto, /*compiled=*/true, 1, nullptr);
+    EXPECT_EQ(base.run, reference.run) << proto_name(proto);
+    EXPECT_GT(base.cells_compiled, 0u);
+    EXPECT_GT(base.table_cells, 0u);
+    const FaultPlan zero{};
+    for (unsigned lanes : {1u, 2u, 4u}) {
+      EXPECT_EQ(run_big(proto, true, lanes, nullptr), base)
+          << proto_name(proto) << ", " << lanes << " lanes";
+      EXPECT_EQ(run_big(proto, true, lanes, &zero), base)
+          << proto_name(proto) << ", zero plan, " << lanes << " lanes";
+    }
+    for (bool with_drop : {false, true}) {
+      const FaultPlan plan = big_plan(proto, with_drop);
+      const RunOut faulted = run_big(proto, false, 1, &plan).run;
+      for (unsigned lanes : {1u, 2u, 4u}) {
+        EXPECT_EQ(run_big(proto, true, lanes, &plan).run, faulted)
+            << proto_name(proto) << (with_drop ? ", stall+drop, " : ", stall, ")
+            << lanes << " lanes";
+      }
+    }
+  }
+}
+
+// SSF states that never recur (a memory budget no run reaches, so no
+// flush) miss every round; their tables start over at 8 cells per agent
+// instead of keeping one cell per agent-round.
+TEST(CompiledPathEdge, FreshStateTablesStayBounded) {
+  const ProtoParams pp{.d = 4, .h = 4, .rounds = 200};
+  const auto make_pop = [] {
+    return make_compiled_ssf(kPop, MemoryBudget{1'000'000});
+  };
+  const auto ref_protocol = make_pop();
+  AggregateEngine ref_engine;
+  const RunOut reference = run(*ref_protocol, ref_engine, pp, 13);
+
+  const auto pop = make_pop();
+  AggregateEngine engine;
+  engine.set_compiled(true);
+  EXPECT_EQ(run(*pop, engine, pp, 13), reference);
+  // Every agent-round past the first few realizes a fresh cell.
+  EXPECT_GT(pop->cells_compiled(), kN * pp.rounds / 2);
+  // Three group tables, each at most 8·n cells in at most 4× the slots.
+  EXPECT_LE(pop->table_cells(), 3 * 4 * 8 * kN);
+}
+
+// The per-state opinion memo behind count_opinion() agrees with asking
+// every agent.
+TEST(CompiledPathEdge, CountOpinionMatchesPerAgentOpinions) {
+  for (Proto proto : {Proto::Sf, Proto::Ssf}) {
+    BigCase c = make_big(proto);
+    AggregateEngine engine;
+    engine.set_compiled(true);
+    const auto noise = NoiseMatrix::uniform(c.pp.d, kDelta);
+    Rng rng(3);
+    for (std::uint64_t r = 0; r < c.pp.rounds; ++r) {
+      engine.step(*c.pop, noise, Holdings{c.pp.h}, r, rng);
+      std::uint64_t ones = 0;
+      for (std::uint64_t i = 0; i < c.pop->num_agents(); ++i) {
+        if (c.pop->opinion(i) == 1) ++ones;
+      }
+      ASSERT_EQ(c.pop->count_opinion(1), ones)
+          << proto_name(proto) << " round " << r;
+      ASSERT_EQ(c.pop->count_opinion(0), c.pop->num_agents() - ones);
+    }
   }
 }
 
@@ -428,7 +630,6 @@ TEST(CompiledPathEdge, KaryTableCompiledMatchesInterpretedAndProduction) {
             {.count = 6, .automaton = automaton, .initial = 2},
             {.count = kN - 12, .automaton = automaton, .initial = 0}},
         /*planned_rounds=*/0);
-    pop->set_table_build_limit(1e18);
     return pop;
   };
 
@@ -461,7 +662,6 @@ TEST(CompiledPathEdge, StateAccessorAgreesWithOpinion) {
       std::vector<CompiledGroup>{{.count = kN, .automaton = automaton,
                                   .initial = 0}},
       /*planned_rounds=*/0);
-  protocol.set_table_build_limit(1e18);
   AggregateEngine engine;
   engine.set_compiled(true);
   run(protocol, engine, pp, 31);

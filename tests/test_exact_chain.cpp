@@ -435,6 +435,61 @@ TEST(ExactChain, SfAutomatonTracksSourceFilterOnTieFreeRuns) {
             sf.display(2, stream.size()));
 }
 
+// SfAutomaton lumps SourceFilter's counter pairs into one signed balance
+// and drops the weak opinion once it is copied into current (both exact:
+// later rounds read only the balance's sign and current).  On this pinned
+// config the chain's support must shrink against the counter-pair encoding
+// — whose supports are recorded below — while the exact display means
+// stay what that encoding computed, to the last digits.
+TEST(ExactChain, SfLumpingShrinksSupportAndKeepsTheLaw) {
+  const SfSchedule sched{.h = 2,
+                         .m = 2,
+                         .phase_rounds = 3,
+                         .w = 2,
+                         .subphase_rounds = 3,
+                         .num_subphases = 1,
+                         .final_rounds = 3};
+  const auto noise = NoiseMatrix::uniform(2, 0.2);
+  SfAutomaton source(sched, true, 1);
+  SfAutomaton plain(sched, false, 0);
+  std::vector<ChainClass> classes(2);
+  classes[0] = {.size = 1,
+                .automaton = &source,
+                .initial = 0,
+                .channel = noise.matrix()};
+  classes[1] = {.size = 3,
+                .automaton = &plain,
+                .initial = 0,
+                .channel = noise.matrix()};
+  ExactChain chain(classes, {.h = Holdings{2}});
+
+  struct Pin {
+    std::uint64_t after_round;
+    std::size_t unlumped_support;  // (counter1, counter0, boost_ones,
+                                   //  boost_total, weak, current) states
+    std::size_t support;
+    double mean1;  // E[#agents displaying 1] — unchanged by the lumping
+  };
+  const Pin pins[] = {
+      {5, 271950, 3146, 4.0},         // listening phase 1, before finish
+      {6, 8, 8, 2.861230575170},      // after finish_listening
+      {9, 80, 8, 2.822906762217},     // after the sub-phase end
+      {11, 30800, 2200, 2.822906762217},
+      {12, 80, 8, 2.759622059309},    // after the final stretch
+  };
+  std::uint64_t round = 0;
+  for (const Pin& pin : pins) {
+    while (round < pin.after_round) {
+      chain.step();
+      ++round;
+    }
+    EXPECT_EQ(chain.support_size(), pin.support) << "after round " << round;
+    EXPECT_LE(chain.support_size(), pin.unlumped_support);
+    EXPECT_NEAR(chain.display_mean()[1], pin.mean1, 1e-11)
+        << "after round " << round;
+  }
+}
+
 SymbolCounts obs4(std::uint64_t s0, std::uint64_t s1, std::uint64_t s2,
                   std::uint64_t s3) {
   SymbolCounts obs(4);

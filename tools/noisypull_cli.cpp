@@ -91,10 +91,11 @@ struct CliOptions {
                   results are bit-identical for every T
   --compiled      run the protocol as a CompiledPopulation on the engines'
                   table-driven fast path (sf/ssf only; bit-identical to the
-                  interpreted run; 2-3x faster for sf, but SLOWER for ssf,
-                  whose fresh-state churn defeats the table memoization —
-                  see DESIGN.md s13; incompatible with --corruption and
-                  --stale-flush, which have no compiled mirror)
+                  interpreted run; transition cells are compiled when an
+                  agent first needs them and reused after; faster for sf,
+                  but SLOWER for ssf, whose fresh states miss nearly every
+                  cell — see DESIGN.md s13; incompatible with --corruption
+                  and --stale-flush, which have no compiled mirror)
   --order O       random | ascending | descending      (sequential engine)
   --trajectory    print per-round correct counts of repetition 0
   --verify-replay run the whole configuration twice with identical seeds and
