@@ -2,7 +2,7 @@
 // (DESIGN.md §13) against the interpreted cached aggregate path.
 //
 // For each (protocol, n, h) configuration this times, on AggregateEngine
-// with the sampler cache ON and one lane:
+// with one lane:
 //   * interpreted_cached — the production protocol object (SourceFilter /
 //     SelfStabilizingSourceFilter / AutomatonProtocol) through the virtual
 //     display()/update() path, i.e. the pre-compiled production round loop;
@@ -298,9 +298,9 @@ void emit_json(std::FILE* out, bool smoke,
   std::fprintf(out, "  \"schema_version\": 2,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"hardware_threads\": %u,\n", hw);
-  // All rows are single-lane AggregateEngine, sampler cache ON, so the
-  // compiled/interpreted ratio does not depend on the core count; the field
-  // is recorded anyway for honest provenance of the absolute numbers.
+  // All rows are single-lane AggregateEngine, so the compiled/interpreted
+  // ratio does not depend on the core count; the field is recorded anyway
+  // for honest provenance of the absolute numbers.
   std::fprintf(out, "  \"threads_per_row\": 1,\n");
   std::fprintf(out, "  \"identity_checked\": true,\n");
   std::fprintf(out, "  \"configs\": [\n");

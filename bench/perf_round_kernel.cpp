@@ -1,5 +1,5 @@
-// PERF — machine-readable benchmark of the block-parallel round kernel and
-// the per-round observation-sampler cache (DESIGN.md §9).
+// PERF — machine-readable benchmark of the block-parallel round kernel
+// (DESIGN.md §9).
 //
 // For each (engine, n, h) configuration this times:
 //   * legacy_serial — a faithful replica of the pre-kernel AggregateEngine
@@ -7,12 +7,11 @@
 //     agent per round, no sampler cache, strictly serial (for the exact
 //     engine the replica is the serial kernel itself, whose per-agent work
 //     is unchanged);
-//   * the current kernel at several lane counts with the cache on, plus
-//     one lane with the cache off, each reported as rounds/sec and as a
-//     speedup over the legacy serial baseline;
+//   * the current kernel at several lane counts, each reported as
+//     rounds/sec and as a speedup over the legacy serial baseline;
 //   * for aggregate configs, one compiled-fast-path row (DESIGN.md §13):
-//     the mirrored CompiledPopulation under set_compiled(true), one lane,
-//     cache on — the focused compiled-vs-interpreted comparison lives in
+//     the mirrored CompiledPopulation under set_compiled(true), one lane —
+//     the focused compiled-vs-interpreted comparison lives in
 //     perf_compiled_path, this row just keeps the kernel bench's speedup
 //     ladder complete (legacy → kernel → compiled) in one JSON.
 //
@@ -51,7 +50,6 @@ struct Config {
 
 struct Variant {
   unsigned threads;
-  bool cache;
   double rounds_per_sec;
 };
 
@@ -119,7 +117,7 @@ constexpr std::uint64_t kTimingSeed = 1;
 
 // The compiled fast path runs the SF population as a CompiledPopulation
 // (same schedule as make_protocol, so the horizon and per-round work match)
-// under AggregateEngine with set_compiled(true): single lane, cache on.
+// under AggregateEngine with set_compiled(true): single lane.
 double time_compiled_rounds(const Config& cfg, std::uint64_t rounds) {
   const PopulationConfig pop{.n = cfg.n, .s1 = 1, .s0 = 0};
   const SfSchedule schedule =
@@ -189,7 +187,7 @@ ConfigResult run_config(const Config& cfg, bool smoke,
   // the kernel side still pays its replay-digest absorption (one hash per
   // agent per round), which the legacy replica omits — the reported
   // speedups are conservative for the kernel.
-  const auto kernel = [&](unsigned threads, bool cache) {
+  const auto kernel = [&](unsigned threads) {
     std::unique_ptr<Engine> engine;
     if (aggregate) {
       engine = std::make_unique<AggregateEngine>();
@@ -197,7 +195,6 @@ ConfigResult run_config(const Config& cfg, bool smoke,
       engine = std::make_unique<ExactEngine>();
     }
     engine->set_threads(threads);
-    engine->set_sampler_cache(cache);
     return time_rounds(cfg, rounds,
                        [&](SourceFilter& p, const NoiseMatrix& nm,
                            std::uint64_t round, Rng& rng) {
@@ -207,12 +204,8 @@ ConfigResult run_config(const Config& cfg, bool smoke,
 
   for (const unsigned t : lane_counts) {
     result.variants.push_back(
-        Variant{.threads = t, .cache = true,
-                .rounds_per_sec = kernel(t, true)});
+        Variant{.threads = t, .rounds_per_sec = kernel(t)});
   }
-  result.variants.push_back(
-      Variant{.threads = 1, .cache = false,
-              .rounds_per_sec = kernel(1, false)});
   if (aggregate) {
     result.compiled_rounds_per_sec = time_compiled_rounds(cfg, rounds);
   }
@@ -224,7 +217,7 @@ void emit_json(std::FILE* out, bool smoke,
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"round_kernel\",\n");
-  std::fprintf(out, "  \"schema_version\": 3,\n");
+  std::fprintf(out, "  \"schema_version\": 4,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"hardware_threads\": %u,\n", hw);
   // Honest-reporting fields: on a 1-core machine no threads>1 row can beat
@@ -257,11 +250,10 @@ void emit_json(std::FILE* out, bool smoke,
     for (std::size_t v = 0; v < r.variants.size(); ++v) {
       const auto& var = r.variants[v];
       std::fprintf(out,
-                   "        { \"threads\": %u, \"cache\": %s, "
+                   "        { \"threads\": %u, "
                    "\"rounds_per_sec\": %.4f, "
                    "\"speedup_vs_legacy_serial\": %.4f }%s\n",
-                   var.threads, var.cache ? "true" : "false",
-                   var.rounds_per_sec,
+                   var.threads, var.rounds_per_sec,
                    var.rounds_per_sec / r.legacy_rounds_per_sec,
                    v + 1 < r.variants.size() ? "," : "");
     }
@@ -269,7 +261,7 @@ void emit_json(std::FILE* out, bool smoke,
                  r.compiled_rounds_per_sec > 0.0 ? "," : "");
     if (r.compiled_rounds_per_sec > 0.0) {
       std::fprintf(out,
-                   "      \"compiled\": { \"threads\": 1, \"cache\": true, "
+                   "      \"compiled\": { \"threads\": 1, "
                    "\"rounds_per_sec\": %.4f, "
                    "\"speedup_vs_legacy_serial\": %.4f }\n",
                    r.compiled_rounds_per_sec,
@@ -284,7 +276,7 @@ void emit_json(std::FILE* out, bool smoke,
 // Deterministic check of the observation-sampler amortization gate
 // (rng/observation_cache.hpp): the sampler must pick its mode from
 // (h, d, expected_draws) alone — inverse CDF only when the outcome space
-// amortizes over the round's draws — and never from the cache toggle.
+// amortizes over the round's draws — and never from the `cache` argument.
 // Returns false (and prints) on any violation; wired into --smoke so the CI
 // perf gate fails loudly if the gate regresses.
 bool check_sampler_gate() {
@@ -374,9 +366,8 @@ int main(int argc, char** argv) {
     const auto& r = results.back();
     std::printf("  legacy serial: %.2f rounds/s\n", r.legacy_rounds_per_sec);
     for (const auto& v : r.variants) {
-      std::printf("  threads=%u cache=%s: %.2f rounds/s (%.2fx)\n", v.threads,
-                  v.cache ? "on" : "off", v.rounds_per_sec,
-                  v.rounds_per_sec / r.legacy_rounds_per_sec);
+      std::printf("  threads=%u: %.2f rounds/s (%.2fx)\n", v.threads,
+                  v.rounds_per_sec, v.rounds_per_sec / r.legacy_rounds_per_sec);
     }
     if (r.compiled_rounds_per_sec > 0.0) {
       std::printf("  compiled (1 lane): %.2f rounds/s (%.2fx)\n",

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
       double t = 0.0;
       for (std::uint64_t rep = 0; rep < reps; ++rep) {
         Rng mix_rng(20000 + rep);
-        HeterogeneousEngine engine(
+        AggregateEngine engine(
             mixture(n, bad_fraction, good, bad, mix_rng));
         SourceFilter sf(pop, Holdings{h}, Delta{tuned}, kC1);
         Rng rng(21000 + rep);

@@ -35,7 +35,7 @@
 // that determines the trajectories — schema version, protocol-construction
 // digest (caller-supplied via CellKey), noise matrix, artificial noise,
 // FaultPlan, RunConfig, steady-state spec, engine kind, and seed.  Worker
-// count, engine lanes, the sampler-cache toggle, and the stopping rule are
+// count, engine lanes, the compiled-path toggle, and the stopping rule are
 // deliberately NOT part of the key: they are trajectory-invariant, so
 // cached outcomes remain valid under any of them.  A warm run replays
 // outcomes from the file and only computes repetitions the file does not

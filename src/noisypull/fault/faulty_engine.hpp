@@ -1,13 +1,15 @@
 // FaultyEngine — an Engine decorator that injects runtime faults.
 //
-// Wraps any existing engine (Exact, Aggregate, Sequential, Heterogeneous)
+// Wraps any existing engine (Exact, Aggregate, Sequential)
 // and realizes a FaultPlan per round without the inner engine knowing:
 //
 //   * Byzantine displays and crash stalls are applied through a PullProtocol
 //     proxy handed to the inner engine — display() is forged for Byzantine
 //     agents and update() is swallowed for stalled agents / binomially
 //     thinned for drops, so every engine's sampling logic works unchanged,
-//   * noise bursts swap the channel matrix passed down for the burst rounds.
+//   * noise bursts swap the channel matrix passed down for the burst rounds
+//     (an AggregateEngine with per-agent channels ignores that matrix, so
+//     bursts do not reach it).
 //
 // Determinism contract: fault decisions come from substreams of the plan's
 // own seed, keyed by (round, agent) where per-agent, so the realized fault
@@ -55,16 +57,10 @@ class FaultyEngine final : public Engine {
             std::uint64_t round, Rng& rng) override;
   void set_artificial_noise(std::optional<Matrix> p) override;
 
-  // The decorator never steps agents itself: thread-count and sampler-cache
+  // The decorator never steps agents itself: thread-count and compiled-path
   // settings belong to the inner engine doing the work.
   void set_threads(unsigned lanes) override { inner_.set_threads(lanes); }
   unsigned threads() const noexcept override { return inner_.threads(); }
-  void set_sampler_cache(bool enabled) override {
-    inner_.set_sampler_cache(enabled);
-  }
-  bool sampler_cache() const noexcept override {
-    return inner_.sampler_cache();
-  }
   void set_compiled(bool enabled) override { inner_.set_compiled(enabled); }
   bool compiled() const noexcept override { return inner_.compiled(); }
 

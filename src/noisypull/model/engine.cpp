@@ -143,8 +143,66 @@ void ExactEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
       });
 }
 
+AggregateEngine::AggregateEngine(std::vector<NoiseMatrix> per_agent)
+    : per_agent_(std::move(per_agent)) {
+  NOISYPULL_CHECK(!per_agent_.empty(), "need at least one noise matrix");
+  const std::size_t d = per_agent_.front().alphabet_size();
+  for (const auto& m : per_agent_) {
+    NOISYPULL_CHECK(m.alphabet_size() == d,
+                    "per-agent noise matrices must share one alphabet");
+  }
+}
+
 void AggregateEngine::set_artificial_noise(std::optional<Matrix> p) {
   artificial_ = std::move(p);
+  groups_valid_ = false;
+}
+
+double AggregateEngine::worst_upper_bound() const noexcept {
+  double worst = 0.0;
+  for (const auto& m : per_agent_) {
+    worst = std::max(worst, m.tightest_upper_bound());
+  }
+  return worst;
+}
+
+void AggregateEngine::append_channel(const NoiseMatrix& m) {
+  const std::size_t d = m.alphabet_size();
+  Matrix channel = m.matrix();
+  if (artificial_) channel = channel * *artificial_;
+  for (std::size_t from = 0; from < d; ++from) {
+    for (std::size_t to = 0; to < d; ++to) {
+      group_channels_.push_back(channel(from, to));
+    }
+  }
+}
+
+void AggregateEngine::rebuild_groups() {
+  const std::size_t dd =
+      per_agent_.front().alphabet_size() * per_agent_.front().alphabet_size();
+  // Deduplicate bit-identical effective channels so agents with the same
+  // matrix share one per-round sampler.  Ordered map: group ids must not
+  // depend on hash iteration order (and unordered containers are lint-banned
+  // on simulation paths).
+  std::map<std::vector<double>, std::uint32_t> ids;
+  group_of_.resize(per_agent_.size());
+  group_channels_.clear();
+  group_sizes_.clear();
+  for (std::size_t i = 0; i < per_agent_.size(); ++i) {
+    append_channel(per_agent_[i]);
+    const auto tail = group_channels_.end() - static_cast<std::ptrdiff_t>(dd);
+    const auto [it, inserted] = ids.emplace(
+        std::vector<double>(tail, group_channels_.end()),
+        static_cast<std::uint32_t>(ids.size()));
+    if (inserted) {
+      group_sizes_.push_back(0);
+    } else {
+      group_channels_.erase(tail, group_channels_.end());
+    }
+    group_of_[i] = it->second;
+    ++group_sizes_[static_cast<std::size_t>(it->second)];
+  }
+  groups_valid_ = true;
 }
 
 void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
@@ -155,6 +213,12 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
   NOISYPULL_CHECK(noise.alphabet_size() == d,
                   "noise matrix alphabet does not match protocol");
   NOISYPULL_CHECK(h >= 1, "sample size h must be at least 1");
+  if (!per_agent_.empty()) {
+    NOISYPULL_CHECK(per_agent_.size() == n,
+                    "need exactly one noise matrix per agent");
+    NOISYPULL_CHECK(per_agent_.front().alphabet_size() == d,
+                    "per-agent noise alphabet does not match protocol");
+  }
 
   // Compiled fast path (DESIGN.md §13): only when the toggle is on AND the
   // protocol stack exposes a CompiledPopulation.  Trajectory-invariant —
@@ -167,168 +231,26 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
                      ? display_histogram(protocol, access, round)
                      : display_histogram(protocol, round);
 
+  if (per_agent_.empty()) {
+    // One group whose channel is this step's matrix: a fault decorator's
+    // burst passes a different one, so it is re-read every round.
+    group_channels_.clear();
+    append_channel(noise);
+    group_sizes_.assign(1, n);
+  } else if (!groups_valid_) {
+    rebuild_groups();
+  }
+
   // One observation is distributed as: pick a displayed symbol σ with
-  // probability c[σ]/n, then corrupt through the (possibly composed)
-  // channel.  So q[σ'] ∝ Σ_σ c[σ]·channel(σ,σ').
-  Matrix channel = noise.matrix();
-  if (artificial_) channel = channel * *artificial_;
-
+  // probability c[σ]/n, then corrupt through the group's effective channel.
+  // So q_g[σ'] ∝ Σ_σ c[σ]·channel_g(σ,σ') — one distribution for all of the
+  // group's agents: build its sampler once, serially, and draw each agent's
+  // count vector from it with a single uniform.  A group's sampler serves
+  // exactly group_sizes_[g] draws this round, so the amortization gate
+  // (rng/observation_cache.hpp) sees the per-group count.
+  samplers_.resize(group_sizes_.size());
   std::array<double, kMaxAlphabet> q{};
-  for (std::size_t to = 0; to < d; ++to) {
-    double w = 0.0;
-    for (std::size_t from = 0; from < d; ++from) {
-      w += static_cast<double>(c[from]) * channel(from, to);
-    }
-    q[to] = w;
-  }
-
-  // q is one distribution for all n agents: build the per-round sampler once
-  // and draw each agent's count vector from it with a single uniform.  The
-  // draw count n lets the sampler skip table construction when the outcome
-  // space would not amortize over the population (amortization gate,
-  // rng/observation_cache.hpp).
-  sampler_.reset(h, std::span<const double>(q.data(), d), sampler_cache(), n);
-
-  const std::uint64_t round_key = rng.next();
-  if (access.population != nullptr &&
-      sampler_.mode() == ObservationSampler::Mode::InverseCdf) {
-    // Table-driven update phase: one sample_index() + one cell apply per
-    // agent, no virtual dispatch; cells missing from the tables compile on
-    // the spot into the block's journal.  Faulted agents take the
-    // per-agent virtual fallback, which consumes the identical draws
-    // (sample() and sample_index() share one uniform and one stopping
-    // rule).
-    CompiledPopulation& pop = *access.population;
-    pop.begin_update_round(round, sampler_.num_outcomes(), num_blocks(n));
-    const bool faults_possible =
-        access.force_virtual_updates || access.stalled_until != nullptr;
-    for_each_block(
-        n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
-          const std::size_t journal = block_of(begin);
-          if (!faults_possible) {
-            // No fault decorator this round: the whole block takes the
-            // group-hoisted tight loop — same draws, same writes, without
-            // the per-agent group lookup and fault check.
-            pop.apply_block(journal, begin, end, sampler_, brng);
-            return;
-          }
-          SymbolCounts obs(d);
-          for (std::uint64_t i = begin; i < end; ++i) {
-            if (needs_virtual_update(access, i, round)) {
-              obs.clear();
-              sampler_.sample(brng, obs);
-              protocol.update(i, round, obs, brng);
-            } else {
-              pop.apply(journal, i, sampler_, sampler_.sample_index(brng),
-                        brng);
-            }
-          }
-        });
-    pop.end_update_round();
-    return;
-  }
-  // Virtual path — also the compiled mode's path when the outcome space is
-  // not enumerable (Decomposition mode): per-agent
-  // CompiledPopulation::update mirrors the production draws exactly.
-  for_each_block(
-      n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
-        SymbolCounts obs(d);
-        for (std::uint64_t i = begin; i < end; ++i) {
-          obs.clear();
-          sampler_.sample(brng, obs);
-          protocol.update(i, round, obs, brng);
-        }
-      });
-}
-
-HeterogeneousEngine::HeterogeneousEngine(std::vector<NoiseMatrix> per_agent)
-    : per_agent_(std::move(per_agent)) {
-  NOISYPULL_CHECK(!per_agent_.empty(), "need at least one noise matrix");
-  const std::size_t d = per_agent_.front().alphabet_size();
-  for (const auto& m : per_agent_) {
-    NOISYPULL_CHECK(m.alphabet_size() == d,
-                    "per-agent noise matrices must share one alphabet");
-  }
-}
-
-void HeterogeneousEngine::set_artificial_noise(std::optional<Matrix> p) {
-  artificial_ = std::move(p);
-  cache_valid_ = false;
-}
-
-void HeterogeneousEngine::rebuild_channel_cache() {
-  const std::size_t d = per_agent_.front().alphabet_size();
-  const std::size_t dd = d * d;
-  channels_.resize(per_agent_.size() * dd);
-  for (std::size_t i = 0; i < per_agent_.size(); ++i) {
-    Matrix channel = per_agent_[i].matrix();
-    if (artificial_) channel = channel * *artificial_;
-    for (std::size_t from = 0; from < d; ++from) {
-      for (std::size_t to = 0; to < d; ++to) {
-        channels_[(i * d + from) * d + to] = channel(from, to);
-      }
-    }
-  }
-  // Deduplicate bit-identical effective channels so agents with the same
-  // matrix share one per-round sampler.  Ordered map: group ids must not
-  // depend on hash iteration order (and unordered containers are lint-banned
-  // on simulation paths).
-  std::map<std::vector<double>, std::uint32_t> ids;
-  group_of_.resize(per_agent_.size());
-  group_channels_.clear();
-  group_sizes_.clear();
-  std::vector<double> key(dd);
-  for (std::size_t i = 0; i < per_agent_.size(); ++i) {
-    std::copy_n(channels_.begin() + static_cast<std::ptrdiff_t>(i * dd), dd,
-                key.begin());
-    const auto [it, inserted] =
-        ids.emplace(key, static_cast<std::uint32_t>(ids.size()));
-    if (inserted) {
-      group_channels_.insert(group_channels_.end(), key.begin(), key.end());
-      group_sizes_.push_back(0);
-    }
-    group_of_[i] = it->second;
-    ++group_sizes_[static_cast<std::size_t>(it->second)];
-  }
-  num_groups_ = ids.size();
-  cache_valid_ = true;
-}
-
-double HeterogeneousEngine::worst_upper_bound() const noexcept {
-  double worst = 0.0;
-  for (const auto& m : per_agent_) {
-    worst = std::max(worst, m.tightest_upper_bound());
-  }
-  return worst;
-}
-
-void HeterogeneousEngine::step(PullProtocol& protocol,
-                               const NoiseMatrix& noise, Holdings h_in,
-                               std::uint64_t round, Rng& rng) {
-  const std::uint64_t h = h_in.get();
-  const std::uint64_t n = protocol.num_agents();
-  const std::size_t d = protocol.alphabet_size();
-  NOISYPULL_CHECK(noise.alphabet_size() == d,
-                  "noise matrix alphabet does not match protocol");
-  NOISYPULL_CHECK(per_agent_.size() == n,
-                  "need exactly one noise matrix per agent");
-  NOISYPULL_CHECK(per_agent_.front().alphabet_size() == d,
-                  "per-agent noise alphabet does not match protocol");
-  NOISYPULL_CHECK(h >= 1, "sample size h must be at least 1");
-
-  CompiledAccess access{};
-  if (compiled()) access = protocol.compiled_access();
-
-  const auto c = access.population != nullptr
-                     ? display_histogram(protocol, access, round)
-                     : display_histogram(protocol, round);
-  if (!cache_valid_) rebuild_channel_cache();
-
-  // One sampler per distinct channel per round; q_g ∝ cᵀ·channel_g.  Built
-  // serially before the parallel phase, read-only during it.
-  samplers_.resize(num_groups_);
-  std::array<double, kMaxAlphabet> q{};
-  for (std::size_t g = 0; g < num_groups_; ++g) {
+  for (std::size_t g = 0; g < samplers_.size(); ++g) {
     const double* channel = &group_channels_[g * d * d];
     for (std::size_t to = 0; to < d; ++to) {
       double w = 0.0;
@@ -337,59 +259,70 @@ void HeterogeneousEngine::step(PullProtocol& protocol,
       }
       q[to] = w;
     }
-    // A group's sampler serves exactly group_sizes_[g] draws this round, so
-    // the amortization gate sees the per-group (not whole-population) count.
     samplers_[g].reset(h, std::span<const double>(q.data(), d),
-                       sampler_cache(), group_sizes_[g]);
+                       /*cache=*/true, group_sizes_[g]);
   }
 
-  const std::uint64_t round_key = rng.next();
-  // The outcome enumeration is a function of (h, d) only, so every
-  // InverseCdf sampler of the round shares it; agents whose channel group
-  // fell back to Decomposition (tiny groups under the amortization gate)
-  // take the per-agent virtual fallback instead.
-  const ObservationSampler* enumerator = nullptr;
-  for (const ObservationSampler& s : samplers_) {
-    if (s.mode() == ObservationSampler::Mode::InverseCdf) {
-      enumerator = &s;
-      break;
+  // The table-driven update needs an outcome enumeration; it is a function
+  // of (h, d) only, so every InverseCdf sampler of the round shares it.
+  // Groups that fell back to Decomposition (outcome space not enumerable,
+  // or too large for the group under the amortization gate) take the
+  // per-agent virtual path, whose CompiledPopulation::update mirrors the
+  // production draws exactly.
+  CompiledPopulation* pop = nullptr;
+  if (access.population != nullptr) {
+    for (const ObservationSampler& s : samplers_) {
+      if (s.mode() == ObservationSampler::Mode::InverseCdf) {
+        pop = access.population;
+        pop->begin_update_round(round, s.num_outcomes(), num_blocks(n));
+        break;
+      }
     }
   }
-  if (access.population != nullptr && enumerator != nullptr) {
-    CompiledPopulation& pop = *access.population;
-    pop.begin_update_round(round, enumerator->num_outcomes(), num_blocks(n));
-    for_each_block(
-        n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
-          const std::size_t journal = block_of(begin);
-          SymbolCounts obs(d);
-          for (std::uint64_t i = begin; i < end; ++i) {
-            const ObservationSampler& smp =
-                samplers_[static_cast<std::size_t>(group_of_[i])];
-            if (smp.mode() != ObservationSampler::Mode::InverseCdf ||
-                needs_virtual_update(access, i, round)) {
+  const bool faults_possible =
+      access.force_virtual_updates || access.stalled_until != nullptr;
+
+  const std::uint64_t round_key = rng.next();
+  for_each_block(
+      n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
+        const std::size_t journal = block_of(begin);
+        SymbolCounts obs(d);
+        // Walk maximal runs of agents in one channel group: the whole block
+        // with a single group.
+        for (std::uint64_t i = begin; i < end;) {
+          const std::size_t g =
+              group_of_.empty() ? 0 : static_cast<std::size_t>(group_of_[i]);
+          std::uint64_t run_end = group_of_.empty() ? end : i + 1;
+          while (run_end < end && group_of_[run_end] == group_of_[i]) {
+            ++run_end;
+          }
+          const ObservationSampler& smp = samplers_[g];
+          const bool table =
+              pop != nullptr &&
+              smp.mode() == ObservationSampler::Mode::InverseCdf;
+          if (table && !faults_possible) {
+            // No fault decorator this round: the run takes the
+            // group-hoisted tight loop — the same draws and writes as the
+            // per-agent loop below, without its per-agent fault check.
+            pop->apply_block(journal, i, run_end, smp, brng);
+            i = run_end;
+            continue;
+          }
+          // Faulted agents take the virtual path, which consumes the
+          // identical draws (sample() and sample_index() share one uniform
+          // and one stopping rule).
+          for (; i < run_end; ++i) {
+            if (table && !needs_virtual_update(access, i, round)) {
+              pop->apply(journal, i, smp, smp.sample_index(brng), brng);
+            } else {
               obs.clear();
               smp.sample(brng, obs);
               protocol.update(i, round, obs, brng);
-            } else {
-              pop.apply(journal, i, smp, smp.sample_index(brng), brng);
             }
           }
-        });
-    pop.end_update_round();
-    return;
-  }
-  for_each_block(
-      n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
-        SymbolCounts obs(d);
-        for (std::uint64_t i = begin; i < end; ++i) {
-          obs.clear();
-          // group_of_ holds 32-bit ids; widen explicitly so every index
-          // expression in the engines is 64-bit before arithmetic
-          // (clang-tidy bugprone-implicit-widening gate, .clang-tidy).
-          samplers_[static_cast<std::size_t>(group_of_[i])].sample(brng, obs);
-          protocol.update(i, round, obs, brng);
         }
       });
+  if (pop != nullptr) pop->end_update_round();
 }
 
 void SequentialEngine::set_artificial_noise(std::optional<Matrix> p) {

@@ -11,15 +11,16 @@
 // The count vector is therefore exactly Multinomial(h, q); drawing it
 // directly is identical in distribution and costs O(|Σ|) per agent, making
 // n = 10⁶ with h = n feasible.  Tests cross-validate the two engines
-// statistically (tests/test_engines.cpp).  Because q is one distribution
-// shared by all n agents, AggregateEngine further funnels the per-agent draw
-// through an ObservationSampler (rng/observation_cache.hpp): one per-round
-// inverse-CDF table, one uniform per agent.  HeterogeneousEngine reuses the
-// same cache per *distinct* effective channel.
+// statistically (tests/test_engines.cpp).  Agents are partitioned into
+// channel groups — one group for the paper's common N, one per distinct
+// matrix for per-agent channels — and every group's q is one distribution
+// shared by its agents, so the per-agent draw goes through that group's
+// ObservationSampler (rng/observation_cache.hpp): one per-round inverse-CDF
+// table, one uniform per agent.
 //
-// Block-parallel kernel (DESIGN.md §9): ExactEngine, AggregateEngine, and
-// HeterogeneousEngine split each round's sampling+update phase into fixed
-// kBlockSize-agent blocks.  Per round the engine draws ONE 64-bit round key
+// Block-parallel kernel (DESIGN.md §9): ExactEngine and AggregateEngine
+// split each round's sampling+update phase into fixed kBlockSize-agent
+// blocks.  Per round the engine draws ONE 64-bit round key
 // from the caller's rng and block b runs on the substream Rng(round_key, b) —
 // the same derivation whether the blocks execute serially or on a ThreadPool,
 // so the trajectory (and hence the replay digest) is a function of seed and
@@ -79,21 +80,15 @@ class Engine {
   virtual void set_threads(unsigned lanes);
   virtual unsigned threads() const noexcept { return lanes_; }
 
-  // Toggles per-round observation-sampler table caching in the aggregate
-  // engines (rng/observation_cache.hpp).  Trajectory-invariant: both
-  // settings realize the identical uniform→outcome map.  On by default.
-  virtual void set_sampler_cache(bool enabled) { sampler_cache_ = enabled; }
-  virtual bool sampler_cache() const noexcept { return sampler_cache_; }
-
   // Toggles the compiled fast path (DESIGN.md §13): when enabled AND the
   // protocol exposes a CompiledPopulation (core/protocol.hpp,
-  // compiled_access()), AggregateEngine and HeterogeneousEngine replace the
-  // per-agent virtual display()/update() calls with table lookups over
-  // interned automaton state ids.  Trajectory-invariant by construction —
-  // same draws from the same substreams, identical replay digest — so like
-  // the sampler cache it is excluded from experiment cache keys
-  // (tests/test_compiled_path.cpp pins the bit-identity).  Off by default;
-  // engines without a compiled path accept and ignore the setting.
+  // compiled_access()), AggregateEngine replaces the per-agent virtual
+  // display()/update() calls with table lookups over interned automaton
+  // state ids.  Trajectory-invariant by construction — same draws from the
+  // same substreams, identical replay digest — so it is excluded from
+  // experiment cache keys (tests/test_compiled_path.cpp pins the
+  // bit-identity).  Off by default; engines without a compiled path accept
+  // and ignore the setting.
   virtual void set_compiled(bool enabled) { compiled_ = enabled; }
   virtual bool compiled() const noexcept { return compiled_; }
 
@@ -159,7 +154,6 @@ class Engine {
  private:
   std::uint64_t digest_ = fnv::kOffsetBasis;
   unsigned lanes_ = 1;
-  bool sampler_cache_ = true;
   bool compiled_ = false;
   std::unique_ptr<ThreadPool> pool_;  // null when lanes_ == 1
 };
@@ -175,15 +169,54 @@ class ExactEngine final : public Engine {
   std::vector<Symbol> displays_;  // scratch, reused across rounds
 };
 
+// Agents are partitioned into channel groups, each with its own effective
+// channel and per-round sampler.  Per-agent channels model heterogeneous
+// receivers (the paper assumes one common N; real sensor populations
+// don't): observation i's law is q_i ∝ cᵀ·N_i, so the aggregate trick still
+// applies, and agents with a bit-identical effective channel share one
+// group.  The THM4-D style robustness claim this enables: SF tuned to the
+// worst agent's δ_max still converges when most agents are much cleaner
+// (bench tab_heterogeneous).
 class AggregateEngine final : public Engine {
  public:
+  // One channel group: every agent observes through the step's `noise`
+  // (times any artificial noise), re-read every round — so FaultyEngine's
+  // noise bursts reach every agent.
+  AggregateEngine() = default;
+
+  // Per-agent channels: agent i observes through per_agent[i] (times any
+  // artificial noise).  Size must equal the protocol's n; all matrices
+  // must share the protocol's alphabet.  The step's `noise` argument is
+  // only checked for alphabet compatibility — per-agent channels ignore
+  // the step's matrix, so FaultyEngine's noise bursts do not reach them
+  // (the CLI rejects bursts on this engine).
+  explicit AggregateEngine(std::vector<NoiseMatrix> per_agent);
+
   void step(PullProtocol& protocol, const NoiseMatrix& noise, Holdings h,
             std::uint64_t round, Rng& rng) override;
   void set_artificial_noise(std::optional<Matrix> p) override;
 
+  // Tightest δ such that every per-agent matrix is δ-upper-bounded — the
+  // level a protocol must be tuned to (0 without per-agent channels).
+  double worst_upper_bound() const noexcept;
+
  private:
+  // Appends `m`'s effective channel (times any artificial noise) to
+  // group_channels_.
+  void append_channel(const NoiseMatrix& m);
+  // Deduplicates the per-agent channels into groups.
+  void rebuild_groups();
+
+  std::vector<NoiseMatrix> per_agent_;  // empty: one group, the step's noise
   std::optional<Matrix> artificial_;
-  ObservationSampler sampler_;  // reset per round; read-only during blocks
+  // Agent i draws from group group_of_[i] (group 0 when group_of_ is
+  // empty), whose effective channel is group_channels_[g·d² .. (g+1)·d²).
+  std::vector<std::uint32_t> group_of_;
+  std::vector<double> group_channels_;
+  std::vector<std::uint64_t> group_sizes_;  // agents per group: the draw
+                                            // count its sampler amortizes over
+  std::vector<ObservationSampler> samplers_;  // one per group, reset per round
+  bool groups_valid_ = false;  // per-agent groups match artificial_
 };
 
 // Asynchronous (sequential-activation) engine: instead of the synchronous
@@ -214,53 +247,6 @@ class SequentialEngine final : public Engine {
   Order order_;
   std::optional<Matrix> artificial_;
   std::vector<std::uint64_t> perm_;  // scratch
-};
-
-// Heterogeneous-noise engine: each *receiving* agent has its own channel
-// matrix (the paper assumes one common N; real sensor populations don't).
-// Observation i's law is q_i ∝ cᵀ·N_i, so the aggregate trick still applies
-// per receiver at O(|Σ|²) each.  The `noise` argument passed to step() is
-// only validated for alphabet compatibility — the per-agent matrices given
-// at construction are what corrupt observations.  The THM4-D style
-// robustness claim this enables: SF tuned to the worst agent's δ_max still
-// converges when most agents are much cleaner (bench tab_heterogeneous).
-//
-// Agents sharing a bit-identical effective channel share one per-round
-// ObservationSampler, so the per-agent cost drops from O(|Σ|²) plus a
-// multinomial to a single cached inverse-CDF draw whenever the number of
-// distinct channels is small (the realistic sensor-tier case).
-class HeterogeneousEngine final : public Engine {
- public:
-  // One noise matrix per agent (size must equal the protocol's n; all
-  // matrices must share the protocol's alphabet).
-  explicit HeterogeneousEngine(std::vector<NoiseMatrix> per_agent);
-
-  void step(PullProtocol& protocol, const NoiseMatrix& noise, Holdings h,
-            std::uint64_t round, Rng& rng) override;
-  void set_artificial_noise(std::optional<Matrix> p) override;
-
-  // Tightest δ such that every per-agent matrix is δ-upper-bounded — the
-  // level a protocol must be tuned to.
-  double worst_upper_bound() const noexcept;
-
-  // Number of distinct effective channels (valid after the first step).
-  std::size_t distinct_channels() const noexcept { return num_groups_; }
-
- private:
-  void rebuild_channel_cache();
-
-  std::vector<NoiseMatrix> per_agent_;
-  std::optional<Matrix> artificial_;
-  std::vector<double> channels_;  // n·d·d flattened effective channels
-  // Channel deduplication: agent i draws from group group_of_[i], whose
-  // effective channel is group_channels_[g·d² .. (g+1)·d²).
-  std::vector<std::uint32_t> group_of_;
-  std::vector<double> group_channels_;
-  std::vector<std::uint64_t> group_sizes_;  // agents per group: the draw
-                                            // count its sampler amortizes over
-  std::size_t num_groups_ = 0;
-  std::vector<ObservationSampler> samplers_;  // one per group, reset per round
-  bool cache_valid_ = false;
 };
 
 }  // namespace noisypull

@@ -1,8 +1,11 @@
 // Exact samplers for binomial, multinomial, and small discrete distributions.
 //
 // The AggregateEngine replaces the h per-message draws of an agent by a
-// single Multinomial(h, q) draw over observed symbols (see model/engine.hpp),
-// so the binomial sampler is the simulator's hot path and must be *exact in
+// single Multinomial(h, q) draw over observed symbols (see model/engine.hpp).
+// It usually inverts that law directly (rng/observation_cache.hpp); the
+// binomial sampler carries the rest — the Decomposition fallback when the
+// outcome space is too large for a channel group, the lumped engine's
+// splits, SequentialEngine, and drop thinning — so it must be *exact in
 // distribution* — not a normal approximation — for the engines to be
 // statistically interchangeable.
 //

@@ -73,8 +73,8 @@ void ObservationSampler::reset(std::uint64_t h, std::span<const double> weights,
   // One enumeration pass computes total_mass_ (the walk's normalizer); the
   // cached mode additionally records every partial sum and, for d > 2, the
   // outcome count vectors.  The partial sums are exactly the values the
-  // uncached walk recomputes per draw, so the cache toggle cannot move any
-  // draw across an outcome boundary.
+  // uncached walk recomputes per draw, so caching cannot move any draw
+  // across an outcome boundary.
   total_mass_ = 0.0;
   if (cache) {
     const auto count = composition_count(h, d, kMaxOutcomes);

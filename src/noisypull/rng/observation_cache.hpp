@@ -1,35 +1,35 @@
 // Per-round cached observation sampler for the aggregate-style engines.
 //
-// In AggregateEngine (and per distinct channel in HeterogeneousEngine) the
-// law of one agent's observation counts is fixed for the whole round:
-// SymbolCounts ~ Multinomial(h, q) with the same q for all n agents.  The
+// In AggregateEngine the law of one agent's observation counts is fixed for
+// the whole round: SymbolCounts ~ Multinomial(h, q) with the same q for
+// every agent of one channel group (all n agents with a single channel).  The
 // conditional-binomial decomposition (rng/binomial.hpp) pays d−1 binomial
 // draws per agent; this sampler instead treats the *outcome space* — the
 // C(h+d−1, d−1) count vectors summing to h (h+1 outcomes for the binary
 // alphabet) — as one discrete distribution and inverts its CDF: one uniform
 // per agent, one table lookup.  The table is built once per round and
-// amortized over all n agents.
+// amortized over the group's agents.
 //
-// Determinism contract (tests/test_parallel_kernel.cpp): toggling the cache
-// may not change the trajectory.  Both modes therefore realize the *same*
-// map (uniform u → outcome): the cumulative masses are the partial sums of
-// the outcome pmfs in one canonical enumeration order, and
+// Cached and uncached modes realize the *same* map (uniform u → outcome):
+// the cumulative masses are the partial sums of the outcome pmfs in one
+// canonical enumeration order, and
 //   cached    = precompute the partial sums, binary-search them,
 //   uncached  = recompute the identical partial-sum walk per draw.
-// Same u, same sums, same outcome — bit for bit.  When the outcome space
+// Same u, same sums, same outcome — bit for bit
+// (tests/test_observation_cache.cpp).  The agent engines always cache; the
+// uncached walk is the unit tests' reference, and the lumped engine resets
+// uncached because split() never reads the table.  When the outcome space
 // exceeds kMaxOutcomes (large h with a k-ary alphabet, or h > 16383 binary)
-// both modes fall back to the conditional-binomial decomposition, which is
-// again identical on both sides of the toggle.
+// both modes fall back to the conditional-binomial decomposition.
 //
 // Amortization gate: the inverse-CDF table costs one full enumeration of
 // the outcome space per round, which only pays for itself when at least as
 // many draws as outcomes will amortize it.  reset() therefore takes the
-// expected number of draws this round (the engines pass their agent count,
-// or the per-channel group size in HeterogeneousEngine) and falls back to
-// the decomposition when the outcome space is larger.  The chosen mode is a
-// function of (h, d, expected_draws) only — NEVER of the cache toggle — so
-// the cache on/off trajectory-invariance contract above is preserved; the
-// gate itself changes trajectories only across releases, which is why the
+// expected number of draws this round (AggregateEngine passes the channel
+// group's size, the lumped engine the class count) and falls back to the
+// decomposition when the outcome space is larger.  The chosen mode is a
+// function of (h, d, expected_draws) only — NEVER of the `cache` argument;
+// the gate itself changes trajectories only across releases, which is why the
 // experiment result cache folds a schema version into its keys
 // (analysis/scheduler.hpp).
 //
@@ -161,15 +161,15 @@ class ObservationSampler {
   // draws regardless of k — the lumped engine's per-round workhorse
   // (sim/lumped_engine.hpp).  Requires InverseCdf mode: when the gate chose
   // Decomposition the outcome space is too large to enumerate and callers
-  // must fall back to per-draw sample().  Independent of the cache toggle
-  // (the walk never touches the cached partial sums).
+  // must fall back to per-draw sample().  Independent of the `cache`
+  // argument (the walk never touches the cached partial sums).
   void split(Rng& rng, std::uint64_t k, const SplitVisitor& visit) const;
 
  private:
   // Walks the canonical outcome enumeration; visit(pmf, counts) for every
   // outcome in order.  Both the reset-time table build and the uncached
-  // per-draw walk run exactly this code, which is what makes the cache
-  // toggle trajectory-invariant.
+  // per-draw walk run exactly this code, which is what makes the two modes
+  // draw-for-draw identical.
   template <typename Visit>
   void enumerate(Visit&& visit) const;
 

@@ -133,8 +133,9 @@ void LumpedEngine::step(Holdings h, std::uint64_t round, Rng& rng) {
     const std::vector<double> q = observation_law(cs, c);
     // Amortization gate fed the whole class count: the split path needs the
     // enumerable outcome space, and every occupied state of the class reuses
-    // this one per-round reset.
-    sampler_.reset(h.get(), q, sampler_cache_, cs.cls.count.get());
+    // this one per-round reset.  No table: neither split() nor the
+    // Decomposition fallback reads it.
+    sampler_.reset(h.get(), q, /*cache=*/false, cs.cls.count.get());
 
     std::map<AutomatonState, std::uint64_t> next;
     const auto land = [&](AutomatonState state, std::uint64_t count) {

@@ -79,11 +79,6 @@ class LumpedEngine {
   // channel becomes N_k·P, exactly as the agent-level engines compose it.
   void set_artificial_noise(std::optional<Matrix> p);
 
-  // Observation-sampler table caching for the per-draw fallback path;
-  // trajectory-invariant (split() never reads the cached table).
-  void set_sampler_cache(bool enabled) noexcept { sampler_cache_ = enabled; }
-  bool sampler_cache() const noexcept { return sampler_cache_; }
-
   // Round horizon installed by the builders below (SF schedule length, SSF
   // convergence deadline); run_lumped uses it when RunConfig.max_rounds == 0.
   void set_planned_rounds(std::uint64_t rounds) noexcept {
@@ -131,7 +126,6 @@ class LumpedEngine {
   std::uint64_t n_ = 0;
   std::uint64_t planned_rounds_ = 0;
   std::optional<Matrix> artificial_;
-  bool sampler_cache_ = true;
   std::uint64_t digest_;
   ObservationSampler sampler_;  // reset per (class, round)
 };

@@ -4,15 +4,15 @@
 // SoA state vector, per-signature display memo tables and a memoized
 // (state id, outcome index) → edge transition table.  None of that may ever
 // change a trajectory: for every protocol family (Table / SF / SSF), engine
-// (Aggregate / Heterogeneous, bare or wrapped in FaultyEngine), lane count,
-// sampler-cache toggle and fault plan, the replay digest AND the final
+// (AggregateEngine with one channel or per-agent channels, bare or wrapped
+// in FaultyEngine), lane count and fault plan, the replay digest AND the final
 // per-agent opinions must be identical to the interpreted run, which in turn
 // matches the mirrored production protocol draw for draw.  These tests pin:
 //   * ObservationSampler::sample_index consumes the rng exactly like
 //     sample() and returns that outcome's enumeration index (cached and
 //     uncached, binary and k-ary);
 //   * compiled == interpreted on the same CompiledPopulation, across lanes
-//     {1, 4}, cache {on, off}, engines {Aggregate, Heterogeneous};
+//     {1, 4}, engines {Aggregate, Heterogeneous};
 //   * CompiledPopulation == the production protocol it mirrors
 //     (AutomatonProtocol / SourceFilter / SelfStabilizingSourceFilter);
 //   * the same under FaultyEngine with zero and nonzero FaultPlans — the
@@ -167,13 +167,14 @@ Production make_production(Proto p) {
   return {};
 }
 
+// Heterogeneous = AggregateEngine over per-agent channels.
 enum class Eng { Aggregate, Heterogeneous };
 
 std::string eng_name(Eng e) {
   return e == Eng::Aggregate ? "Aggregate" : "Heterogeneous";
 }
 
-// Two channel tiers (24 + 24 agents) so HeterogeneousEngine builds two
+// Two channel tiers (24 + 24 agents) so the per-agent engine builds two
 // sampler groups, both within the inverse-CDF amortization gate for the
 // binary families.
 std::unique_ptr<Engine> make_engine(Eng e, std::size_t d) {
@@ -183,7 +184,7 @@ std::unique_ptr<Engine> make_engine(Eng e, std::size_t d) {
   for (std::uint64_t i = 0; i < kN; ++i) {
     per_agent.push_back(NoiseMatrix::uniform(d, i < kN / 2 ? 0.1 : kDelta));
   }
-  return std::make_unique<HeterogeneousEngine>(std::move(per_agent));
+  return std::make_unique<AggregateEngine>(std::move(per_agent));
 }
 
 struct RunOut {
@@ -302,6 +303,8 @@ struct Case {
 
 class CompiledPath : public ::testing::TestWithParam<Case> {};
 
+// Lanes only: the engines no longer have a sampler-cache toggle (the name is
+// kept for continuity; the CompiledSampler tests pin cached == uncached).
 TEST_P(CompiledPath, CompiledMatchesInterpretedAcrossLanesAndCache) {
   const auto [proto, eng] = GetParam();
   const ProtoParams pp = params_of(proto);
@@ -312,15 +315,11 @@ TEST_P(CompiledPath, CompiledMatchesInterpretedAcrossLanesAndCache) {
   ASSERT_NE(reference.digest, fnv::kOffsetBasis) << "digest absorbed nothing";
 
   for (unsigned lanes : {1u, 4u}) {
-    for (bool cache : {true, false}) {
-      const auto protocol = make_compiled(proto);
-      const auto engine = make_engine(eng, pp.d);
-      engine->set_compiled(true);
-      engine->set_threads(lanes);
-      engine->set_sampler_cache(cache);
-      EXPECT_EQ(run(*protocol, *engine, pp, 7), reference)
-          << lanes << " lanes, cache=" << cache;
-    }
+    const auto protocol = make_compiled(proto);
+    const auto engine = make_engine(eng, pp.d);
+    engine->set_compiled(true);
+    engine->set_threads(lanes);
+    EXPECT_EQ(run(*protocol, *engine, pp, 7), reference) << lanes << " lanes";
   }
 }
 
@@ -408,7 +407,7 @@ TEST(CompiledPathEdge, UndersizedHeterogeneousGroupFallsBackPerAgent) {
       per_agent.push_back(
           NoiseMatrix::uniform(pp.d, i < kN - 4 ? kDelta : 0.1));
     }
-    return std::make_unique<HeterogeneousEngine>(std::move(per_agent));
+    return std::make_unique<AggregateEngine>(std::move(per_agent));
   };
 
   const auto ref_protocol = make_compiled(Proto::Sf);

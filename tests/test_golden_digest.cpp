@@ -1,4 +1,4 @@
-// Golden replay-digest regression tests: three pinned (engine, seed,
+// Golden replay-digest regression tests: four pinned (engine, seed,
 // FaultPlan) tuples whose full-run replay digests are committed under
 // tests/golden/ and re-verified by ctest.
 //
@@ -10,9 +10,9 @@
 // Toolchain calibration: the display trajectory depends on floating-point
 // code generation (-ffp-contract, libm), so a digest pinned by one
 // compiler need not reproduce under another.  Each golden file therefore
-// carries a fourth, *calibration* tuple: when the current build reproduces
+// carries an extra, *calibration* tuple: when the current build reproduces
 // the calibration digest, it is trajectory-compatible with the build that
-// wrote the goldens and the three pinned tuples are enforced bit-for-bit;
+// wrote the goldens and the pinned tuples are enforced bit-for-bit;
 // when it does not, the pinned comparisons are skipped with a diagnostic
 // (the within-binary determinism contract is still covered by
 // test_replay_digest.cpp and --verify-replay).
@@ -27,6 +27,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "noisypull/common/atomic_io.hpp"
 #include "noisypull/core/source_filter.hpp"
@@ -59,9 +60,15 @@ std::uint64_t digest_of_run(Engine& engine, std::uint64_t seed) {
   return engine.replay_digest();
 }
 
+enum class EngineKind {
+  Aggregate,  // AggregateEngine(): one channel, the step's noise matrix
+  Exact,      // ExactEngine
+  PerAgent,   // AggregateEngine over two per-agent channel tiers
+};
+
 struct GoldenTuple {
   const char* name;
-  bool aggregate;  // false = ExactEngine
+  EngineKind engine;
   std::uint64_t seed;
   bool faulted;
   FaultPlan plan;
@@ -73,6 +80,15 @@ FaultPlan byz_drop_plan() {
   plan.first_eligible = 1;
   plan.byzantine.fraction = 0.25;
   plan.drop.p = 0.2;
+  return plan;
+}
+
+// At a quarter Byzantine the whole run is pinned to one display trajectory
+// whatever the seed, so the per-agent tuple takes a lighter Byzantine set
+// under which its digest moves with every draw.
+FaultPlan light_byz_drop_plan() {
+  FaultPlan plan = byz_drop_plan();
+  plan.byzantine.fraction = 0.05;
   return plan;
 }
 
@@ -92,21 +108,42 @@ FaultPlan stall_burst_plan() {
 // "calibration" must stay first: it decides whether the rest are enforced.
 const std::vector<GoldenTuple>& tuples() {
   static const std::vector<GoldenTuple> kTuples = {
-      {"calibration", /*aggregate=*/true, /*seed=*/3, /*faulted=*/false, {}},
-      {"aggregate-seed7-clean", true, 7, false, {}},
-      {"exact-seed11-byz-drop", false, 11, true, byz_drop_plan()},
-      {"aggregate-seed13-stall-burst", true, 13, true, stall_burst_plan()},
+      {"calibration", EngineKind::Aggregate, /*seed=*/3, /*faulted=*/false,
+       {}},
+      {"aggregate-seed7-clean", EngineKind::Aggregate, 7, false, {}},
+      {"exact-seed11-byz-drop", EngineKind::Exact, 11, true, byz_drop_plan()},
+      {"aggregate-seed13-stall-burst", EngineKind::Aggregate, 13, true,
+       stall_burst_plan()},
+      {"peragent-seed19-byz-drop", EngineKind::PerAgent, 19, true,
+       light_byz_drop_plan()},
   };
   return kTuples;
 }
 
-std::uint64_t compute(const GoldenTuple& t) {
-  std::unique_ptr<Engine> inner;
-  if (t.aggregate) {
-    inner = std::make_unique<AggregateEngine>();
-  } else {
-    inner = std::make_unique<ExactEngine>();
+// Two channel tiers: even agents see δ = 0.05, odd agents δ = 0.2.
+std::vector<NoiseMatrix> two_tier_channels() {
+  std::vector<NoiseMatrix> per_agent;
+  per_agent.reserve(kN);
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    per_agent.push_back(NoiseMatrix::uniform(2, i % 2 == 0 ? 0.05 : kDelta));
   }
+  return per_agent;
+}
+
+std::unique_ptr<Engine> make_engine(EngineKind kind) {
+  switch (kind) {
+    case EngineKind::Aggregate:
+      return std::make_unique<AggregateEngine>();
+    case EngineKind::Exact:
+      return std::make_unique<ExactEngine>();
+    case EngineKind::PerAgent:
+      return std::make_unique<AggregateEngine>(two_tier_channels());
+  }
+  return nullptr;
+}
+
+std::uint64_t compute(const GoldenTuple& t) {
+  const std::unique_ptr<Engine> inner = make_engine(t.engine);
   if (!t.faulted) return digest_of_run(*inner, t.seed);
   FaultyEngine faulty(*inner, t.plan);
   return digest_of_run(faulty, t.seed);
@@ -189,6 +226,8 @@ TEST(GoldenDigest, TuplesAreMutuallyDistinct) {
             current.at("aggregate-seed13-stall-burst"));
   EXPECT_NE(current.at("exact-seed11-byz-drop"),
             current.at("aggregate-seed13-stall-burst"));
+  EXPECT_NE(current.at("exact-seed11-byz-drop"),
+            current.at("peragent-seed19-byz-drop"));
   EXPECT_NE(current.at("calibration"), current.at("aggregate-seed7-clean"));
 }
 

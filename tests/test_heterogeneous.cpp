@@ -1,8 +1,13 @@
+// Heterogeneous (per-agent) channels: AggregateEngine constructed with one
+// noise matrix per agent.  The suite keeps the name of the engine class the
+// per-agent configuration used to be.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 
 #include "noisypull/analysis/stats.hpp"
+#include "noisypull/core/automaton/compiled_population.hpp"
 #include "noisypull/core/source_filter.hpp"
 #include "noisypull/model/engine.hpp"
 #include "noisypull/sim/runner.hpp"
@@ -47,16 +52,17 @@ std::vector<NoiseMatrix> mixed_noise(std::uint64_t n, double low,
 }
 
 TEST(HeterogeneousEngine, Validation) {
-  EXPECT_THROW(HeterogeneousEngine({}), std::invalid_argument);
+  EXPECT_THROW(AggregateEngine(std::vector<NoiseMatrix>{}),
+               std::invalid_argument);
   std::vector<NoiseMatrix> mismatched;
   mismatched.push_back(NoiseMatrix::uniform(2, 0.1));
   mismatched.push_back(NoiseMatrix::uniform(3, 0.1));
-  EXPECT_THROW(HeterogeneousEngine(std::move(mismatched)),
+  EXPECT_THROW(AggregateEngine(std::move(mismatched)),
                std::invalid_argument);
 
   // Wrong matrix count for the protocol.
   Recorder protocol(std::vector<Symbol>(4, 0));
-  HeterogeneousEngine engine(mixed_noise(3, 0.0, 0.1));
+  AggregateEngine engine(mixed_noise(3, 0.0, 0.1));
   Rng rng(1);
   EXPECT_THROW(engine.step(protocol, NoiseMatrix::uniform(2, 0.1), Holdings{1},
                            0, rng),
@@ -64,7 +70,7 @@ TEST(HeterogeneousEngine, Validation) {
 }
 
 TEST(HeterogeneousEngine, WorstUpperBound) {
-  HeterogeneousEngine engine(mixed_noise(10, 0.05, 0.25));
+  AggregateEngine engine(mixed_noise(10, 0.05, 0.25));
   EXPECT_NEAR(engine.worst_upper_bound(), 0.25, 1e-12);
 }
 
@@ -75,7 +81,7 @@ TEST(HeterogeneousEngine, PerAgentChannelsAreApplied) {
   noise.push_back(NoiseMatrix::noiseless(2));
   noise.push_back(NoiseMatrix(Matrix{0.5, 0.5, 0.5, 0.5}));
   Recorder protocol(std::vector<Symbol>(2, 1));
-  HeterogeneousEngine engine(std::move(noise));
+  AggregateEngine engine(std::move(noise));
   Rng rng(2);
 
   std::array<std::uint64_t, 2> scrambled{};
@@ -97,7 +103,7 @@ TEST(HeterogeneousEngine, UniformSpecialCaseMatchesAggregateLaw) {
   std::vector<Symbol> displays(n, 0);
   displays[0] = displays[1] = displays[2] = 1;
   Recorder protocol(displays);
-  HeterogeneousEngine engine(
+  AggregateEngine engine(
       std::vector<NoiseMatrix>(n, NoiseMatrix::uniform(2, 0.1)));
   Rng rng(3);
   std::array<std::uint64_t, 2> totals{};
@@ -115,7 +121,7 @@ TEST(HeterogeneousEngine, UniformSpecialCaseMatchesAggregateLaw) {
 TEST(HeterogeneousEngine, ArtificialNoiseComposesPerAgent) {
   // Noiseless per-agent channels + scrambling artificial noise → uniform.
   Recorder protocol(std::vector<Symbol>(4, 1));
-  HeterogeneousEngine engine(
+  AggregateEngine engine(
       std::vector<NoiseMatrix>(4, NoiseMatrix::noiseless(2)));
   engine.set_artificial_noise(Matrix{0.5, 0.5, 0.5, 0.5});
   Rng rng(4);
@@ -137,13 +143,53 @@ TEST(HeterogeneousEngine, SfTunedToWorstAgentConverges) {
   // from every receiver's perspective).
   const auto p = pop(600, 1, 0);
   auto noise = mixed_noise(p.n, 0.02, 0.25);
-  HeterogeneousEngine engine(std::move(noise));
+  AggregateEngine engine(std::move(noise));
   SourceFilter sf(p, Holdings{p.n}, Delta{engine.worst_upper_bound()}, C1{2.0});
   Rng rng(5);
   const auto result =
       run(sf, engine, NoiseMatrix::uniform(2, engine.worst_upper_bound()),
           p.correct_opinion(), RunConfig{.h = p.n}, rng);
   EXPECT_TRUE(result.all_correct_at_end);
+}
+
+// Identical per-agent channels are one channel group, so the per-agent
+// engine must reproduce the homogeneous engine's trajectory bit for bit —
+// interpreted and compiled, serial and on several blocks across lanes.
+TEST(HeterogeneousEngine, IdenticalChannelsMatchHomogeneousDigest) {
+  constexpr PopulationConfig kPop{.n = 2 * 4096 + 321, .s1 = 30, .s0 = 10};
+  constexpr SfSchedule kSchedule{.h = 8,
+                                 .m = 8,
+                                 .phase_rounds = 4,
+                                 .w = 8,
+                                 .subphase_rounds = 3,
+                                 .num_subphases = 4,
+                                 .final_rounds = 4};
+  const NoiseMatrix noise = NoiseMatrix::uniform(2, 0.2);
+  const auto digest = [&](Engine& engine, bool compiled, unsigned lanes) {
+    engine.set_compiled(compiled);
+    engine.set_threads(lanes);
+    std::unique_ptr<PullProtocol> protocol;
+    if (compiled) {
+      protocol = make_compiled_sf(kPop, kSchedule);
+    } else {
+      protocol = std::make_unique<SourceFilter>(kPop, kSchedule);
+    }
+    Rng rng(9);
+    for (std::uint64_t r = 0; r < kSchedule.total_rounds() + 2; ++r) {
+      engine.step(*protocol, noise, Holdings{kSchedule.h}, r, rng);
+    }
+    return engine.replay_digest();
+  };
+  for (const bool compiled : {false, true}) {
+    for (const unsigned lanes : {1u, 4u}) {
+      AggregateEngine homogeneous;
+      AggregateEngine per_agent(std::vector<NoiseMatrix>(kPop.n, noise));
+      EXPECT_EQ(digest(per_agent, compiled, lanes),
+                digest(homogeneous, compiled, lanes))
+          << (compiled ? "compiled" : "interpreted") << ", " << lanes
+          << " lanes";
+    }
+  }
 }
 
 }  // namespace

@@ -57,20 +57,6 @@ TEST(LumpedEngine, DigestIsDeterministicAndSeedSensitive) {
   EXPECT_NE(da, dc);
 }
 
-TEST(LumpedEngine, SamplerCacheToggleIsTrajectoryInvariant) {
-  const auto pop = small_pop();
-  const auto sched = small_schedule();
-  const NoiseMatrix noise = NoiseMatrix::uniform(2, 0.15);
-
-  auto cached = make_lumped_sf(pop, sched, noise);
-  auto uncached = make_lumped_sf(pop, sched, noise);
-  cached.engine->set_sampler_cache(true);
-  uncached.engine->set_sampler_cache(false);
-  const std::uint64_t rounds = sched.total_rounds();
-  EXPECT_EQ(digest_after(*cached.engine, Holdings{2}, rounds, kSeed),
-            digest_after(*uncached.engine, Holdings{2}, rounds, kSeed));
-}
-
 // A LumpedClass whose fault fields are explicitly "no fault" must be
 // bit-identical to one that never mentions them: the fault machinery is
 // exercised per round, so an inactive schedule must be a true no-op.

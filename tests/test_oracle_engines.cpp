@@ -120,9 +120,9 @@ TEST(OracleEngines, HeterogeneousMatchesExactChain) {
             {.count = 4, .automaton = &automaton, .initial = 0},
             {.count = 3, .automaton = &automaton, .initial = 1}});
       },
-      [&] { return std::make_unique<HeterogeneousEngine>(per_agent); },
-      // The noise argument is only alphabet-validated by the heterogeneous
-      // engine; the per-agent matrices above are what corrupt observations.
+      [&] { return std::make_unique<AggregateEngine>(per_agent); },
+      // The noise argument is only alphabet-validated with per-agent
+      // channels; the per-agent matrices above are what corrupt observations.
       clean, h, rounds, kReps, kSeed + 2);
   EXPECT_EQ(compare_to_oracle(chain, empirical, kReps), "");
 }

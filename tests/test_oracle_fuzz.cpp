@@ -385,7 +385,7 @@ TupleOutcome run_tuple(std::uint64_t index) {
         }
       }
       make_engine = [&per_agent] {
-        return std::make_unique<HeterogeneousEngine>(per_agent);
+        return std::make_unique<AggregateEngine>(per_agent);
       };
       break;
     case EngineKind::FaultyAggregate:

@@ -6,7 +6,8 @@
 //   * the FNV-1a primitive matches the published reference vectors, so the
 //     digest algorithm itself cannot drift silently;
 //   * same configuration + same seed ⇒ identical digest for every engine
-//     (Exact, Aggregate, Sequential, Heterogeneous) and for FaultyEngine at
+//     (Exact, Aggregate, Sequential, and Heterogeneous — AggregateEngine over
+//     per-agent channels) and for FaultyEngine at
 //     a nonzero fault plan;
 //   * different seeds ⇒ different digests (a constant digest would audit
 //     nothing);
@@ -87,7 +88,7 @@ std::unique_ptr<Engine> make_engine(EngineKind kind) {
     case EngineKind::Sequential:
       return std::make_unique<SequentialEngine>();
     case EngineKind::Heterogeneous:
-      return std::make_unique<HeterogeneousEngine>(std::vector<NoiseMatrix>(
+      return std::make_unique<AggregateEngine>(std::vector<NoiseMatrix>(
           kN, NoiseMatrix::uniform(2, kDelta)));
   }
   return nullptr;

@@ -87,6 +87,9 @@ struct CliOptions {
                   only, no faults/corruption; statistically equivalent to
                   aggregate, not bit-identical — digests only compare
                   lumped-to-lumped)
+                  heterogeneous: aggregate over per-agent channels (all at
+                  --delta); per-agent channels ignore the round's matrix,
+                  so it rejects --burst-rate
   --threads T     block-parallel lanes inside the engine (default 1);
                   results are bit-identical for every T
   --compiled      run the protocol as a CompiledPopulation on the engines'
@@ -271,8 +274,8 @@ std::unique_ptr<Engine> make_engine(const CliOptions& opt,
   if (opt.engine == "exact") return std::make_unique<ExactEngine>();
   if (opt.engine == "heterogeneous") {
     // Uniform per-agent channels at the configured delta — enough to route
-    // the run (and its replay digest) through the per-agent code path.
-    return std::make_unique<HeterogeneousEngine>(std::vector<NoiseMatrix>(
+    // the run (and its replay digest) through the per-agent channel groups.
+    return std::make_unique<AggregateEngine>(std::vector<NoiseMatrix>(
         opt.n, NoiseMatrix::uniform(alphabet, opt.delta)));
   }
   if (opt.engine == "sequential") {
@@ -619,6 +622,16 @@ int main(int argc, char** argv) {
                    "--engine lumped already runs O(#states) per round\n");
       return 2;
     }
+  }
+
+  if (opt.engine == "heterogeneous" && opt.burst_rate > 0.0) {
+    // Bursts swap the round's channel matrix, which per-agent channels never
+    // read: the run would report burst rounds that changed nothing.
+    std::fprintf(stderr,
+                 "error: --burst-rate does not compose with --engine "
+                 "heterogeneous (per-agent channels ignore the burst "
+                 "matrix)\n");
+    return 2;
   }
 
   std::printf("protocol=%s n=%llu h=%llu delta=%.3f seed=%llu reps=%llu\n\n",
