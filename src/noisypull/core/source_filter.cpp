@@ -91,6 +91,12 @@ Opinion SourceFilter::opinion(std::uint64_t agent) const {
   return agents_[agent].current;
 }
 
+std::uint64_t SourceFilter::count_opinion(Opinion o) const {
+  std::uint64_t count = 0;
+  for (const AgentState& a : agents_) count += a.current == o ? 1 : 0;
+  return count;
+}
+
 Opinion SourceFilter::weak_opinion(std::uint64_t agent) const {
   NOISYPULL_CHECK(agent < pop_.n, "agent index out of range");
   return agents_[agent].weak;

@@ -40,7 +40,11 @@ class SourceFilter : public PullProtocol {
   Symbol display(std::uint64_t agent, std::uint64_t round) const override;
   void update(std::uint64_t agent, std::uint64_t round,
               const SymbolCounts& obs, Rng& rng) override;
-  Opinion opinion(std::uint64_t agent) const override;
+  // Final, so count_opinion() below stays exact for every variant.
+  Opinion opinion(std::uint64_t agent) const final;
+  // Counts `current` directly: the run loop's per-round convergence check
+  // without one virtual opinion() call per agent.
+  std::uint64_t count_opinion(Opinion o) const override;
   std::uint64_t planned_rounds() const override {
     return schedule_.total_rounds();
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "noisypull/common/check.hpp"
 #include "noisypull/rng/binomial.hpp"
@@ -34,6 +35,7 @@ void ObservationSampler::reset(std::uint64_t h, std::span<const double> weights,
   h_ = h;
   d_ = d;
   cum_.clear();
+  guide_.clear();
   outcomes_.clear();
 
   double total_weight = 0.0;
@@ -96,6 +98,24 @@ void ObservationSampler::reset(std::uint64_t h, std::span<const double> weights,
     return true;
   });
   NOISYPULL_ASSERT(total_mass_ > 0.0);
+  if (cache) {
+    cum_.back() = std::numeric_limits<double>::infinity();
+    build_guide();
+  }
+}
+
+void ObservationSampler::build_guide() {
+  if (cum_.size() < kGuideMinOutcomes) return;
+  guide_.resize(kGuideBucketsPerOutcome * cum_.size());
+  guide_scale_ = static_cast<double>(guide_.size()) / total_mass_;
+  // guide_[b] = number of inner partial sums (the sentinel excluded) whose
+  // bucket is below b; bucket() is monotone, so one forward pass fills it.
+  const std::size_t last = cum_.size() - 1;
+  std::size_t below = 0;
+  for (std::size_t b = 0; b < guide_.size(); ++b) {
+    while (below < last && bucket(cum_[below]) < b) ++below;
+    guide_[b] = static_cast<std::uint16_t>(below);
+  }
 }
 
 template <typename Visit>
@@ -186,12 +206,8 @@ void ObservationSampler::sample(Rng& rng, SymbolCounts& obs) const {
 
   const double target = rng.next_double() * total_mass_;
   if (!cum_.empty()) {
-    // Cached: binary search the precomputed partial sums.  upper_bound finds
-    // the first index with cum_[i] > target — the same index the walk below
-    // stops at — clamped to the last outcome for target at/above the total.
-    std::size_t idx = static_cast<std::size_t>(
-        std::upper_bound(cum_.begin(), cum_.end(), target) - cum_.begin());
-    if (idx >= cum_.size()) idx = cum_.size() - 1;
+    // Cached: search() finds the index the walk below stops at.
+    const std::size_t idx = search(target);
     if (d_ == 2) {
       obs.c[0] = h_ - static_cast<std::uint64_t>(idx);
       obs.c[1] = static_cast<std::uint64_t>(idx);

@@ -13,7 +13,8 @@
 // Cached and uncached modes realize the *same* map (uniform u → outcome):
 // the cumulative masses are the partial sums of the outcome pmfs in one
 // canonical enumeration order, and
-//   cached    = precompute the partial sums, binary-search them,
+//   cached    = precompute the partial sums, find the first one above the
+//               target through a guide table (search() below),
 //   uncached  = recompute the identical partial-sum walk per draw.
 // Same u, same sums, same outcome — bit for bit
 // (tests/test_observation_cache.cpp).  The agent engines always cache; the
@@ -104,40 +105,9 @@ class ObservationSampler {
     // stopping rule in both cache settings, so the index returned here names
     // precisely the outcome sample() would have written.
     const double target = rng.next_double() * total_mass_;
-    if (!cum_.empty()) {
-      const std::size_t m = cum_.size();
-      std::size_t idx;
-      if (m <= kLinearScanOutcomes) {
-        // Branchless count of partial sums <= target — on a sorted array
-        // this is exactly upper_bound's index, without the data-dependent
-        // branches that mispredict about half the time on random targets.
-        std::size_t le = 0;
-        for (std::size_t i = 0; i < m; ++i) le += cum_[i] <= target ? 1 : 0;
-        idx = le;
-      } else {
-        // Branchless binary search for the same count: each step keeps the
-        // half whose first element is still <= target, selected with a
-        // conditional move instead of a mispredicting branch.
-        const double* base = cum_.data();
-        std::size_t len = m;
-        while (len > 1) {
-          const std::size_t half = len / 2;
-          base = base[half] <= target ? base + half : base;
-          len -= half;
-        }
-        idx = static_cast<std::size_t>(base - cum_.data()) +
-              (*base <= target ? 1 : 0);
-      }
-      if (idx >= m) idx = m - 1;
-      return static_cast<std::uint64_t>(idx);
-    }
+    if (!cum_.empty()) return static_cast<std::uint64_t>(search(target));
     return sample_index_uncached(target);
   }
-
-  // Below this outcome count the cached search runs the branchless linear
-  // count instead of binary search; both return the identical index, so the
-  // threshold is wall-clock-only and can never affect a trajectory.
-  static constexpr std::size_t kLinearScanOutcomes = 64;
 
   // Writes the count vector of outcome `index` of the canonical enumeration
   // into obs (obs.size must equal d) — the decode of sample_index().  The
@@ -177,6 +147,65 @@ class ObservationSampler {
   // partial sums, stopping at the first acc > target (or the last outcome).
   std::uint64_t sample_index_uncached(double target) const;
 
+  // Cached search shared by sample() and sample_index(): the index of the
+  // first partial sum > target, clamped to the last outcome — exactly
+  // std::upper_bound's index, and exactly where the uncached walk stops.
+  //
+  // Guide table (indexed search, Chen & Asau 1974; Devroye, Non-Uniform
+  // Random Variate Generation, §III.2.4): the target range is cut into
+  // guide_.size() equal buckets, and guide_[b] counts the partial sums whose
+  // own bucket lies below b.  Buckets are monotone in the value, so every
+  // partial sum guide_[b] counts is < any target of bucket b: the search
+  // starts at or below the answer and only ever steps up.  Each step is one
+  // comparison, the +inf sentinel at the last outcome ends the walk, and on
+  // average a draw steps past at most (#outcomes)/(#buckets) partial sums.
+  // The table only decides where the walk starts, never where it stops, so
+  // it cannot move a draw across an outcome boundary.  Small outcome spaces
+  // (below kGuideMinOutcomes) have no table and count their inner partial
+  // sums directly.
+  std::size_t search(double target) const {
+    if (guide_.empty()) {
+      std::size_t le = 0;
+      for (std::size_t i = 0; i + 1 < cum_.size(); ++i) {
+        le += cum_[i] <= target ? 1 : 0;
+      }
+      return le;
+    }
+    std::size_t idx = guide_[bucket(target)];
+    // Whether a first step is due (a partial sum inside the target's bucket,
+    // below the target) is unpredictable, so take it without a branch; a
+    // second one is rare.
+    idx += cum_[idx] <= target ? 1 : 0;
+    while (cum_[idx] <= target) ++idx;
+    return idx;
+  }
+
+  // Guide bucket of a value in [0, total_mass_]; the table build buckets the
+  // partial sums with this same function.
+  std::size_t bucket(double x) const {
+    const auto b = static_cast<std::size_t>(x * guide_scale_);
+    return b < guide_.size() ? b : guide_.size() - 1;
+  }
+
+  // Builds guide_ over cum_ (cached mode, after the table build).
+  void build_guide();
+
+  // Outcome spaces below this size skip the guide table and count their
+  // inner partial sums without a branch: the comparisons are independent of
+  // each other, so the index is ready sooner than after the table's two
+  // dependent loads — and the agent's update or cell lookup waits on it.
+  // Wall-clock only — both searches return the identical index.  Measured
+  // on SF rounds (DESIGN.md §13.6): the count is faster up to 6 outcomes,
+  // the two are even at 8, and the table is faster from 9 on.
+  static constexpr std::size_t kGuideMinOutcomes = 8;
+  // Buckets per outcome: on average a draw steps past at most a quarter of
+  // a partial sum.
+  static constexpr std::size_t kGuideBucketsPerOutcome = 4;
+  static_assert(kMaxOutcomes <= 0x10000, "guide entries are 16-bit indices");
+
+  // Test access to search() at chosen targets.
+  friend struct ObservationSamplerTestPeer;
+
   double outcome_pmf(std::span<const std::uint64_t> counts) const;
 
   std::uint64_t h_ = 0;
@@ -189,8 +218,13 @@ class ObservationSampler {
   double total_mass_ = 0.0;  // full pmf sum in enumeration order (~1)
   std::uint64_t outcome_count_ = 0;  // outcome-space size (InverseCdf mode)
 
-  // Cached inverse CDF (empty when the cache is disabled).
+  // Cached inverse CDF (empty when the cache is disabled): cum_[i] is the
+  // mass of outcomes 0..i, except the last entry, which is +inf — search()'s
+  // stop sentinel (the last outcome takes every target past the others).
   std::vector<double> cum_;
+  // Guide table over cum_ (see search()); empty below kGuideMinOutcomes.
+  std::vector<std::uint16_t> guide_;
+  double guide_scale_ = 0.0;  // buckets per unit of mass
   // Outcome decode for d > 2 (binary outcomes decode analytically:
   // index k → counts (h−k, k) under the canonical enumeration).
   std::vector<std::array<std::uint32_t, kMaxAlphabet>> outcomes_;

@@ -21,6 +21,7 @@
 //   NOISYPULL_UPDATE_GOLDEN=1 ./noisypull_tests --gtest_filter='GoldenDigest.*'
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <map>
@@ -84,8 +85,8 @@ FaultPlan byz_drop_plan() {
 }
 
 // At a quarter Byzantine the whole run is pinned to one display trajectory
-// whatever the seed, so the per-agent tuple takes a lighter Byzantine set
-// under which its digest moves with every draw.
+// whatever the seed, so the Byzantine tuples take a lighter set under which
+// their digests move with every draw (ByzDropTuplesDependOnTheSeed).
 FaultPlan light_byz_drop_plan() {
   FaultPlan plan = byz_drop_plan();
   plan.byzantine.fraction = 0.05;
@@ -111,7 +112,8 @@ const std::vector<GoldenTuple>& tuples() {
       {"calibration", EngineKind::Aggregate, /*seed=*/3, /*faulted=*/false,
        {}},
       {"aggregate-seed7-clean", EngineKind::Aggregate, 7, false, {}},
-      {"exact-seed11-byz-drop", EngineKind::Exact, 11, true, byz_drop_plan()},
+      {"exact-seed11-byz-drop", EngineKind::Exact, 11, true,
+       light_byz_drop_plan()},
       {"aggregate-seed13-stall-burst", EngineKind::Aggregate, 13, true,
        stall_burst_plan()},
       {"peragent-seed19-byz-drop", EngineKind::PerAgent, 19, true,
@@ -229,6 +231,22 @@ TEST(GoldenDigest, TuplesAreMutuallyDistinct) {
   EXPECT_NE(current.at("exact-seed11-byz-drop"),
             current.at("peragent-seed19-byz-drop"));
   EXPECT_NE(current.at("calibration"), current.at("aggregate-seed7-clean"));
+}
+
+TEST(GoldenDigest, ByzDropTuplesDependOnTheSeed) {
+  // A pinned digest that every seed reproduces pins no sampling randomness;
+  // re-running a Byzantine tuple under a neighbouring seed must move it.
+  // The exact tuple's neighbour is seed 12, the per-agent tuple's seed 20.
+  for (const char* name :
+       {"exact-seed11-byz-drop", "peragent-seed19-byz-drop"}) {
+    const auto it = std::find_if(
+        tuples().begin(), tuples().end(),
+        [&](const GoldenTuple& t) { return std::string(t.name) == name; });
+    ASSERT_NE(it, tuples().end()) << name;
+    GoldenTuple reseeded = *it;
+    reseeded.seed += 1;
+    EXPECT_NE(compute(reseeded), compute(*it)) << name;
+  }
 }
 
 }  // namespace

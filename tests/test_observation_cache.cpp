@@ -1,19 +1,47 @@
 // ObservationSampler correctness: distribution exactness (same chi-square
 // harness as the BINV/BTRS samplers in test_binomial.cpp), cache/uncached
-// draw equivalence, mode selection, fallback behavior, and input validation.
+// draw equivalence, the cached guide-table search against upper_bound, mode
+// selection, fallback behavior, and input validation.
 #include "noisypull/rng/observation_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "noisypull/analysis/stats.hpp"
 #include "noisypull/rng/binomial.hpp"
 
 namespace noisypull {
+
+// Drives the sampler's private guide-table search at chosen targets.
+struct ObservationSamplerTestPeer {
+  static std::size_t search(const ObservationSampler& s, double target) {
+    return s.search(target);
+  }
+  static std::uint64_t walk(const ObservationSampler& s, double target) {
+    return s.sample_index_uncached(target);
+  }
+  static std::span<const double> cum(const ObservationSampler& s) {
+    return s.cum_;
+  }
+  static double total_mass(const ObservationSampler& s) {
+    return s.total_mass_;
+  }
+  static std::size_t buckets(const ObservationSampler& s) {
+    return s.guide_.size();
+  }
+  static double scale(const ObservationSampler& s) { return s.guide_scale_; }
+};
+
 namespace {
+
+using Peer = ObservationSamplerTestPeer;
 
 SymbolCounts draw(const ObservationSampler& sampler, Rng& rng, std::size_t d) {
   SymbolCounts obs(d);
@@ -126,6 +154,92 @@ TEST(ObservationSampler, CacheToggleIsDrawForDrawIdentical) {
     for (std::size_t sym = 0; sym < q.size(); ++sym) {
       ASSERT_EQ(a[sym], b[sym]) << "draw " << i << " symbol " << sym;
     }
+  }
+}
+
+// Checks the cached search at `target` against std::upper_bound over the
+// partial sums, clamped to the last outcome, and — where an O(#outcomes)
+// walk per target stays cheap — against the uncached walk.
+void expect_upper_bound_at(const ObservationSampler& cached,
+                           const ObservationSampler& uncached, double target,
+                           const std::string& where) {
+  const std::span<const double> cum = Peer::cum(cached);
+  const std::size_t last = cum.size() - 1;
+  const std::size_t expect = std::min<std::size_t>(
+      static_cast<std::size_t>(
+          std::upper_bound(cum.begin(), cum.end(), target) - cum.begin()),
+      last);
+  ASSERT_EQ(Peer::search(cached, target), expect)
+      << where << " target " << target;
+  if (cum.size() <= 65) {
+    ASSERT_EQ(Peer::walk(uncached, target), expect)
+        << where << " target " << target;
+  }
+}
+
+// Every boundary the guide search could get wrong: each partial sum and its
+// two neighbours, each bucket edge and its neighbours, the extreme uniforms,
+// and a run of random targets.
+void check_guide_table(const ObservationSampler& cached,
+                       const ObservationSampler& uncached,
+                       const std::string& where) {
+  ASSERT_TRUE(cached.cached());
+  ASSERT_EQ(Peer::cum(cached).size(), cached.num_outcomes()) << where;
+  const double total = Peer::total_mass(cached);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::span<const double> cum = Peer::cum(cached);
+  for (std::size_t i = 0; i + 1 < cum.size(); ++i) {
+    for (const double t : {std::nextafter(cum[i], 0.0), cum[i],
+                           std::nextafter(cum[i], inf)}) {
+      expect_upper_bound_at(cached, uncached, t, where + " cum");
+    }
+  }
+  for (std::size_t b = 0; b <= Peer::buckets(cached); ++b) {
+    const double edge = static_cast<double>(b) / Peer::scale(cached);
+    for (const double t :
+         {std::nextafter(edge, 0.0), edge, std::nextafter(edge, inf)}) {
+      if (t >= 0.0 && t <= total) {
+        expect_upper_bound_at(cached, uncached, t, where + " edge");
+      }
+    }
+  }
+  // sample() and sample_index() compute the target as u · total mass.
+  for (const double u : {0.0, 0x1.0p-53, 0.5, 1.0 - 0x1.0p-53}) {
+    expect_upper_bound_at(cached, uncached, u * total, where + " u");
+  }
+  Rng rng(11);
+  for (int k = 0; k < 2000; ++k) {
+    expect_upper_bound_at(cached, uncached, rng.next_double() * total,
+                          where + " random");
+  }
+}
+
+TEST(ObservationSampler, GuideTableMatchesUpperBound) {
+  // One sampler object is reset from the largest outcome space down to the
+  // smallest and back up, so a stale table from a larger (or smaller) reset
+  // would be read — under ASan, as an out-of-bounds access.
+  ObservationSampler cached, uncached;
+  // 2 and 7 outcomes take the table-free count, the rest the guide table.
+  for (const std::uint64_t m :
+       {16384, 2001, 65, 9, 7, 2, 7, 9, 65, 2001, 16384}) {
+    // Binary laws: m = h + 1 outcomes.  p = 1e-12 piles the whole mass on
+    // the first outcome and flattens the rest of the partial sums.
+    for (const double p : {0.5, 0.2, 1e-12}) {
+      const std::vector<double> q = {1.0 - p, p};
+      cached.reset(m - 1, q, /*cache=*/true);
+      uncached.reset(m - 1, q, /*cache=*/false);
+      ASSERT_EQ(cached.num_outcomes(), m);
+      check_guide_table(cached, uncached,
+                        "m=" + std::to_string(m) + " p=" + std::to_string(p));
+    }
+  }
+  // A d = 3 law with a zero weight: every outcome using symbol 1 has zero
+  // mass, so the partial sums run flat across those stretches.
+  const std::vector<double> q3 = {0.6, 0.0, 0.4};
+  for (const std::uint64_t h : {7, 62}) {
+    cached.reset(h, q3, /*cache=*/true);
+    uncached.reset(h, q3, /*cache=*/false);
+    check_guide_table(cached, uncached, "d=3 h=" + std::to_string(h));
   }
 }
 

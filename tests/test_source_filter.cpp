@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "noisypull/core/variants.hpp"
 #include "noisypull/model/engine.hpp"
 #include "noisypull/sim/runner.hpp"
 
@@ -226,6 +229,41 @@ TEST(SourceFilter, MinoritySourcesAreOverruled) {
   // In particular the 0-preferring sources (agents 5 and 6) hold opinion 1.
   EXPECT_EQ(sf.opinion(5), 1);
   EXPECT_EQ(sf.opinion(6), 1);
+}
+
+TEST(SourceFilter, CountOpinionMatchesPerAgentOpinions) {
+  // The override reads the agent states directly; it must agree with the
+  // default per-agent opinion() loop for SF and both variants, through the
+  // listening phases, the boosting sub-phases and past the horizon.
+  const auto p = pop(300, 3, 1);
+  const auto sched = make_sf_schedule_with_m(p, Holdings{4}, Delta{0.1},
+                                             MemoryBudget{24});
+  const auto noise = NoiseMatrix::uniform(2, 0.1);
+  for (int variant = 0; variant < 3; ++variant) {
+    Rng init(5);
+    std::unique_ptr<SourceFilter> sf;
+    if (variant == 0) sf = std::make_unique<SourceFilter>(p, sched);
+    if (variant == 1) sf = std::make_unique<EagerSourceFilter>(p, sched, init);
+    if (variant == 2) {
+      sf = std::make_unique<AlternatingSourceFilter>(p, sched, init);
+    }
+    AggregateEngine engine;
+    Rng rng(17 + variant);
+    bool saw_mixed = false;
+    for (std::uint64_t r = 0; r < sched.total_rounds() + 2; ++r) {
+      engine.step(*sf, noise, Holdings{4}, r, rng);
+      for (const Opinion o : {Opinion{0}, Opinion{1}}) {
+        ASSERT_EQ(sf->count_opinion(o), sf->PullProtocol::count_opinion(o))
+            << "variant " << variant << " round " << r << " opinion "
+            << int{o};
+      }
+      const std::uint64_t ones = sf->count_opinion(1);
+      saw_mixed |= ones > 0 && ones < p.n;
+    }
+    // Both opinions were held at once in some round: the comparisons are
+    // not all trivial 0 == 0 or n == n.
+    EXPECT_TRUE(saw_mixed) << "variant " << variant;
+  }
 }
 
 }  // namespace
