@@ -7,8 +7,8 @@
 //     SelfStabilizingSourceFilter / AutomatonProtocol) through the virtual
 //     display()/update() path, i.e. the pre-compiled production round loop;
 //   * compiled — the mirrored CompiledPopulation with set_compiled(true):
-//     memoized display table, compile-on-miss (state, outcome index) →
-//     edge cell tables, no virtual dispatch in the hot loop.  SSF's fresh
+//     memoized display table, compile-on-miss (state id → outcome row)
+//     transition tables, no virtual dispatch in the hot loop.  SSF's fresh
 //     memory histograms miss nearly every round and pay one compile() per
 //     agent — the SSF row reports what a user of --compiled actually gets,
 //     not a forced best case.

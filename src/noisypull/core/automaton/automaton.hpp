@@ -131,6 +131,11 @@ class AgentAutomaton {
   virtual ~AgentAutomaton() = default;
 
   virtual std::size_t alphabet_size() const = 0;
+  // Number of state ids handed out so far: every id this automaton has
+  // returned is below it, and it only grows.  Interning automata count the
+  // states interned so far; the set of interned states is a function of
+  // the trajectory, so the count is the same at every lane count.
+  virtual std::size_t num_states() const = 0;
   virtual Symbol display(AutomatonState state, std::uint64_t round) const = 0;
   virtual std::vector<WeightedState> transition(
       AutomatonState state, std::uint64_t round,

@@ -1,5 +1,6 @@
 #include "noisypull/core/automaton/compiled_population.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace noisypull {
@@ -11,7 +12,7 @@ CompiledPopulation::CompiledPopulation(std::vector<CompiledGroup> groups,
   for (CompiledGroup& cg : groups) {
     NOISYPULL_CHECK(cg.count >= 1, "empty compiled group");
     NOISYPULL_CHECK(cg.automaton != nullptr, "group needs an automaton");
-    NOISYPULL_CHECK(groups_.size() < CellTable::kMaxGroups,
+    NOISYPULL_CHECK(groups_.size() < MissJournal::kMaxGroups,
                     "too many compiled groups for the cell key");
     if (alphabet_ == 0) alphabet_ = cg.automaton->alphabet_size();
     NOISYPULL_CHECK(cg.automaton->alphabet_size() == alphabet_,
@@ -21,7 +22,7 @@ CompiledPopulation::CompiledPopulation(std::vector<CompiledGroup> groups,
     g.automaton = std::move(cg.automaton);
     g.agent_begin = state_.size();
     g.agent_end = state_.size() + cg.count;
-    g.key_bits = static_cast<std::uint64_t>(gi) << CellTable::kGroupShift;
+    g.key_bits = static_cast<std::uint64_t>(gi) << MissJournal::kGroupShift;
     groups_.push_back(std::move(g));
     for (std::uint64_t i = 0; i < cg.count; ++i) {
       group_of_.push_back(gi);
@@ -99,8 +100,9 @@ void CompiledPopulation::begin_update_round(std::uint64_t round,
                                             std::uint64_t num_outcomes,
                                             std::size_t journals) {
   NOISYPULL_CHECK(
-      num_outcomes >= 1 && num_outcomes - 1 <= CellTable::kOutcomeMask,
+      num_outcomes >= 1 && num_outcomes - 1 <= MissJournal::kOutcomeMask,
       "compiled cells need an enumerable outcome space");
+  const std::uint64_t cap = kBytesPerAgent * num_agents_;
   for (Group& g : groups_) {
     const std::uint64_t sig = g.automaton->update_signature(round);
     UpdateTable& t = g.update_tables[sig];  // node-stable across inserts
@@ -108,56 +110,130 @@ void CompiledPopulation::begin_update_round(std::uint64_t round,
     NOISYPULL_CHECK(t.num_outcomes == num_outcomes,
                     "outcome space changed across rounds sharing an update "
                     "signature (h and alphabet are fixed per run)");
-    g.active = &t.cells;
+    // The interned-state count is the same at every lane count (the set of
+    // interned states is a function of the trajectory), so the row index,
+    // the cap check and the restart point are too.
+    const std::uint64_t states = g.automaton->num_states();
+    t.rows.cover(states);
+    if (t.rows.bytes() >= cap) {
+      t.rows.restart(states);
+      ++table_restarts_;
+    }
+    g.active = &t;
   }
   update_round_ = round;
   if (journals_.size() < journals) journals_.resize(journals);
 }
 
 AutomatonState CompiledPopulation::resolve_miss(
-    CellTable& journal, const Group& g, std::uint64_t key,
+    MissJournal& journal, std::uint64_t key, const Group& g,
     const ObservationSampler& sampler, Rng& rng) {
-  const CellTable::Cell* c = journal.find(key);
-  if (c == nullptr) {
+  std::uint32_t e = journal.find(key);
+  if (e == EdgePool::kMissing) {
     // compile() draws nothing: the agent's next draws are the edge's own,
     // exactly as on a hit.
     SymbolCounts obs(alphabet_);
-    sampler.outcome_counts(key & CellTable::kOutcomeMask, obs);
-    c = &journal.insert(
+    sampler.outcome_counts(key & MissJournal::kOutcomeMask, obs);
+    e = journal.insert(
         key, g.automaton->compile(static_cast<AutomatonState>(key >> 32),
                                   update_round_, obs));
   }
-  return journal.resolve(*c, rng);
+  return journal.pool().resolve(e, rng);
 }
 
 void CompiledPopulation::end_update_round() {
-  const std::uint64_t cap = kCellsPerAgent * num_agents_;
-  for (CellTable& journal : journals_) {
-    journal.for_each([&](const CellTable::Cell& c) {
+  for (MissJournal& journal : journals_) {
+    journal.for_each([&](std::uint64_t key, std::uint32_t entry) {
       const auto gi = static_cast<std::size_t>(
-          (c.key >> CellTable::kGroupShift) & CellTable::kMaxGroups);
-      CellTable& table = *groups_[gi].active;
-      if (table.find(c.key) != nullptr) return;  // compiled by another block
-      if (table.size() >= cap) table.clear();
-      table.insert_from(c, journal);
+          (key >> MissJournal::kGroupShift) & MissJournal::kMaxGroups);
+      UpdateTable& t = *groups_[gi].active;
+      const auto s = static_cast<AutomatonState>(key >> 32);
+      const std::uint64_t outcome = key & MissJournal::kOutcomeMask;
+      // A state interned before the table last started over has no row;
+      // a cell another block compiled first is already there.
+      if (!t.rows.indexes(s) ||
+          RowTable::find(t.rows.view(), s, outcome) != EdgePool::kMissing) {
+        return;
+      }
+      t.rows.insert(s, outcome, entry, journal.pool(), t.num_outcomes);
       ++cells_compiled_;
     });
     journal.clear();
   }
+  for (Group& g : groups_) g.active->rows.compact_if_sparse();
 }
 
-std::uint64_t CompiledPopulation::table_cells() const noexcept {
-  std::uint64_t cells = 0;
+std::uint64_t CompiledPopulation::table_bytes() const noexcept {
+  std::uint64_t bytes = 0;
   for (const Group& g : groups_) {
-    for (const auto& [sig, t] : g.update_tables) cells += t.cells.capacity();
+    for (const auto& [sig, t] : g.update_tables) bytes += t.rows.bytes();
   }
-  return cells;
+  return bytes;
 }
 
 // --------------------------------------------------------------------------
-// CellTable
+// EdgePool
 
-CellTable::Cell& CellTable::place(std::uint64_t key) {
+std::uint32_t EdgePool::push(const Edge& e) {
+  NOISYPULL_CHECK(edges_.size() < kMissing - kEdgeTag,
+                  "edge pool exceeds its 31-bit index");
+  edges_.push_back(e);
+  return kEdgeTag + static_cast<std::uint32_t>(edges_.size() - 1);
+}
+
+std::uint32_t EdgePool::add(const CompiledEdge& e) {
+  if (e.kind == CompiledEdge::Kind::Deterministic) {
+    NOISYPULL_CHECK(e.target[0] < kEdgeTag,
+                    "state id exceeds the inline entry range");
+    return e.target[0];
+  }
+  Edge pooled{.kind = static_cast<std::uint8_t>(e.kind), .target = e.target};
+  if (e.kind == CompiledEdge::Kind::InverseCdf) {
+    NOISYPULL_CHECK(!e.law.empty(), "empty transition law");
+    NOISYPULL_CHECK(law_prob_.size() + e.law.size() <=
+                        static_cast<std::size_t>(~std::uint32_t{0}),
+                    "pooled law storage exceeds 32-bit indexing");
+    pooled.target[0] = static_cast<AutomatonState>(law_prob_.size());
+    pooled.target[1] = static_cast<AutomatonState>(e.law.size());
+    for (const WeightedState& ws : e.law) {
+      law_prob_.push_back(ws.prob);
+      law_target_.push_back(ws.state);
+    }
+  }
+  return push(pooled);
+}
+
+std::uint32_t EdgePool::copy(std::uint32_t entry, const EdgePool& from) {
+  if (entry < kEdgeTag) return entry;
+  Edge e = from.edges_[entry - kEdgeTag];
+  if (static_cast<CompiledEdge::Kind>(e.kind) ==
+      CompiledEdge::Kind::InverseCdf) {
+    const std::uint32_t begin = e.target[0];
+    e.target[0] = static_cast<AutomatonState>(law_prob_.size());
+    for (std::uint32_t k = begin; k < begin + e.target[1]; ++k) {
+      law_prob_.push_back(from.law_prob_[k]);
+      law_target_.push_back(from.law_target_[k]);
+    }
+  }
+  return push(e);
+}
+
+void EdgePool::clear() noexcept {
+  edges_.clear();
+  law_prob_.clear();
+  law_target_.clear();
+}
+
+std::size_t EdgePool::bytes() const noexcept {
+  return edges_.capacity() * sizeof(Edge) +
+         law_prob_.capacity() * sizeof(double) +
+         law_target_.capacity() * sizeof(AutomatonState);
+}
+
+// --------------------------------------------------------------------------
+// MissJournal
+
+std::uint32_t MissJournal::insert(std::uint64_t key, const CompiledEdge& e) {
   if ((filled_.size() + 1) * 2 > slots_.size()) grow();
   std::size_t i = slot_of(key);
   while (slots_[i].key != kEmptyKey) {
@@ -165,22 +241,21 @@ CellTable::Cell& CellTable::place(std::uint64_t key) {
     i = (i + 1) & mask_;
   }
   filled_.push_back(static_cast<std::uint32_t>(i));
-  Cell& c = slots_[i];
-  c.key = key;
-  return c;
+  slots_[i] = {.key = key, .entry = pool_.add(e)};
+  return slots_[i].entry;
 }
 
-void CellTable::grow() {
+void MissJournal::grow() {
   NOISYPULL_CHECK(slots_.size() <= (std::size_t{1} << 31),
-                  "cell table exceeds 32-bit slot indexing");
-  std::vector<Cell> old(slots_.size() * 2);
+                  "miss journal exceeds 32-bit slot indexing");
+  std::vector<Slot> old(slots_.size() * 2);
   old.swap(slots_);
   mask_ = slots_.size() - 1;
   --shift_;
   std::vector<std::uint32_t> order;
   order.swap(filled_);
   for (const std::uint32_t s : order) {
-    const Cell& c = old[s];
+    const Slot& c = old[s];
     std::size_t i = slot_of(c.key);
     while (slots_[i].key != kEmptyKey) i = (i + 1) & mask_;
     slots_[i] = c;
@@ -188,46 +263,76 @@ void CellTable::grow() {
   }
 }
 
-const CellTable::Cell& CellTable::insert(std::uint64_t key,
-                                         const CompiledEdge& e) {
-  Cell& c = place(key);
-  c.kind = static_cast<std::uint8_t>(e.kind);
-  c.target = e.target;
-  if (e.kind == CompiledEdge::Kind::InverseCdf) {
-    NOISYPULL_CHECK(!e.law.empty(), "empty transition law");
-    NOISYPULL_CHECK(law_prob_.size() + e.law.size() <=
-                        static_cast<std::size_t>(~std::uint32_t{0}),
-                    "pooled law storage exceeds 32-bit indexing");
-    c.target[0] = static_cast<AutomatonState>(law_prob_.size());
-    c.target[1] = static_cast<AutomatonState>(e.law.size());
-    for (const WeightedState& ws : e.law) {
-      law_prob_.push_back(ws.prob);
-      law_target_.push_back(ws.state);
-    }
-  }
-  return c;
-}
-
-void CellTable::insert_from(const Cell& c, const CellTable& from) {
-  Cell& mine = place(c.key);
-  mine.kind = c.kind;
-  mine.target = c.target;
-  if (static_cast<CompiledEdge::Kind>(c.kind) ==
-      CompiledEdge::Kind::InverseCdf) {
-    mine.target[0] = static_cast<AutomatonState>(law_prob_.size());
-    const std::uint32_t end = c.target[0] + c.target[1];
-    for (std::uint32_t k = c.target[0]; k < end; ++k) {
-      law_prob_.push_back(from.law_prob_[k]);
-      law_target_.push_back(from.law_target_[k]);
-    }
-  }
-}
-
-void CellTable::clear() {
+void MissJournal::clear() {
   for (const std::uint32_t s : filled_) slots_[s].key = kEmptyKey;
   filled_.clear();
-  law_prob_.clear();
-  law_target_.clear();
+  pool_.clear();
+}
+
+// --------------------------------------------------------------------------
+// RowTable
+
+void RowTable::cover(std::uint64_t num_states) {
+  NOISYPULL_CHECK(num_states <= EdgePool::kEdgeTag,
+                  "state ids exceed the inline entry range");
+  if (num_states - base_ > rows_.size()) rows_.resize(num_states - base_);
+}
+
+void RowTable::insert(AutomatonState s, std::uint64_t outcome,
+                      std::uint32_t entry, const EdgePool& from,
+                      std::uint64_t num_outcomes) {
+  Row& r = rows_[s - base_];
+  const auto o = static_cast<std::uint32_t>(outcome);
+  const std::uint32_t hi = r.lo + r.width;
+  if (r.width == 0 || o < r.lo || o >= hi) {
+    // Widen the window to cover o, with half the old width as slack on the
+    // side that grew, so a row realizing its outcomes one edge at a time
+    // copies O(width) entries in total rather than O(width²).
+    std::uint32_t lo = o;
+    std::uint32_t end = o + 1;
+    if (r.width != 0) {
+      const std::uint32_t slack = r.width / 2;
+      lo = o < r.lo ? (o > slack ? o - slack : 0) : r.lo;
+      end = o >= hi ? static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                          o + 1 + slack, num_outcomes))
+                    : hi;
+    }
+    NOISYPULL_CHECK(entries_.size() + (end - lo) <= EdgePool::kMissing,
+                    "row table exceeds 32-bit entry indexing");
+    const auto start = static_cast<std::uint32_t>(entries_.size());
+    entries_.resize(entries_.size() + (end - lo), EdgePool::kMissing);
+    std::copy_n(entries_.begin() + r.start, r.width,
+                entries_.begin() + start + (r.lo - lo));
+    dead_ += r.width;
+    r = {.start = start,
+         .lo = static_cast<std::uint16_t>(lo),
+         .width = static_cast<std::uint16_t>(end - lo)};
+  }
+  entries_[r.start + (o - r.lo)] = pool_.copy(entry, from);
+}
+
+void RowTable::compact_if_sparse() {
+  if (dead_ * 2 <= entries_.size()) return;
+  std::vector<std::uint32_t> live;
+  live.reserve(entries_.size() - dead_);
+  for (Row& r : rows_) {
+    const auto start = static_cast<std::uint32_t>(live.size());
+    live.insert(live.end(), entries_.begin() + r.start,
+                entries_.begin() + r.start + r.width);
+    r.start = start;
+  }
+  entries_.swap(live);
+  dead_ = 0;
+}
+
+void RowTable::restart(std::uint64_t num_states) {
+  *this = RowTable();  // move-assigns empty vectors: releases capacity
+  base_ = static_cast<AutomatonState>(num_states);
+}
+
+std::size_t RowTable::bytes() const noexcept {
+  return rows_.capacity() * sizeof(Row) +
+         entries_.capacity() * sizeof(std::uint32_t) + pool_.bytes();
 }
 
 std::unique_ptr<CompiledPopulation> make_compiled_sf(

@@ -13,7 +13,7 @@
 //
 //   update phase    begin_update_round() + apply_block()/apply() +
 //                   end_update_round(): a memoized (state, outcome index) →
-//                   compiled-edge cell table per (group, update_signature),
+//                   compiled-edge row table per (group, update_signature),
 //                   filled by compile-on-miss.  An agent whose cell is not
 //                   yet compiled compiles it inline — compile() draws
 //                   nothing, so sample_index() followed by the edge's draws
@@ -29,15 +29,18 @@
 // AutomatonProtocol) draw for draw — see compile() in
 // core/automaton/automaton.hpp and tests/test_compiled_path.cpp.
 //
-// Table growth: a table holds exactly the (state, outcome) cells some agent
-// realized during a round of its signature — never whole rows, never
-// filler below the highest interned id.  Tables live for the run and are
-// reused by every round sharing their signature.  Protocol phases whose
-// states recur (Table states, SF boosting balances) hit almost always;
-// phases whose states are fresh every round (SSF memory accumulation) pay
-// one compile() per agent, as the virtual path would, and a table that
-// reaches kCellsPerAgent cells per agent starts over, so they hold O(n)
-// cells rather than one per agent-round.
+// Table layout: a hit is two dependent array loads — the state's row
+// header (rows indexed directly by state id), then the 4-byte entry of the
+// outcome inside the row's window.  A row holds only the outcome window
+// [lo, hi) its state has realized in rounds of the table's signature,
+// widened at merge; observation outcomes cluster around their mean, so
+// windows stay narrow.  Tables live for the run and are reused by every
+// round sharing their signature.  Protocol phases whose states recur (Table
+// states, SF boosting balances) hit almost always; phases whose states are
+// fresh every round (SSF memory accumulation) pay one compile() per agent,
+// as the virtual path would, and a table whose storage reaches
+// kBytesPerAgent bytes per agent starts over — row index included — so
+// they hold O(n) bytes rather than one cell per agent-round.
 #pragma once
 
 #include <array>
@@ -65,12 +68,74 @@ struct CompiledGroup {
   AutomatonState initial = 0;
 };
 
+// Compiled transitions as 4-byte entries, the storage unit of both the row
+// tables and the miss journals.  An entry below kEdgeTag is a deterministic
+// successor, stored inline; kEdgeTag + i names edge i of the owner's pool
+// (Coin, CoinPair and InverseCdf edges, with their targets and laws);
+// kMissing marks a cell not compiled yet.
+class EdgePool {
+ public:
+  static constexpr std::uint32_t kEdgeTag = std::uint32_t{1} << 31;
+  static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
+
+  // Encodes `e`, pooling it unless it is deterministic.
+  std::uint32_t add(const CompiledEdge& e);
+  // Re-encodes `entry` of pool `from` into this pool.
+  std::uint32_t copy(std::uint32_t entry, const EdgePool& from);
+
+  // Samples the successor of a compiled `entry` (not kMissing), consuming
+  // draws exactly as the mirrored CompiledEdge::resolve would.
+  AutomatonState resolve(std::uint32_t entry, Rng& rng) const {
+    if (entry < kEdgeTag) return entry;
+    const Edge& e = edges_[entry - kEdgeTag];
+    switch (static_cast<CompiledEdge::Kind>(e.kind)) {
+      case CompiledEdge::Kind::Deterministic:
+        break;  // stored inline, never pooled
+      case CompiledEdge::Kind::Coin:
+        return rng.next_bool() ? e.target[1] : e.target[0];
+      case CompiledEdge::Kind::CoinPair: {
+        const bool b1 = rng.next_bool();
+        const bool b2 = rng.next_bool();
+        return e.target[(b1 ? 2U : 0U) | (b2 ? 1U : 0U)];
+      }
+      case CompiledEdge::Kind::InverseCdf: {
+        const double u = rng.next_double();
+        double acc = 0.0;
+        const std::uint32_t end = e.target[0] + e.target[1];
+        for (std::uint32_t k = e.target[0]; k < end; ++k) {
+          acc += law_prob_[k];
+          if (u < acc) return law_target_[k];
+        }
+        return law_target_[end - 1];
+      }
+    }
+    NOISYPULL_CHECK(false, "corrupt compiled entry");
+    return 0;
+  }
+
+  // Drops every edge, keeping the vectors' capacity.
+  void clear() noexcept;
+  std::size_t bytes() const noexcept;
+
+ private:
+  // kind stores a CompiledEdge::Kind.  InverseCdf edges keep their law in
+  // the pool: target[0] is the first law entry, target[1] the entry count.
+  struct Edge {
+    std::uint8_t kind = 0;
+    std::array<AutomatonState, 4> target{};
+  };
+
+  std::uint32_t push(const Edge& e);
+
+  std::vector<Edge> edges_;
+  std::vector<double> law_prob_;
+  std::vector<AutomatonState> law_target_;
+};
+
 // Open-addressing (linear probing) map from a packed cell key to one
-// compiled transition — the storage of both the persistent update tables
-// and the per-block miss journals.  Capacity is a power of two kept at
-// least twice the cell count, so it is a function of the number of cells
-// alone, never of insertion order.
-class CellTable {
+// compiled entry: the per-block miss journal.  Capacity is a power of two
+// kept at least twice the cell count.
+class MissJournal {
  public:
   // Packed key: state id in bits 32..63, group index in bits 14..31,
   // outcome index in bits 0..13 (ObservationSampler::kMaxOutcomes = 2^14).
@@ -81,85 +146,121 @@ class CellTable {
   static constexpr std::uint64_t kMaxGroups = (1ULL << 18) - 1;
   static_assert(ObservationSampler::kMaxOutcomes - 1 <= kOutcomeMask);
 
-  // kind stores a CompiledEdge::Kind.  InverseCdf cells keep their law in
-  // the table's pool: target[0] is the first law entry, target[1] the
-  // entry count.
-  struct Cell {
-    std::uint64_t key = kEmptyKey;
-    std::uint8_t kind = 0;
-    std::array<AutomatonState, 4> target{};
-  };
+  MissJournal() : slots_(kMinCapacity), mask_(kMinCapacity - 1) {}
 
-  CellTable() : slots_(kMinCapacity), mask_(kMinCapacity - 1) {}
-
-  const Cell* find(std::uint64_t key) const noexcept {
+  // The key's entry, or EdgePool::kMissing.
+  std::uint32_t find(std::uint64_t key) const noexcept {
     for (std::size_t i = slot_of(key);; i = (i + 1) & mask_) {
-      const Cell& c = slots_[i];
-      if (c.key == key) return &c;
-      if (c.key == kEmptyKey) return nullptr;
+      const Slot& s = slots_[i];
+      if (s.key == key) return s.entry;
+      if (s.key == kEmptyKey) return EdgePool::kMissing;
     }
   }
-
-  // Inserts an absent key.  The returned reference is valid until the next
-  // insert.
-  const Cell& insert(std::uint64_t key, const CompiledEdge& e);
-  // Copies `c` (absent here) out of `from`, law included.
-  void insert_from(const Cell& c, const CellTable& from);
-  // Visits every cell in insertion order.
+  // Inserts an absent key and returns its entry.
+  std::uint32_t insert(std::uint64_t key, const CompiledEdge& e);
+  // Visits (key, entry) of every cell in insertion order.
   template <typename Visit>
   void for_each(Visit&& visit) const {
-    for (const std::uint32_t s : filled_) visit(slots_[s]);
+    for (const std::uint32_t i : filled_) visit(slots_[i].key, slots_[i].entry);
   }
-  // Empties the table in O(size), keeping its capacity.
+  // Empties the journal, keeping its capacity.
   void clear();
 
-  std::size_t size() const noexcept { return filled_.size(); }
-  std::size_t capacity() const noexcept { return slots_.size(); }
-
-  // Samples the cell's successor, consuming draws exactly as the mirrored
-  // CompiledEdge::resolve would.
-  AutomatonState resolve(const Cell& c, Rng& rng) const {
-    switch (static_cast<CompiledEdge::Kind>(c.kind)) {
-      case CompiledEdge::Kind::Deterministic:
-        return c.target[0];
-      case CompiledEdge::Kind::Coin:
-        return rng.next_bool() ? c.target[1] : c.target[0];
-      case CompiledEdge::Kind::CoinPair: {
-        const bool b1 = rng.next_bool();
-        const bool b2 = rng.next_bool();
-        return c.target[(b1 ? 2U : 0U) | (b2 ? 1U : 0U)];
-      }
-      case CompiledEdge::Kind::InverseCdf: {
-        const double u = rng.next_double();
-        double acc = 0.0;
-        const std::uint32_t end = c.target[0] + c.target[1];
-        for (std::uint32_t k = c.target[0]; k < end; ++k) {
-          acc += law_prob_[k];
-          if (u < acc) return law_target_[k];
-        }
-        return law_target_[end - 1];
-      }
-    }
-    NOISYPULL_CHECK(false, "corrupt compiled cell");
-    return 0;
-  }
+  const EdgePool& pool() const noexcept { return pool_; }
 
  private:
   static constexpr std::size_t kMinCapacity = 16;
+
+  struct Slot {
+    std::uint64_t key = kEmptyKey;
+    std::uint32_t entry = EdgePool::kMissing;
+  };
 
   std::size_t slot_of(std::uint64_t key) const noexcept {
     // Fibonacci hashing: the top bits of key·2^64/φ.
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
-  Cell& place(std::uint64_t key);  // claims a slot for an absent key
   void grow();
 
-  std::vector<Cell> slots_;
+  std::vector<Slot> slots_;
   std::size_t mask_;
   unsigned shift_ = 64 - 4;  // log2(kMinCapacity)
   std::vector<std::uint32_t> filled_;  // occupied slots, insertion order
-  std::vector<double> law_prob_;       // pooled InverseCdf laws
-  std::vector<AutomatonState> law_target_;
+  EdgePool pool_;
+};
+
+// The persistent (state id → outcome row) table of one (group, update
+// signature).  rows_[s − base_] is the window of state s: its entries
+// for outcomes lo .. lo + width − 1 sit at entries_[start ...].  The row
+// index covers ids [base_, num_states) — every id the automaton has handed
+// out since the table last started over — so its size, like every other
+// byte here, is a function of the trajectory, not of the order in which
+// concurrent lanes interned states.
+class RowTable {
+ public:
+  struct Row {
+    std::uint32_t start = 0;
+    std::uint16_t lo = 0;
+    std::uint16_t width = 0;  // 0: no outcome realized yet
+  };
+
+  // The hot-loop view: plain pointers, hoisted across an agent run.
+  struct View {
+    AutomatonState base;
+    std::uint32_t num_rows;
+    const Row* rows;
+    const std::uint32_t* entries;
+  };
+
+  View view() const noexcept {
+    return {base_, static_cast<std::uint32_t>(rows_.size()), rows_.data(),
+            entries_.data()};
+  }
+
+  // The (state, outcome) entry, or EdgePool::kMissing.
+  static std::uint32_t find(const View& v, AutomatonState s,
+                            std::uint64_t outcome) noexcept {
+    const std::uint32_t rel = s - v.base;  // wraps below base
+    if (rel >= v.num_rows) return EdgePool::kMissing;
+    const Row r = v.rows[rel];
+    const auto k = static_cast<std::uint32_t>(outcome) - r.lo;
+    return k < r.width ? v.entries[r.start + k] : EdgePool::kMissing;
+  }
+
+  const EdgePool& pool() const noexcept { return pool_; }
+  // First id of the row index, and the window of state s (width 0 if s
+  // has no row or has realized no outcome).
+  AutomatonState base() const noexcept { return base_; }
+  Row row(AutomatonState s) const noexcept {
+    return indexes(s) ? rows_[s - base_] : Row{};
+  }
+
+  // Extends the row index to every id below num_states with empty rows.
+  void cover(std::uint64_t num_states);
+  // Whether state s has a row (ids interned before the last restart do
+  // not: their cells stay misses, compiled in the journals each round).
+  bool indexes(AutomatonState s) const noexcept {
+    return s >= base_ && s - base_ < rows_.size();
+  }
+  // Stores `entry` (from pool `from`) for an absent (s, outcome) cell of
+  // an indexed state, widening the row's window to cover `outcome`.
+  void insert(AutomatonState s, std::uint64_t outcome, std::uint32_t entry,
+              const EdgePool& from, std::uint64_t num_outcomes);
+  // Rewrites the entries back to back once widened windows left more dead
+  // entries than live ones.
+  void compact_if_sparse();
+  // Releases all storage; the row index restarts at id num_states.
+  void restart(std::uint64_t num_states);
+
+  // Storage held (vector capacities), in bytes.
+  std::size_t bytes() const noexcept;
+
+ private:
+  AutomatonState base_ = 0;
+  std::vector<Row> rows_;
+  std::vector<std::uint32_t> entries_;
+  std::size_t dead_ = 0;  // entries left behind by widened windows
+  EdgePool pool_;
 };
 
 class CompiledPopulation final : public PullProtocol {
@@ -196,16 +297,17 @@ class CompiledPopulation final : public PullProtocol {
   }
 
   // ---- Update phase -----------------------------------------------------
-  // Selects this round's table per group (by update_signature) and readies
-  // `journals` empty miss journals.  Serial, before the block-parallel
-  // phase.  `num_outcomes` is the size of the round's InverseCdf outcome
-  // enumeration — a function of (h, d) only, so every InverseCdf sampler
-  // of the round shares it.
+  // Selects this round's table per group (by update_signature), extends its
+  // row index to the automaton's current states, starts it over if it has
+  // reached its storage cap, and readies `journals` empty miss journals.
+  // Serial, before the block-parallel phase.  `num_outcomes` is the size
+  // of the round's InverseCdf outcome enumeration — a function of (h, d)
+  // only, so every InverseCdf sampler of the round shares it.
   void begin_update_round(std::uint64_t round, std::uint64_t num_outcomes,
                           std::size_t journals);
 
   // Applies outcome index `outcome` (from sample_index() on `sampler`, the
-  // agent's InverseCdf sampler) to one agent: a cell lookup plus the
+  // agent's InverseCdf sampler) to one agent: a row lookup plus the
   // edge's exact draws, compiling the cell into journal `journal` on a
   // miss.  Thread-safe across distinct agents as long as concurrent callers
   // use distinct journals: tables are read-only during the phase,
@@ -214,36 +316,30 @@ class CompiledPopulation final : public PullProtocol {
              const ObservationSampler& sampler, std::uint64_t outcome,
              Rng& rng) {
     const Group& g = groups_[group_of_[agent]];
-    const std::uint64_t key = cell_key(g, state_[agent], outcome);
-    const CellTable::Cell* c = g.active->find(key);
-    state_[agent] =
-        c != nullptr ? g.active->resolve(*c, rng)
-                     : resolve_miss(journals_[journal], g, key, sampler, rng);
+    state_[agent] = step(g, g.active->rows.view(), journals_[journal],
+                         state_[agent], outcome, sampler, rng);
   }
 
   // Runs the whole update phase for agents [begin, end) in one call:
   // per agent, one sample_index() on the agent's rng followed by the
   // cell's exact draws — the same draw sequence, draw for draw, as the
   // engine calling apply(journal, i, sampler, sampler.sample_index(rng),
-  // rng) per agent.  The group's table is hoisted across each contiguous
-  // agent run, so the inner loop carries no per-agent group lookup or
-  // fault check — the engines route blocks here only when no fault
-  // decorator is active for the round.
+  // rng) per agent.  The group's table view is hoisted across each
+  // contiguous agent run, so the inner loop carries no per-agent group
+  // lookup or fault check — the engines route blocks here only when no
+  // fault decorator is active for the round.
   void apply_block(std::size_t journal, std::uint64_t begin, std::uint64_t end,
                    const ObservationSampler& sampler, Rng& rng) {
-    CellTable& misses = journals_[journal];
+    MissJournal& misses = journals_[journal];
     std::uint64_t i = begin;
     std::uint32_t gi = group_of_[begin];
     while (i < end) {
       const Group& g = groups_[gi];
       const std::uint64_t run_end = g.agent_end < end ? g.agent_end : end;
-      const CellTable& t = *g.active;
+      const RowTable::View v = g.active->rows.view();
       for (; i < run_end; ++i) {
-        const std::uint64_t key =
-            cell_key(g, state_[i], sampler.sample_index(rng));
-        const CellTable::Cell* c = t.find(key);
-        state_[i] = c != nullptr ? t.resolve(*c, rng)
-                                 : resolve_miss(misses, g, key, sampler, rng);
+        const std::uint64_t outcome = sampler.sample_index(rng);
+        state_[i] = step(g, v, misses, state_[i], outcome, sampler, rng);
       }
       ++gi;
     }
@@ -255,15 +351,23 @@ class CompiledPopulation final : public PullProtocol {
   // merge keeps one.
   void end_update_round();
 
+  // A table whose storage reaches this many bytes per agent starts over
+  // (row index included) at the next round of its signature, and refills
+  // with the cells later rounds realize: a phase of fresh states (SSF
+  // memory accumulation) keeps O(n) bytes instead of one cell per
+  // agent-round.  SF and Table tables stay far below it.
+  static constexpr std::uint64_t kBytesPerAgent = 256;
+
   // ---- Telemetry (deterministic: functions of the trajectory) ----------
   // Distinct (group, signature, state, outcome) cells compiled into the
   // tables so far (a cell compiled again after its table started over
   // counts again).  Interned ids are a bijection with concrete states, so
   // the count does not depend on id order, lanes or thread interleaving.
   std::uint64_t cells_compiled() const noexcept { return cells_compiled_; }
-  // Cell slots the tables hold now, empty open-addressing slots included:
-  // the tables' storage is table_cells() · sizeof(CellTable::Cell) bytes.
-  std::uint64_t table_cells() const noexcept;
+  // Bytes the tables hold now: row index, entries and edge pools.
+  std::uint64_t table_bytes() const noexcept;
+  // Times a table reached kBytesPerAgent bytes per agent and started over.
+  std::uint64_t table_restarts() const noexcept { return table_restarts_; }
 
   AutomatonState state(std::uint64_t agent) const {
     NOISYPULL_CHECK(agent < num_agents_, "agent index out of range");
@@ -271,9 +375,11 @@ class CompiledPopulation final : public PullProtocol {
   }
 
  private:
+  friend struct CompiledPopulationTestPeer;
+
   struct UpdateTable {
     std::uint64_t num_outcomes = 0;
-    CellTable cells;
+    RowTable rows;
   };
 
   struct Group {
@@ -282,7 +388,7 @@ class CompiledPopulation final : public PullProtocol {
     // the constructor lays groups out back to back.
     std::uint64_t agent_begin = 0;
     std::uint64_t agent_end = 0;
-    std::uint64_t key_bits = 0;  // group index, shifted into a cell key
+    std::uint64_t key_bits = 0;  // group index, shifted into a journal key
     // Display memo for the current display signature.
     bool display_sig_valid = false;
     std::uint64_t display_sig = 0;
@@ -293,34 +399,41 @@ class CompiledPopulation final : public PullProtocol {
     // std::map: node stability keeps `active` valid across insertions (and
     // unordered containers are lint-banned on simulation paths).
     std::map<std::uint64_t, UpdateTable> update_tables;
-    CellTable* active = nullptr;  // this round's table
+    UpdateTable* active = nullptr;  // this round's table
   };
 
-  static std::uint64_t cell_key(const Group& g, AutomatonState s,
-                                std::uint64_t outcome) noexcept {
+  static std::uint64_t journal_key(const Group& g, AutomatonState s,
+                                   std::uint64_t outcome) noexcept {
     return g.key_bits | (static_cast<std::uint64_t>(s) << 32) | outcome;
+  }
+
+  // One agent's update: a row-table hit resolves in place; a miss goes
+  // through the block's journal.
+  AutomatonState step(const Group& g, const RowTable::View& v,
+                      MissJournal& misses, AutomatonState s,
+                      std::uint64_t outcome, const ObservationSampler& sampler,
+                      Rng& rng) {
+    const std::uint32_t e = RowTable::find(v, s, outcome);
+    if (e < EdgePool::kEdgeTag) return e;
+    if (e != EdgePool::kMissing) return g.active->rows.pool().resolve(e, rng);
+    return resolve_miss(misses, journal_key(g, s, outcome), g, sampler, rng);
   }
 
   void extend_display_table(Group& g, std::uint64_t round, AutomatonState s);
 
   // Miss path of apply()/apply_block(): finds or compiles the cell in the
   // block's journal and resolves it on the agent's rng.
-  AutomatonState resolve_miss(CellTable& journal, const Group& g,
-                              std::uint64_t key,
+  AutomatonState resolve_miss(MissJournal& journal, std::uint64_t key,
+                              const Group& g,
                               const ObservationSampler& sampler, Rng& rng);
-
-  // A table that reaches this many cells per agent is emptied before the
-  // next merge and refills with the cells later rounds realize: a phase
-  // of fresh states (SSF memory accumulation) keeps O(n) cells instead of
-  // one per agent-round.  SF and Table tables stay far below it.
-  static constexpr std::uint64_t kCellsPerAgent = 8;
 
   std::size_t alphabet_ = 0;
   std::uint64_t num_agents_ = 0;
   std::uint64_t planned_rounds_ = 0;
   std::uint64_t update_round_ = 0;  // round of the open update phase
   std::uint64_t cells_compiled_ = 0;
-  std::vector<CellTable> journals_;      // one per engine block
+  std::uint64_t table_restarts_ = 0;
+  std::vector<MissJournal> journals_;    // one per engine block
   std::vector<Group> groups_;
   std::vector<std::uint32_t> group_of_;  // agent → group index
   std::vector<std::uint32_t> state_;     // agent → interned state id (SoA)

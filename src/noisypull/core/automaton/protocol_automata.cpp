@@ -76,6 +76,11 @@ AutomatonState SfAutomaton::intern(const Concrete& c) const {
   return id;
 }
 
+std::size_t SfAutomaton::num_states() const {
+  const std::lock_guard<std::mutex> lock(intern_mutex_);
+  return states_.size();
+}
+
 SfAutomaton::Concrete SfAutomaton::concrete(AutomatonState state) const {
   const std::lock_guard<std::mutex> lock(intern_mutex_);
   NOISYPULL_ASSERT(state < states_.size());
@@ -237,6 +242,11 @@ AutomatonState SsfAutomaton::intern(const Concrete& c) const {
   states_.push_back(c);
   ids_.emplace(c, id);
   return id;
+}
+
+std::size_t SsfAutomaton::num_states() const {
+  const std::lock_guard<std::mutex> lock(intern_mutex_);
+  return states_.size();
 }
 
 SsfAutomaton::Concrete SsfAutomaton::concrete(AutomatonState state) const {

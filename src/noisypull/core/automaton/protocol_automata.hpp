@@ -72,7 +72,7 @@ class TableAutomaton final : public AgentAutomaton {
  public:
   TableAutomaton(std::size_t alphabet, std::vector<TableState> states);
 
-  std::size_t num_states() const noexcept { return states_.size(); }
+  std::size_t num_states() const noexcept override { return states_.size(); }
 
   std::size_t alphabet_size() const override { return alphabet_; }
   Symbol display(AutomatonState state, std::uint64_t round) const override;
@@ -104,6 +104,7 @@ class SfAutomaton final : public AgentAutomaton {
   SfAutomaton(SfSchedule schedule, bool is_source, Opinion preference);
 
   std::size_t alphabet_size() const override { return 2; }
+  std::size_t num_states() const override;
   Symbol display(AutomatonState state, std::uint64_t round) const override;
   std::vector<WeightedState> transition(AutomatonState state,
                                         std::uint64_t round,
@@ -160,6 +161,7 @@ class SsfAutomaton final : public AgentAutomaton {
   SsfAutomaton(MemoryBudget m, bool is_source, Opinion preference);
 
   std::size_t alphabet_size() const override { return 4; }
+  std::size_t num_states() const override;
   Symbol display(AutomatonState state, std::uint64_t round) const override;
   std::vector<WeightedState> transition(AutomatonState state,
                                         std::uint64_t round,

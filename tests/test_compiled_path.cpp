@@ -22,10 +22,14 @@
 //     table fall back per agent without disturbing the fast-path agents;
 //   * compile-on-miss: no fault-free InverseCdf round reaches the virtual
 //     update(), and misses compiled concurrently by several engine blocks
-//     leave digests and the table telemetry (cells_compiled, table_cells)
-//     independent of the lane count.
+//     leave digests and the table telemetry (cells_compiled, table_bytes,
+//     table_restarts) independent of the lane count;
+//   * the row tables: outcome windows widen on both sides, tagged edges
+//     resolve like CompiledEdge::resolve, a restart releases the row index,
+//     and full-horizon SF stays under 1 MB.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -45,7 +49,18 @@
 #include "noisypull/rng/observation_cache.hpp"
 
 namespace noisypull {
+
+// Test-only view of a population's persistent row tables.
+struct CompiledPopulationTestPeer {
+  static const RowTable& table(const CompiledPopulation& pop,
+                               std::size_t group, std::uint64_t signature) {
+    return pop.groups_.at(group).update_tables.at(signature).rows;
+  }
+};
+
 namespace {
+
+using Peer = CompiledPopulationTestPeer;
 
 constexpr std::uint64_t kN = 48;
 constexpr double kDelta = 0.2;
@@ -523,7 +538,7 @@ FaultPlan big_plan(Proto p, bool with_drop) {
 struct BigOut {
   RunOut run;
   std::uint64_t cells_compiled = 0;
-  std::uint64_t table_cells = 0;
+  std::uint64_t table_bytes = 0;
   bool operator==(const BigOut&) const = default;
 };
 
@@ -542,7 +557,7 @@ BigOut run_big(Proto p, bool compiled, unsigned lanes,
   BigOut out;
   out.run = run(*c.pop, *engine, c.pp, 77);
   out.cells_compiled = c.pop->cells_compiled();
-  out.table_cells = c.pop->table_cells();
+  out.table_bytes = c.pop->table_bytes();
   return out;
 }
 
@@ -552,7 +567,7 @@ TEST(CompiledPathEdge, ConcurrentMissesKeepIdentityAcrossLanes) {
     const BigOut base = run_big(proto, /*compiled=*/true, 1, nullptr);
     EXPECT_EQ(base.run, reference.run) << proto_name(proto);
     EXPECT_GT(base.cells_compiled, 0u);
-    EXPECT_GT(base.table_cells, 0u);
+    EXPECT_GT(base.table_bytes, 0u);
     const FaultPlan zero{};
     for (unsigned lanes : {1u, 2u, 4u}) {
       EXPECT_EQ(run_big(proto, true, lanes, nullptr), base)
@@ -573,8 +588,8 @@ TEST(CompiledPathEdge, ConcurrentMissesKeepIdentityAcrossLanes) {
 }
 
 // SSF states that never recur (a memory budget no run reaches, so no
-// flush) miss every round; their tables start over at 8 cells per agent
-// instead of keeping one cell per agent-round.
+// flush) miss every round; their tables start over at kBytesPerAgent bytes
+// per agent instead of keeping one cell per agent-round.
 TEST(CompiledPathEdge, FreshStateTablesStayBounded) {
   const ProtoParams pp{.d = 4, .h = 4, .rounds = 200};
   const auto make_pop = [] {
@@ -587,11 +602,25 @@ TEST(CompiledPathEdge, FreshStateTablesStayBounded) {
   const auto pop = make_pop();
   AggregateEngine engine;
   engine.set_compiled(true);
-  EXPECT_EQ(run(*pop, engine, pp, 13), reference);
+  const auto noise = NoiseMatrix::uniform(pp.d, kDelta);
+  Rng rng(13);
+  std::uint64_t peak = 0;
+  for (std::uint64_t r = 0; r < pp.rounds; ++r) {
+    engine.step(*pop, noise, Holdings{pp.h}, r, rng);
+    peak = std::max(peak, pop->table_bytes());
+  }
+  EXPECT_EQ(engine.replay_digest(), reference.digest);
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(pop->opinion(i), reference.opinions[i]) << i;
+  }
   // Every agent-round past the first few realizes a fresh cell.
   EXPECT_GT(pop->cells_compiled(), kN * pp.rounds / 2);
-  // Three group tables, each at most 8·n cells in at most 4× the slots.
-  EXPECT_LE(pop->table_cells(), 3 * 4 * 8 * kN);
+  EXPECT_GT(pop->table_restarts(), 0u);
+  // O(n) bytes at every round.  The two source groups hold three agents,
+  // so the non-source table dominates: it enters each round below its cap
+  // and one round of fresh cells adds a few dozen bytes per agent, in
+  // vectors at most twice as large as their contents.
+  EXPECT_LE(peak, 2 * CompiledPopulation::kBytesPerAgent * kN);
 }
 
 // The per-state opinion memo behind count_opinion() agrees with asking
@@ -614,6 +643,257 @@ TEST(CompiledPathEdge, CountOpinionMatchesPerAgentOpinions) {
       ASSERT_EQ(c.pop->count_opinion(0), c.pop->num_agents() - ones);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Row tables: windows, tagged edges, restarts and concurrent merges.
+
+// One agent per round, each still in its initial state when it updates:
+// apply() must land where CompiledEdge::resolve lands on the same rng and
+// consume the same draws, whether the cell hits or compiles on a miss.
+struct OneAgentRounds {
+  CompiledPopulation& pop;
+  const AgentAutomaton& automaton;
+  const ObservationSampler& sampler;
+  AutomatonState from = 0;
+  std::uint64_t round = 0;
+  std::uint64_t agent = 0;
+
+  AutomatonState apply(std::uint64_t outcome) {
+    pop.begin_update_round(round, sampler.num_outcomes(), 1);
+    SymbolCounts obs(automaton.alphabet_size());
+    sampler.outcome_counts(outcome, obs);
+    const CompiledEdge edge = automaton.compile(from, round, obs);
+    Rng got(500 + agent);
+    Rng want(500 + agent);
+    pop.apply(0, agent, sampler, outcome, got);
+    const AutomatonState expected = edge.resolve(want);
+    EXPECT_EQ(pop.state(agent), expected)
+        << "agent " << agent << ", outcome " << outcome;
+    EXPECT_EQ(got.next(), want.next()) << "agent " << agent;
+    pop.end_update_round();
+    ++agent;
+    return expected;
+  }
+};
+
+TEST(CompiledPathRows, WindowGrowsBelowAndAboveItsFirstOutcome) {
+  const auto automaton = shared_table_automaton();
+  CompiledPopulation pop(
+      std::vector<CompiledGroup>{
+          {.count = 16, .automaton = automaton, .initial = 0}},
+      /*planned_rounds=*/0);
+  ObservationSampler sampler;
+  sampler.reset(/*h=*/16, std::vector<double>{0.5, 0.5}, /*cache=*/true);
+  ASSERT_EQ(sampler.num_outcomes(), 17u);
+  OneAgentRounds rounds{.pop = pop, .automaton = *automaton,
+                        .sampler = sampler};
+  const auto window = [&] { return Peer::table(pop, 0, 0).row(0); };
+
+  rounds.apply(8);
+  EXPECT_EQ(window().lo, 8u);
+  EXPECT_EQ(window().width, 1u);
+  rounds.apply(3);  // below the first realized outcome
+  EXPECT_LE(window().lo, 3u);
+  EXPECT_GE(window().lo + window().width, 9u);
+  rounds.apply(14);  // above it
+  EXPECT_LE(window().lo, 3u);
+  EXPECT_GE(window().lo + window().width, 15u);
+  EXPECT_EQ(pop.cells_compiled(), 3u);
+
+  // The realized cells survive both widenings: tagged (table automata
+  // compile to inverse-CDF edges) and hit without compiling again.
+  for (const std::uint64_t o : {8u, 3u, 14u}) {
+    const std::uint32_t e =
+        RowTable::find(Peer::table(pop, 0, 0).view(), 0, o);
+    EXPECT_GE(e, EdgePool::kEdgeTag) << o;
+    EXPECT_NE(e, EdgePool::kMissing) << o;
+    rounds.apply(o);
+  }
+  EXPECT_EQ(pop.cells_compiled(), 3u);
+
+  // An outcome inside the window but never realized is still a miss; it
+  // compiles into the window without widening it.
+  const RowTable::Row before = window();
+  ASSERT_EQ(RowTable::find(Peer::table(pop, 0, 0).view(), 0, 5),
+            EdgePool::kMissing);
+  rounds.apply(5);
+  EXPECT_EQ(pop.cells_compiled(), 4u);
+  EXPECT_EQ(window().lo, before.lo);
+  EXPECT_EQ(window().width, before.width);
+}
+
+// Runs 64 agents, all in state 0, through the first cell at `round` whose
+// compiled edge satisfies `wanted`: the first agent compiles it on a miss,
+// the rest hit its tagged row entry.
+template <typename Wanted>
+void expect_tagged_cell_resolves_like_edge(
+    const std::shared_ptr<const AgentAutomaton>& automaton,
+    std::uint64_t round, std::uint64_t h, Wanted wanted, const char* name) {
+  const std::size_t d = automaton->alphabet_size();
+  ObservationSampler sampler;
+  sampler.reset(h, std::vector<double>(d, 1.0), /*cache=*/true);
+  SymbolCounts obs(d);
+  std::uint64_t outcome = 0;
+  for (; outcome < sampler.num_outcomes(); ++outcome) {
+    sampler.outcome_counts(outcome, obs);
+    if (wanted(automaton->compile(0, round, obs))) break;
+  }
+  ASSERT_LT(outcome, sampler.num_outcomes()) << name << ": no such cell";
+
+  constexpr std::uint64_t kAgents = 64;
+  CompiledPopulation pop(
+      std::vector<CompiledGroup>{
+          {.count = kAgents, .automaton = automaton, .initial = 0}},
+      /*planned_rounds=*/0);
+  OneAgentRounds rounds{.pop = pop, .automaton = *automaton,
+                        .sampler = sampler, .round = round};
+  std::set<AutomatonState> landed;
+  for (std::uint64_t i = 0; i < kAgents; ++i) {
+    landed.insert(rounds.apply(outcome));
+  }
+  EXPECT_EQ(pop.cells_compiled(), 1u) << name;  // one miss, then hits
+  const std::uint32_t e = RowTable::find(
+      Peer::table(pop, 0, automaton->update_signature(round)).view(), 0,
+      outcome);
+  EXPECT_GE(e, EdgePool::kEdgeTag) << name;
+  EXPECT_NE(e, EdgePool::kMissing) << name;
+  EXPECT_GT(landed.size(), 1u) << name << ": only one side of the coin";
+}
+
+TEST(CompiledPathRows, TaggedEdgesResolveLikeCompiledEdge) {
+  // Coin: a non-source SF agent with balance 0 ties at the end of
+  // listening when it sees no zeros.
+  const auto sf = std::make_shared<const SfAutomaton>(
+      kBigSchedule, /*is_source=*/false, Opinion{0});
+  expect_tagged_cell_resolves_like_edge(
+      sf, kBigSchedule.boosting_start() - 1, kBigSchedule.h,
+      [](const CompiledEdge& e) { return e.kind == CompiledEdge::Kind::Coin; },
+      "Coin");
+  // CoinPair: m = h, so the first update flushes; both majorities tie.
+  const auto ssf = std::make_shared<const SsfAutomaton>(
+      MemoryBudget{4}, /*is_source=*/false, Opinion{0});
+  expect_tagged_cell_resolves_like_edge(
+      ssf, 0, 4,
+      [](const CompiledEdge& e) {
+        return e.kind == CompiledEdge::Kind::CoinPair;
+      },
+      "CoinPair");
+  // InverseCdf: TableAutomaton's default compile, at a tie (a two-entry
+  // law).
+  expect_tagged_cell_resolves_like_edge(
+      shared_table_automaton(), 0, 16,
+      [](const CompiledEdge& e) {
+        return e.kind == CompiledEdge::Kind::InverseCdf && e.law.size() == 2;
+      },
+      "InverseCdf");
+}
+
+struct RestartOut {
+  std::uint64_t digest = 0;
+  std::uint64_t cells_compiled = 0;
+  std::uint64_t table_bytes = 0;
+  std::uint64_t table_restarts = 0;
+  bool operator==(const RestartOut&) const = default;
+};
+
+// SSF without flushes at four blocks: the non-source table restarts
+// several times within 40 rounds.
+RestartOut run_fresh_ssf(bool compiled, unsigned lanes,
+                         std::uint64_t* peak_bytes) {
+  const auto pop = make_compiled_ssf(kBigPop, MemoryBudget{1'000'000});
+  AggregateEngine engine;
+  engine.set_compiled(compiled);
+  engine.set_threads(lanes);
+  const auto noise = NoiseMatrix::uniform(4, kDelta);
+  Rng rng(29);
+  std::uint64_t restarts = 0;
+  std::uint64_t bytes = 0;
+  for (std::uint64_t r = 0; r < 40; ++r) {
+    engine.step(*pop, noise, Holdings{4}, r, rng);
+    // A restart frees the table's storage, row index included.
+    if (pop->table_restarts() > restarts) {
+      EXPECT_LT(pop->table_bytes(), bytes / 2) << "round " << r;
+    }
+    restarts = pop->table_restarts();
+    bytes = pop->table_bytes();
+    if (peak_bytes != nullptr) *peak_bytes = std::max(*peak_bytes, bytes);
+  }
+  if (compiled) {
+    // The restarts released the index: rows start past the fresh agent's
+    // state, which no longer has one.
+    const RowTable& t = Peer::table(*pop, 2, 0);
+    EXPECT_GT(t.base(), 0u);
+    EXPECT_EQ(t.row(0).width, 0u);
+  }
+  return {engine.replay_digest(), pop->cells_compiled(), pop->table_bytes(),
+          pop->table_restarts()};
+}
+
+TEST(CompiledPathRows, RestartReleasesTheRowIndexAndRefillsBitIdentically) {
+  const RestartOut interpreted = run_fresh_ssf(false, 1, nullptr);
+  std::uint64_t peak = 0;
+  const RestartOut base = run_fresh_ssf(true, 1, &peak);
+  EXPECT_EQ(base.digest, interpreted.digest);
+  EXPECT_GE(base.table_restarts, 2u);
+  EXPECT_LE(peak, 2 * CompiledPopulation::kBytesPerAgent * kBigN);
+  // Cap checks, restart points and byte counts are functions of the
+  // trajectory, so they match at every lane count.
+  for (unsigned lanes : {2u, 4u}) {
+    EXPECT_EQ(run_fresh_ssf(true, lanes, nullptr), base) << lanes << " lanes";
+  }
+}
+
+// Every block compiles the same table cells in round 0; the merge keeps
+// one per (state, outcome) whichever lane compiled it first.
+TEST(CompiledPathRows, ConcurrentMissesMergeIntoRowsAcrossLanes) {
+  const auto automaton = shared_kary_automaton();
+  const auto run_table = [&](bool compiled, unsigned lanes) {
+    CompiledPopulation pop(
+        std::vector<CompiledGroup>{
+            {.count = 100, .automaton = automaton, .initial = 1},
+            {.count = 100, .automaton = automaton, .initial = 2},
+            {.count = kBigN - 200, .automaton = automaton, .initial = 0}},
+        /*planned_rounds=*/0);
+    AggregateEngine engine;
+    engine.set_compiled(compiled);
+    engine.set_threads(lanes);
+    const auto noise = NoiseMatrix::uniform(3, kDelta);
+    Rng rng(37);
+    for (std::uint64_t r = 0; r < 12; ++r) {
+      engine.step(pop, noise, Holdings{4}, r, rng);
+    }
+    return RestartOut{engine.replay_digest(), pop.cells_compiled(),
+                      pop.table_bytes(), pop.table_restarts()};
+  };
+  const RestartOut interpreted = run_table(false, 1);
+  const RestartOut base = run_table(true, 1);
+  EXPECT_EQ(base.digest, interpreted.digest);
+  // Three states × 15 outcomes per group at most.
+  EXPECT_GT(base.cells_compiled, 0u);
+  EXPECT_LE(base.cells_compiled, 3u * 3u * 15u);
+  for (unsigned lanes : {2u, 4u}) {
+    EXPECT_EQ(run_table(true, lanes), base) << lanes << " lanes";
+  }
+}
+
+// The perfbench sf_h64_compiled configuration, full horizon: its tables
+// never start over and hold under 1 MB.
+TEST(CompiledPathRows, FullHorizonSfStoresUnderOneMegabyte) {
+  constexpr PopulationConfig pop{.n = 10'000, .s1 = 100, .s0 = 0};
+  const auto compiled =
+      make_compiled_sf(pop, make_sf_schedule(pop, Holdings{64}, Delta{0.2}));
+  AggregateEngine engine;
+  engine.set_compiled(true);
+  const auto noise = NoiseMatrix::uniform(2, 0.2);
+  Rng rng(21);
+  for (std::uint64_t r = 0; r < compiled->planned_rounds(); ++r) {
+    engine.step(*compiled, noise, Holdings{64}, r, rng);
+  }
+  EXPECT_EQ(compiled->count_opinion(pop.correct_opinion()), pop.n);
+  EXPECT_EQ(compiled->table_restarts(), 0u);
+  EXPECT_GT(compiled->cells_compiled(), 10'000u);
+  EXPECT_LT(compiled->table_bytes(), 1u << 20);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 // Prints one row per repetition plus a summary; `--csv <path>` mirrors the
 // rows to CSV.  Run with --help for the full flag list.
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,11 +97,12 @@ struct CliOptions {
   --compiled      run the protocol as a CompiledPopulation on the engines'
                   table-driven fast path (sf/ssf only; bit-identical to the
                   interpreted run; transition cells are compiled when an
-                  agent first needs them and reused after; about as fast
-                  as the interpreted run for sf (0.7-1.3x), but SLOWER for
-                  ssf, whose fresh states miss nearly every cell — see
-                  DESIGN.md s13; incompatible with --corruption and
-                  --stale-flush, which have no compiled mirror)
+                  agent first needs them and reused after; faster than
+                  the interpreted run for sf (1.2-1.7x at n >= 10^4), but
+                  SLOWER for ssf, whose fresh states miss nearly every
+                  cell — see DESIGN.md s13; incompatible with
+                  --corruption and --stale-flush, which have no compiled
+                  mirror)
   --order O       random | ascending | descending      (sequential engine)
   --trajectory    print per-round correct counts of repetition 0
   --verify-replay run the whole configuration twice with identical seeds and
@@ -150,6 +152,13 @@ double parse_double(const char* value) {
   const double v = std::strtod(value, &end);
   if (end == value || *end != '\0') {
     std::fprintf(stderr, "error: expected number, got '%s'\n", value);
+    std::exit(2);
+  }
+  // strtod accepts "nan" and "inf"; every range check downstream is false
+  // for NaN, so a NaN rate would pass unnoticed.  No flag takes either.
+  if (!std::isfinite(v)) {
+    std::fprintf(stderr, "error: expected a finite number, got '%s'\n",
+                 value);
     std::exit(2);
   }
   return v;
@@ -248,9 +257,11 @@ ByzantineStrategy parse_strategy(const std::string& name) {
   std::exit(2);
 }
 
+// Any nonzero rate, negative ones included: those must reach
+// FaultPlan::validate and fail there, not be dropped as "no faults".
 bool wants_faults(const CliOptions& opt) {
-  return opt.byz > 0.0 || opt.p_drop > 0.0 || opt.crash_rate > 0.0 ||
-         opt.burst_rate > 0.0;
+  return opt.byz != 0.0 || opt.p_drop != 0.0 || opt.crash_rate != 0.0 ||
+         opt.burst_rate != 0.0;
 }
 
 // Translate the fault flags into a FaultPlan for the chosen protocol: the
