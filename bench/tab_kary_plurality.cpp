@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
     }
     std::string sources_str;
     for (std::size_t i = 0; i < c.sources.size(); ++i) {
-      sources_str += (i ? "/" : "") + std::to_string(c.sources[i]);
+      if (i > 0) sources_str += '/';
+      sources_str += std::to_string(c.sources[i]);
     }
     table.cell(static_cast<std::uint64_t>(pop.num_opinions()))
         .cell(c.delta, 2)

@@ -86,7 +86,8 @@ int main() {
     }
     std::string label;
     for (std::size_t o = 0; o < scouts.size(); ++o) {
-      label += (o ? "/" : "") + std::to_string(scouts[o]);
+      if (o > 0) label += '/';
+      label += std::to_string(scouts[o]);
     }
     table.cell(label)
         .cell(pop.bias())

@@ -48,6 +48,10 @@ void CompiledPopulation::update(std::uint64_t agent, std::uint64_t round,
   // mirrored production protocol would — see AgentAutomaton::compile.
   const CompiledEdge e = g.automaton->compile(state_[agent], round, obs);
   state_[agent] = e.resolve(rng);
+  // Load first: once the flag is set, concurrent lanes only read its line.
+  if (!opinion_counts_stale_.load(std::memory_order_relaxed)) {
+    opinion_counts_stale_.store(true, std::memory_order_relaxed);
+  }
 }
 
 Opinion CompiledPopulation::opinion(std::uint64_t agent) const {
@@ -56,22 +60,29 @@ Opinion CompiledPopulation::opinion(std::uint64_t agent) const {
   return g.automaton->opinion(state_[agent]);
 }
 
-std::uint64_t CompiledPopulation::count_opinion(Opinion o) const {
-  std::uint64_t count = 0;
-  for (const Group& g : groups_) {
-    std::vector<Opinion>& memo = g.opinion_table;
-    for (std::uint64_t i = g.agent_begin; i < g.agent_end; ++i) {
-      const AutomatonState s = state_[i];
-      // Interned ids are contiguous, so filling [size, s] covers every id
-      // the group can currently hold.
-      while (s >= memo.size()) {
-        memo.push_back(
-            g.automaton->opinion(static_cast<AutomatonState>(memo.size())));
-      }
-      if (memo[s] == o) ++count;
-    }
+Opinion CompiledPopulation::memo_opinion(const Group& g, AutomatonState s) {
+  std::vector<Opinion>& memo = g.opinion_table;
+  // Interned ids are contiguous, so filling [size, s] covers every id the
+  // group can currently hold.
+  while (s >= memo.size()) {
+    memo.push_back(
+        g.automaton->opinion(static_cast<AutomatonState>(memo.size())));
   }
-  return count;
+  return memo[s];
+}
+
+std::uint64_t CompiledPopulation::count_opinion(Opinion o) const {
+  if (opinion_counts_stale_.load(std::memory_order_relaxed)) {
+    opinion_counts_.fill(0);
+    for (const Group& g : groups_) {
+      for (std::uint64_t i = g.agent_begin; i < g.agent_end; ++i) {
+        ++opinion_counts_[memo_opinion(g, state_[i])];
+      }
+    }
+    ++opinion_recounts_;
+    opinion_counts_stale_.store(false, std::memory_order_relaxed);
+  }
+  return opinion_counts_[o];
 }
 
 void CompiledPopulation::begin_display_round(std::uint64_t round) {
@@ -146,9 +157,19 @@ void CompiledPopulation::end_update_round() {
     journal.for_each([&](std::uint64_t key, std::uint32_t entry) {
       const auto gi = static_cast<std::size_t>(
           (key >> MissJournal::kGroupShift) & MissJournal::kMaxGroups);
-      UpdateTable& t = *groups_[gi].active;
+      const Group& g = groups_[gi];
+      UpdateTable& t = *g.active;
       const auto s = static_cast<AutomatonState>(key >> 32);
       const std::uint64_t outcome = key & MissJournal::kOutcomeMask;
+      // Agents moved along every journal cell this round, including the
+      // ones the merge drops below, so each feeds the opinion bit.
+      if (!t.changes_opinion) {
+        const Opinion from = memo_opinion(g, s);
+        t.changes_opinion =
+            journal.pool().any_target(entry, [&](AutomatonState to) {
+              return memo_opinion(g, to) != from;
+            });
+      }
       // A state interned before the table last started over has no row;
       // a cell another block compiled first is already there.
       if (!t.rows.indexes(s) ||
@@ -160,7 +181,15 @@ void CompiledPopulation::end_update_round() {
     });
     journal.clear();
   }
-  for (Group& g : groups_) g.active->rows.compact_if_sparse();
+  for (Group& g : groups_) {
+    g.active->rows.compact_if_sparse();
+    // An agent can change opinion only along a cell of its group's active
+    // table: hits resolve cells merged in earlier rounds of the signature,
+    // misses the journal cells just folded into the bit.
+    if (g.active->changes_opinion) {
+      opinion_counts_stale_.store(true, std::memory_order_relaxed);
+    }
+  }
 }
 
 std::uint64_t CompiledPopulation::table_bytes() const noexcept {

@@ -43,8 +43,12 @@
 // they hold O(n) bytes rather than one cell per agent-round.
 #pragma once
 
+#include <algorithm>
 #include <array>
+// nplint: allow-next-line(threading-header) -- relaxed flag set in update()
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -111,6 +115,28 @@ class EdgePool {
     }
     NOISYPULL_CHECK(false, "corrupt compiled entry");
     return 0;
+  }
+
+  // Whether pred(t) holds for some successor t that a compiled `entry`
+  // (not kMissing) lists, zero-probability law entries included.
+  template <typename Pred>
+  bool any_target(std::uint32_t entry, Pred&& pred) const {
+    if (entry < kEdgeTag) return pred(static_cast<AutomatonState>(entry));
+    const Edge& e = edges_[entry - kEdgeTag];
+    switch (static_cast<CompiledEdge::Kind>(e.kind)) {
+      case CompiledEdge::Kind::Deterministic:
+        break;  // stored inline, never pooled
+      case CompiledEdge::Kind::Coin:
+        return pred(e.target[0]) || pred(e.target[1]);
+      case CompiledEdge::Kind::CoinPair:
+        return std::any_of(e.target.begin(), e.target.end(), pred);
+      case CompiledEdge::Kind::InverseCdf:
+        return std::any_of(law_target_.begin() + e.target[0],
+                           law_target_.begin() + e.target[0] + e.target[1],
+                           pred);
+    }
+    NOISYPULL_CHECK(false, "corrupt compiled entry");
+    return false;
   }
 
   // Drops every edge, keeping the vectors' capacity.
@@ -279,9 +305,13 @@ class CompiledPopulation final : public PullProtocol {
   void update(std::uint64_t agent, std::uint64_t round,
               const SymbolCounts& obs, Rng& rng) override;
   Opinion opinion(std::uint64_t agent) const override;
-  // O(n) array lookups through a per-state opinion memo (one virtual
-  // opinion() per interned state, ever).  Not safe to call concurrently
-  // with itself or with a round; the run loop calls it between rounds.
+  // Answers from a cached opinion histogram, recounted (O(n) array lookups
+  // through a per-state opinion memo, one virtual opinion() per interned
+  // state, ever) only when a round since the last recount could have
+  // changed an opinion: a virtual update(), or a round whose table (in any
+  // group) holds a cell leading from a state to one of another opinion —
+  // see end_update_round().  Not safe to call concurrently with itself or
+  // with a round; the run loop calls it between rounds.
   std::uint64_t count_opinion(Opinion o) const override;
   std::uint64_t planned_rounds() const override { return planned_rounds_; }
   CompiledAccess compiled_access() override { return {.population = this}; }
@@ -348,7 +378,9 @@ class CompiledPopulation final : public PullProtocol {
   // Merges this round's miss journals into the tables.  Serial, after the
   // block-parallel phase.  A cell compiled by several blocks is the same
   // edge each time (compile() is a function of the concrete state), so the
-  // merge keeps one.
+  // merge keeps one.  Every journal cell, merged or dropped, also feeds its
+  // table's sticky opinion bit; a round whose tables have it set
+  // invalidates the cached opinion histogram.
   void end_update_round();
 
   // A table whose storage reaches this many bytes per agent starts over
@@ -368,6 +400,11 @@ class CompiledPopulation final : public PullProtocol {
   std::uint64_t table_bytes() const noexcept;
   // Times a table reached kBytesPerAgent bytes per agent and started over.
   std::uint64_t table_restarts() const noexcept { return table_restarts_; }
+  // Times count_opinion() recounted the population instead of answering
+  // from its cached histogram.  The invalidating rounds are a function of
+  // the trajectory (the tables' opinion bits are set by the cells the
+  // trajectory realizes), so the count does not depend on lanes.
+  std::uint64_t opinion_recounts() const noexcept { return opinion_recounts_; }
 
   AutomatonState state(std::uint64_t agent) const {
     NOISYPULL_CHECK(agent < num_agents_, "agent index out of range");
@@ -380,6 +417,9 @@ class CompiledPopulation final : public PullProtocol {
   struct UpdateTable {
     std::uint64_t num_outcomes = 0;
     RowTable rows;
+    // Sticky: some cell compiled for this signature leads from a state to
+    // a target of another opinion.  Survives the rows' restarts.
+    bool changes_opinion = false;
   };
 
   struct Group {
@@ -421,6 +461,9 @@ class CompiledPopulation final : public PullProtocol {
 
   void extend_display_table(Group& g, std::uint64_t round, AutomatonState s);
 
+  // State s's opinion through the group's memo, extending it on demand.
+  static Opinion memo_opinion(const Group& g, AutomatonState s);
+
   // Miss path of apply()/apply_block(): finds or compiles the cell in the
   // block's journal and resolves it on the agent's rng.
   AutomatonState resolve_miss(MissJournal& journal, std::uint64_t key,
@@ -433,6 +476,15 @@ class CompiledPopulation final : public PullProtocol {
   std::uint64_t update_round_ = 0;  // round of the open update phase
   std::uint64_t cells_compiled_ = 0;
   std::uint64_t table_restarts_ = 0;
+  // Cached opinion histogram behind count_opinion().  `stale` is set by
+  // virtual update() calls, which run concurrently across lanes (hence
+  // atomic; relaxed suffices, the round's barrier orders it before the
+  // next count), and by end_update_round().
+  mutable std::atomic<bool> opinion_counts_stale_{true};
+  mutable std::array<std::uint64_t,
+                     std::size_t{std::numeric_limits<Opinion>::max()} + 1>
+      opinion_counts_{};
+  mutable std::uint64_t opinion_recounts_ = 0;
   std::vector<MissJournal> journals_;    // one per engine block
   std::vector<Group> groups_;
   std::vector<std::uint32_t> group_of_;  // agent → group index

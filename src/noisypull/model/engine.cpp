@@ -158,6 +158,12 @@ void AggregateEngine::set_artificial_noise(std::optional<Matrix> p) {
   groups_valid_ = false;
 }
 
+std::uint64_t AggregateEngine::sampler_rebuilds() const noexcept {
+  std::uint64_t total = 0;
+  for (const ObservationSampler& s : samplers_) total += s.rebuilds();
+  return total;
+}
+
 double AggregateEngine::worst_upper_bound() const noexcept {
   double worst = 0.0;
   for (const auto& m : per_agent_) {

@@ -196,6 +196,12 @@ class AggregateEngine final : public Engine {
             std::uint64_t round, Rng& rng) override;
   void set_artificial_noise(std::optional<Matrix> p) override;
 
+  // Observation-sampler rebuilds so far, summed over channel groups: a
+  // group's sampler rebuilds only when its observation law or its draw
+  // count changes (ObservationSampler::reset's memo).  Deterministic: a
+  // function of the trajectory, equal at every lane count.
+  std::uint64_t sampler_rebuilds() const noexcept;
+
   // Tightest δ such that every per-agent matrix is δ-upper-bounded — the
   // level a protocol must be tuned to (0 without per-agent channels).
   double worst_upper_bound() const noexcept;

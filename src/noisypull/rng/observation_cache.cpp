@@ -1,6 +1,7 @@
 #include "noisypull/rng/observation_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -29,6 +30,10 @@ std::uint64_t composition_count(std::uint64_t h, std::size_t d,
 
 void ObservationSampler::reset(std::uint64_t h, std::span<const double> weights,
                                bool cache, std::uint64_t expected_draws) {
+  if (memo_hit(h, weights, cache, expected_draws)) return;
+  // From here on the state is being rebuilt: no reset is complete until
+  // the key is recorded at the end.
+  memo_valid_ = false;
   const std::size_t d = weights.size();
   NOISYPULL_CHECK(d >= 2 && d <= kMaxAlphabet,
                   "observation sampler needs an alphabet in [2, kMaxAlphabet]");
@@ -56,6 +61,7 @@ void ObservationSampler::reset(std::uint64_t h, std::span<const double> weights,
     // the cache.
     mode_ = Mode::Decomposition;
     outcome_count_ = 0;
+    record_memo(cache, expected_draws);
     return;
   }
   mode_ = Mode::InverseCdf;
@@ -102,6 +108,31 @@ void ObservationSampler::reset(std::uint64_t h, std::span<const double> weights,
     cum_.back() = std::numeric_limits<double>::infinity();
     build_guide();
   }
+  record_memo(cache, expected_draws);
+}
+
+bool ObservationSampler::memo_hit(std::uint64_t h,
+                                  std::span<const double> weights, bool cache,
+                                  std::uint64_t expected_draws) const noexcept {
+  if (!memo_valid_ || h != h_ || weights.size() != d_ || cache != memo_cache_ ||
+      expected_draws != memo_expected_draws_) {
+    return false;
+  }
+  for (std::size_t s = 0; s < d_; ++s) {
+    if (std::bit_cast<std::uint64_t>(weights[s]) !=
+        std::bit_cast<std::uint64_t>(weights_[s])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ObservationSampler::record_memo(bool cache,
+                                     std::uint64_t expected_draws) noexcept {
+  memo_cache_ = cache;
+  memo_expected_draws_ = expected_draws;
+  memo_valid_ = true;
+  ++rebuilds_;
 }
 
 void ObservationSampler::build_guide() {

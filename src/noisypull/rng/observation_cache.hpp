@@ -70,8 +70,20 @@ class ObservationSampler {
   // `expected_draws` is the number of draws this reset will serve (see the
   // amortization gate above); the default keeps the inverse-CDF path for
   // any outcome space within kMaxOutcomes.
+  //
+  // The state reset() builds is a pure function of its four arguments, so
+  // a reset whose arguments are bitwise equal to those of the last reset
+  // that completed returns at once (the memo): within a protocol phase the
+  // display histogram, and with it the weights, often repeat round after
+  // round.  Weights compare by bit pattern, so +0.0 and -0.0 are distinct
+  // keys and a NaN never matches.  The key is recorded only when a reset
+  // completes, so one that throws leaves no stale hit behind.
   void reset(std::uint64_t h, std::span<const double> weights, bool cache,
              std::uint64_t expected_draws = kNoDrawEstimate);
+
+  // Resets that rebuilt the state rather than hitting the memo.
+  // Deterministic: a function of the sequence of reset arguments.
+  std::uint64_t rebuilds() const noexcept { return rebuilds_; }
 
   // Sentinel for reset(): no draw-count estimate, gate on kMaxOutcomes only.
   static constexpr std::uint64_t kNoDrawEstimate =
@@ -207,6 +219,20 @@ class ObservationSampler {
   friend struct ObservationSamplerTestPeer;
 
   double outcome_pmf(std::span<const std::uint64_t> counts) const;
+
+  // Whether (h, weights, cache, expected_draws) is the memo key.
+  bool memo_hit(std::uint64_t h, std::span<const double> weights, bool cache,
+                std::uint64_t expected_draws) const noexcept;
+  // Records the key of the reset completing now: h_, d_ and weights_
+  // (copied bit for bit) already hold its other arguments.
+  void record_memo(bool cache, std::uint64_t expected_draws) noexcept;
+
+  // Memo key: with h_, d_ and weights_[0..d_), the arguments of the last
+  // reset that completed; valid only while memo_valid_.
+  bool memo_valid_ = false;
+  bool memo_cache_ = false;
+  std::uint64_t memo_expected_draws_ = 0;
+  std::uint64_t rebuilds_ = 0;
 
   std::uint64_t h_ = 0;
   std::size_t d_ = 0;

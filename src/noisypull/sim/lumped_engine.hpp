@@ -64,8 +64,8 @@ struct LumpedClass {
   const AgentAutomaton* automaton = nullptr;  // non-owning
   AutomatonState initial = 0;
   Matrix channel;
-  DisplayOverride forged;
-  StallWindow stall;
+  DisplayOverride forged{};
+  StallWindow stall{};
 };
 
 class LumpedEngine {

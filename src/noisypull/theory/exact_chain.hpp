@@ -111,8 +111,8 @@ struct ChainClass {
   // Effective receiver channel, artificial noise already composed
   // (noise.matrix() * artificial, exactly as the engines compose it).
   Matrix channel;
-  DisplayOverride forged;
-  StallWindow stall;
+  DisplayOverride forged{};
+  StallWindow stall{};
 };
 
 struct ExactChainOptions {
@@ -132,7 +132,7 @@ struct ExactChainOptions {
   // bursts).  The stored matrix must already include any artificial-noise
   // composition, mirroring how FaultyEngine swaps the channel it passes to
   // the wrapped engine.
-  std::map<std::uint64_t, Matrix> channel_override;
+  std::map<std::uint64_t, Matrix> channel_override{};
 };
 
 // Exact distribution over start-of-round display histograms.  The key is

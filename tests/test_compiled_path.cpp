@@ -26,10 +26,15 @@
 //     table_restarts) independent of the lane count;
 //   * the row tables: outcome windows widen on both sides, tagged edges
 //     resolve like CompiledEdge::resolve, a restart releases the row index,
-//     and full-horizon SF stays under 1 MB.
+//     and full-horizon SF stays under 1 MB;
+//   * the cached opinion histogram equals the per-agent count after every
+//     round (any path, lanes, fault plan, restart or Decomposition round),
+//     and full-horizon SF recounts and rebuilds its sampler only where its
+//     inputs change, at every lane count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -404,8 +409,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{Proto::Sf, Eng::Heterogeneous},
                       Case{Proto::Ssf, Eng::Aggregate},
                       Case{Proto::Ssf, Eng::Heterogeneous}),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      return proto_name(info.param.proto) + eng_name(info.param.eng);
+    [](const ::testing::TestParamInfo<Case>& param_info) {
+      return proto_name(param_info.param.proto) +
+             eng_name(param_info.param.eng);
     });
 
 // ---------------------------------------------------------------------------
@@ -623,26 +629,227 @@ TEST(CompiledPathEdge, FreshStateTablesStayBounded) {
   EXPECT_LE(peak, 2 * CompiledPopulation::kBytesPerAgent * kN);
 }
 
-// The per-state opinion memo behind count_opinion() agrees with asking
-// every agent.
+// ---------------------------------------------------------------------------
+// The cached opinion histogram: count_opinion() answers from it and
+// recounts only after a round that could have changed an opinion.  Held to
+// the per-agent opinion() loop after every round.
+
+// Agents per opinion, asking each agent: the reference the cache is held
+// to.  Every protocol here has binary opinions.
+std::array<std::uint64_t, 2> per_agent_counts(const PullProtocol& protocol) {
+  std::array<std::uint64_t, 2> counts{};
+  for (std::uint64_t i = 0; i < protocol.num_agents(); ++i) {
+    ++counts.at(protocol.opinion(i));
+  }
+  return counts;
+}
+
+// count_opinion() against the per-agent loop for both opinions.
+void expect_counts_exact(const CompiledPopulation& pop, const std::string& at) {
+  const std::array<std::uint64_t, 2> want = per_agent_counts(pop);
+  for (const Opinion o : {Opinion{0}, Opinion{1}}) {
+    EXPECT_EQ(pop.count_opinion(o), want[o]) << at << ", opinion " << int{o};
+  }
+}
+
+enum class CountPlan { Clean, ByzDrop, Crash };
+
+std::string count_plan_name(CountPlan p) {
+  switch (p) {
+    case CountPlan::Clean: return "clean";
+    case CountPlan::ByzDrop: return "byz+drop";
+    case CountPlan::Crash: return "crash";
+  }
+  return "?";
+}
+
+FaultPlan make_count_plan(Proto proto, CountPlan kind) {
+  FaultPlan plan = proto == Proto::Ssf ? FaultPlan::for_ssf(/*correct=*/1)
+                                       : FaultPlan::for_binary(/*correct=*/1);
+  plan.seed = 17;
+  plan.first_eligible = kBigPop.s0 + kBigPop.s1;
+  if (kind == CountPlan::ByzDrop) {
+    plan.byzantine.fraction = 0.25;
+    plan.drop.p = 0.2;
+  } else {
+    plan.stall.crash_rate = 0.05;
+  }
+  return plan;
+}
+
+// The big SF and SSF cases (all their rounds) and a four-block Table
+// population.
+BigCase make_count_case(Proto p) {
+  if (p != Proto::Table) return make_big(p);
+  const auto automaton = shared_table_automaton();
+  return {std::make_unique<CompiledPopulation>(
+              std::vector<CompiledGroup>{
+                  {.count = 400, .automaton = automaton, .initial = 1},
+                  {.count = kBigN - 400, .automaton = automaton,
+                   .initial = 0}},
+              /*planned_rounds=*/0),
+          {.d = 2, .h = 16, .rounds = 12}};
+}
+
+// Checks the count after every round; returns the per-round count of 1s.
+std::vector<std::uint64_t> counted_run(Proto proto, bool compiled,
+                                       unsigned lanes, CountPlan kind) {
+  BigCase c = make_count_case(proto);
+  AggregateEngine inner;
+  const FaultPlan plan = make_count_plan(proto, kind);
+  FaultyEngine faulty(inner, plan);
+  Engine& engine = kind == CountPlan::Clean ? static_cast<Engine&>(inner)
+                                            : static_cast<Engine&>(faulty);
+  engine.set_compiled(compiled);
+  engine.set_threads(lanes);
+  const auto noise = NoiseMatrix::uniform(c.pp.d, kDelta);
+  Rng rng(53);
+  std::vector<std::uint64_t> ones;
+  for (std::uint64_t r = 0; r < c.pp.rounds; ++r) {
+    engine.step(*c.pop, noise, Holdings{c.pp.h}, r, rng);
+    expect_counts_exact(*c.pop, "round " + std::to_string(r));
+    ones.push_back(c.pop->count_opinion(1));
+  }
+  return ones;
+}
+
+// Every (protocol, compiled, lanes, plan) combination counts exactly, and
+// the per-round counts do not depend on the path or the lane count.
 TEST(CompiledPathEdge, CountOpinionMatchesPerAgentOpinions) {
-  for (Proto proto : {Proto::Sf, Proto::Ssf}) {
-    BigCase c = make_big(proto);
-    AggregateEngine engine;
-    engine.set_compiled(true);
-    const auto noise = NoiseMatrix::uniform(c.pp.d, kDelta);
-    Rng rng(3);
-    for (std::uint64_t r = 0; r < c.pp.rounds; ++r) {
-      engine.step(*c.pop, noise, Holdings{c.pp.h}, r, rng);
-      std::uint64_t ones = 0;
-      for (std::uint64_t i = 0; i < c.pop->num_agents(); ++i) {
-        if (c.pop->opinion(i) == 1) ++ones;
+  for (const Proto proto : {Proto::Table, Proto::Sf, Proto::Ssf}) {
+    for (const CountPlan kind :
+         {CountPlan::Clean, CountPlan::ByzDrop, CountPlan::Crash}) {
+      std::vector<std::uint64_t> reference;
+      for (const bool compiled : {false, true}) {
+        for (const unsigned lanes : {1u, 4u}) {
+          SCOPED_TRACE(proto_name(proto) + ", " + count_plan_name(kind) +
+                       (compiled ? ", compiled, " : ", interpreted, ") +
+                       std::to_string(lanes) + " lanes");
+          const std::vector<std::uint64_t> ones =
+              counted_run(proto, compiled, lanes, kind);
+          if (reference.empty()) reference = ones;
+          EXPECT_EQ(ones, reference);
+        }
       }
-      ASSERT_EQ(c.pop->count_opinion(1), ones)
-          << proto_name(proto) << " round " << r;
-      ASSERT_EQ(c.pop->count_opinion(0), c.pop->num_agents() - ones);
     }
   }
+}
+
+// SSF states that never recur restart the non-source table several times;
+// the rounds right after a restart are counted like any other.
+TEST(CompiledPathCount, CountStaysExactAcrossTableRestarts) {
+  for (const unsigned lanes : {1u, 4u}) {
+    const auto pop = make_compiled_ssf(kBigPop, MemoryBudget{1'000'000});
+    AggregateEngine engine;
+    engine.set_compiled(true);
+    engine.set_threads(lanes);
+    const auto noise = NoiseMatrix::uniform(4, kDelta);
+    Rng rng(29);
+    std::uint64_t restart_rounds = 0;
+    for (std::uint64_t r = 0; r < 40; ++r) {
+      const std::uint64_t restarts = pop->table_restarts();
+      engine.step(*pop, noise, Holdings{4}, r, rng);
+      if (pop->table_restarts() > restarts) ++restart_rounds;
+      expect_counts_exact(*pop, "round " + std::to_string(r) + ", " +
+                                    std::to_string(lanes) + " lanes");
+    }
+    EXPECT_GE(restart_rounds, 2u) << lanes << " lanes";
+  }
+}
+
+// A round whose sampler falls back to Decomposition takes the virtual
+// update() path for every agent and never opens an update phase.  Here it
+// is the SF round ending listening, where opinions change — and the only
+// round of its signature, so no table ever holds its cells: update() alone
+// must invalidate the cached count.
+TEST(CompiledPathCount, DecompositionRoundInvalidatesTheCount) {
+  const SfSchedule schedule =
+      make_sf_schedule(kPop, Holdings{16}, Delta{kDelta});
+  const std::uint64_t listening_end = schedule.boosting_start() - 1;
+  const auto pop = make_compiled(Proto::Sf);
+  AggregateEngine engine;
+  engine.set_compiled(true);
+  const auto noise = NoiseMatrix::uniform(2, kDelta);
+  Rng rng(61);
+  for (std::uint64_t r = 0; r < schedule.total_rounds(); ++r) {
+    const std::uint64_t before = pop->count_opinion(1);
+    const std::uint64_t recounts = pop->opinion_recounts();
+    // h = 64: 65 outcomes over 48 draws fails the amortization gate.
+    const std::uint64_t h = r == listening_end ? 64 : 16;
+    engine.step(*pop, noise, Holdings{h}, r, rng);
+    expect_counts_exact(*pop, "round " + std::to_string(r));
+    if (r == listening_end) {
+      EXPECT_EQ(pop->opinion_recounts(), recounts + 1);
+      EXPECT_NE(pop->count_opinion(1), before)
+          << "the listening end moved no opinion: the check has no teeth";
+    }
+  }
+}
+
+// Telemetry of the skipped work at perfbench's sf_h64_compiled
+// configuration, full horizon.  The count is recomputed only for the first
+// call and after the rounds that end listening (update signature 2) or a
+// boosting sub-phase (4), the only SF rounds whose cells change an opinion.
+// The sampler rebuilds only when the display histogram (its one varying
+// input here) changes.  Both counts are lane-invariant.
+TEST(CompiledPathCount, FullHorizonSfRecountsAndRebuildsOnlyOnChange) {
+  constexpr PopulationConfig pop{.n = 10'000, .s1 = 100, .s0 = 0};
+  const SfSchedule schedule = make_sf_schedule(pop, Holdings{64}, Delta{0.2});
+  struct Telemetry {
+    std::uint64_t recounts = 0;
+    std::uint64_t rebuilds = 0;
+    std::uint64_t histogram_changes = 0;
+    std::uint64_t digest = 0;
+    bool operator==(const Telemetry&) const = default;
+  };
+  // The display histograms are tallied (one virtual display() per agent
+  // and round) only when `tally` is set; they are a function of the
+  // trajectory, which the digest pins across lanes.
+  const auto run_at = [&](unsigned lanes, bool tally) {
+    const auto compiled = make_compiled_sf(pop, schedule);
+    AggregateEngine engine;
+    engine.set_compiled(true);
+    engine.set_threads(lanes);
+    const auto noise = NoiseMatrix::uniform(2, 0.2);
+    Rng rng(21);
+    Telemetry t;
+    std::array<std::uint64_t, 2> previous{};
+    for (std::uint64_t r = 0; r < compiled->planned_rounds(); ++r) {
+      if (tally) {
+        std::array<std::uint64_t, 2> histogram{};
+        for (std::uint64_t i = 0; i < pop.n; ++i) {
+          ++histogram.at(compiled->display(i, r));
+        }
+        if (r == 0 || histogram != previous) ++t.histogram_changes;
+        previous = histogram;
+      }
+      engine.step(*compiled, noise, Holdings{64}, r, rng);
+      // Both opinions, as a caller checking either side would.
+      const std::uint64_t ones = compiled->count_opinion(1);
+      EXPECT_EQ(ones + compiled->count_opinion(0), pop.n);
+    }
+    EXPECT_EQ(compiled->count_opinion(pop.correct_opinion()), pop.n);
+    expect_counts_exact(*compiled, "end of the horizon");
+    t.recounts = compiled->opinion_recounts();
+    t.rebuilds = engine.sampler_rebuilds();
+    t.digest = engine.replay_digest();
+    return t;
+  };
+
+  const SfAutomaton probe(schedule, /*is_source=*/false, Opinion{0});
+  std::uint64_t changing_rounds = 0;
+  for (std::uint64_t r = 0; r < schedule.total_rounds(); ++r) {
+    const std::uint64_t sig = probe.update_signature(r);
+    if (sig == 2 || sig == 4) ++changing_rounds;
+  }
+  Telemetry one = run_at(1, /*tally=*/true);
+  EXPECT_EQ(one.recounts, 1 + changing_rounds);
+  EXPECT_EQ(one.recounts, 96u);  // of 1174 count_opinion() calls in run()
+  EXPECT_GT(one.rebuilds, 0u);
+  EXPECT_LE(one.rebuilds, one.histogram_changes);
+  EXPECT_LT(one.histogram_changes, schedule.total_rounds());
+  one.histogram_changes = 0;
+  EXPECT_EQ(run_at(4, /*tally=*/false), one);
 }
 
 // ---------------------------------------------------------------------------

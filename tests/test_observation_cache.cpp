@@ -1,7 +1,7 @@
 // ObservationSampler correctness: distribution exactness (same chi-square
 // harness as the BINV/BTRS samplers in test_binomial.cpp), cache/uncached
 // draw equivalence, the cached guide-table search against upper_bound, mode
-// selection, fallback behavior, and input validation.
+// selection, fallback behavior, input validation, and the reset memo.
 #include "noisypull/rng/observation_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -352,6 +352,135 @@ TEST(ObservationSampler, RejectsInvalidInputs) {
   SymbolCounts wrong(3);
   Rng rng(1);
   EXPECT_THROW(fresh.sample(rng, wrong), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The reset memo: a reset with bitwise-equal arguments skips the rebuild,
+// and nothing else may hit it.
+
+// 64 draws of `s` from a fixed seed, flattened.
+std::vector<std::uint64_t> draws_of(const ObservationSampler& s,
+                                    std::size_t d) {
+  Rng rng(404);
+  std::vector<std::uint64_t> out;
+  for (int i = 0; i < 64; ++i) {
+    const SymbolCounts obs = draw(s, rng, d);
+    out.insert(out.end(), obs.c.begin(), obs.c.begin() + d);
+  }
+  return out;
+}
+
+TEST(ObservationSamplerMemo, ResetBackToEarlierArgumentsMatchesAFreshSampler) {
+  // (h, expected_draws) pairs picking each mode: 65 outcomes over 20000
+  // draws build the table; over 4 draws the gate falls back.
+  struct ModeCase {
+    ObservationSampler::Mode mode;
+    std::uint64_t expected_draws;
+  };
+  const ModeCase modes[] = {
+      {ObservationSampler::Mode::InverseCdf, 20000},
+      {ObservationSampler::Mode::Decomposition, 4},
+  };
+  const std::vector<double> a = {0.7, 0.3};
+  const std::vector<double> b = {0.2, 0.8};
+  for (const ModeCase& m : modes) {
+    for (const bool cache : {true, false}) {
+      ObservationSampler fresh;
+      fresh.reset(64, a, cache, m.expected_draws);
+      ASSERT_EQ(fresh.mode(), m.mode);
+
+      ObservationSampler s;
+      s.reset(64, a, cache, m.expected_draws);
+      s.reset(64, b, cache, m.expected_draws);
+      EXPECT_NE(draws_of(s, 2), draws_of(fresh, 2)) << "B must differ from A";
+      s.reset(64, a, cache, m.expected_draws);
+      EXPECT_EQ(s.rebuilds(), 3u) << "A, B, A: three distinct keys in a row";
+      EXPECT_EQ(s.mode(), m.mode);
+      EXPECT_EQ(draws_of(s, 2), draws_of(fresh, 2))
+          << "cache=" << cache << " expected_draws=" << m.expected_draws;
+
+      // The same arguments again: a memo hit, and the same draws.
+      s.reset(64, a, cache, m.expected_draws);
+      EXPECT_EQ(s.rebuilds(), 3u);
+      EXPECT_EQ(draws_of(s, 2), draws_of(fresh, 2));
+      // Flipping only the cache flag is a different key.
+      s.reset(64, a, !cache, m.expected_draws);
+      EXPECT_EQ(s.rebuilds(), 4u);
+      EXPECT_EQ(s.cached(),
+                !cache && m.mode == ObservationSampler::Mode::InverseCdf);
+    }
+  }
+  // k-ary too: the cached table holds the outcome decode as well.
+  const std::vector<double> a3 = {0.5, 0.3, 0.2};
+  const std::vector<double> b3 = {0.1, 0.1, 0.8};
+  for (const bool cache : {true, false}) {
+    ObservationSampler fresh;
+    fresh.reset(6, a3, cache);
+    ObservationSampler s;
+    s.reset(6, a3, cache);
+    s.reset(6, b3, cache);
+    s.reset(6, a3, cache);
+    EXPECT_EQ(draws_of(s, 3), draws_of(fresh, 3)) << "cache=" << cache;
+  }
+}
+
+TEST(ObservationSamplerMemo, ThrowingResetLeavesNoStaleHit) {
+  const std::vector<double> good = {0.6, 0.4};
+  const std::vector<double> negative = {0.6, -0.4};
+  const std::vector<double> massless = {0.0, 0.0};
+  for (const bool cache : {true, false}) {
+    ObservationSampler fresh;
+    fresh.reset(16, good, cache);
+    ObservationSampler s;
+    s.reset(16, good, cache);
+    ASSERT_EQ(s.rebuilds(), 1u);
+    // Both throw after the reset has begun overwriting the state (h, the
+    // alphabet, the first weights): the earlier key must not survive.
+    EXPECT_THROW(s.reset(16, negative, cache), std::invalid_argument);
+    EXPECT_THROW(s.reset(16, massless, cache), std::invalid_argument);
+    EXPECT_EQ(s.rebuilds(), 1u) << "a reset that throws is not a rebuild";
+    s.reset(16, good, cache);
+    EXPECT_EQ(s.rebuilds(), 2u) << "the valid weights must rebuild";
+    EXPECT_EQ(s.mode(), ObservationSampler::Mode::InverseCdf);
+    EXPECT_EQ(draws_of(s, 2), draws_of(fresh, 2)) << "cache=" << cache;
+  }
+}
+
+TEST(ObservationSamplerMemo, ExpectedDrawsFlippingTheGateIsNotAHit) {
+  const std::vector<double> q = {0.7, 0.3};
+  for (const bool cache : {true, false}) {
+    ObservationSampler s;
+    s.reset(64, q, cache, /*expected_draws=*/20000);
+    ASSERT_EQ(s.mode(), ObservationSampler::Mode::InverseCdf);
+    // Same h and weights, fewer draws than the 65 outcomes: Decomposition.
+    s.reset(64, q, cache, /*expected_draws=*/4);
+    EXPECT_EQ(s.mode(), ObservationSampler::Mode::Decomposition);
+    EXPECT_EQ(s.rebuilds(), 2u);
+    // And back.
+    s.reset(64, q, cache, /*expected_draws=*/20000);
+    EXPECT_EQ(s.mode(), ObservationSampler::Mode::InverseCdf);
+    EXPECT_EQ(s.rebuilds(), 3u);
+    ObservationSampler fresh;
+    fresh.reset(64, q, cache, /*expected_draws=*/20000);
+    EXPECT_EQ(draws_of(s, 2), draws_of(fresh, 2)) << "cache=" << cache;
+  }
+}
+
+TEST(ObservationSamplerMemo, WeightsCompareBitwise) {
+  // +0.0 and -0.0 are equal as doubles but distinct keys; both are valid
+  // (non-negative) weights and sample the same law.
+  ObservationSampler s;
+  s.reset(8, std::vector<double>{0.0, 1.0}, /*cache=*/true);
+  s.reset(8, std::vector<double>{-0.0, 1.0}, /*cache=*/true);
+  EXPECT_EQ(s.rebuilds(), 2u);
+  s.reset(8, std::vector<double>{-0.0, 1.0}, /*cache=*/true);
+  EXPECT_EQ(s.rebuilds(), 2u);
+  // A different alphabet with the same leading weights is another key.
+  s.reset(8, std::vector<double>{-0.0, 1.0, 0.0}, /*cache=*/true);
+  EXPECT_EQ(s.rebuilds(), 3u);
+  // So is a different h.
+  s.reset(9, std::vector<double>{-0.0, 1.0, 0.0}, /*cache=*/true);
+  EXPECT_EQ(s.rebuilds(), 4u);
 }
 
 }  // namespace

@@ -46,8 +46,11 @@ INSTANTIATE_TEST_SUITE_P(
                       AlphabetLevel{4, 0.5}, AlphabetLevel{4, 0.9},
                       AlphabetLevel{6, 0.6}, AlphabetLevel{8, 0.8}),
     [](const ::testing::TestParamInfo<AlphabetLevel>& param_info) {
-      return "d" + std::to_string(param_info.param.d) + "_frac" +
-             std::to_string(static_cast<int>(param_info.param.frac * 100));
+      std::string name = "d";
+      name += std::to_string(param_info.param.d);
+      name += "_frac";
+      name += std::to_string(static_cast<int>(param_info.param.frac * 100));
+      return name;
     });
 
 // ---------------------------------------------------------------------------
@@ -76,8 +79,11 @@ INSTANTIATE_TEST_SUITE_P(
                       AlphabetLevel{3, 0.6}, AlphabetLevel{4, 0.4},
                       AlphabetLevel{4, 0.9}, AlphabetLevel{5, 0.7}),
     [](const ::testing::TestParamInfo<AlphabetLevel>& param_info) {
-      return "d" + std::to_string(param_info.param.d) + "_frac" +
-             std::to_string(static_cast<int>(param_info.param.frac * 100));
+      std::string name = "d";
+      name += std::to_string(param_info.param.d);
+      name += "_frac";
+      name += std::to_string(static_cast<int>(param_info.param.frac * 100));
+      return name;
     });
 
 // ---------------------------------------------------------------------------
@@ -147,9 +153,13 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineEquivalenceCase{64, 16, 0.4},
                       EngineEquivalenceCase{100, 100, 0.05}),
     [](const ::testing::TestParamInfo<EngineEquivalenceCase>& param_info) {
-      return "n" + std::to_string(param_info.param.n) + "_h" +
-             std::to_string(param_info.param.h) + "_d" +
-             std::to_string(static_cast<int>(param_info.param.delta * 100));
+      std::string name = "n";
+      name += std::to_string(param_info.param.n);
+      name += "_h";
+      name += std::to_string(param_info.param.h);
+      name += "_d";
+      name += std::to_string(static_cast<int>(param_info.param.delta * 100));
+      return name;
     });
 
 // ---------------------------------------------------------------------------
@@ -194,9 +204,17 @@ INSTANTIATE_TEST_SUITE_P(
                       SfCase{300, 0, 0.2, 0, 1}),   // correct opinion is 0
     [](const ::testing::TestParamInfo<SfCase>& param_info) {
       const auto& c = param_info.param;
-      return "n" + std::to_string(c.n) + "_h" + std::to_string(c.h) + "_d" +
-             std::to_string(static_cast<int>(c.delta * 100)) + "_s" +
-             std::to_string(c.s1) + "v" + std::to_string(c.s0);
+      std::string name = "n";
+      name += std::to_string(c.n);
+      name += "_h";
+      name += std::to_string(c.h);
+      name += "_d";
+      name += std::to_string(static_cast<int>(c.delta * 100));
+      name += "_s";
+      name += std::to_string(c.s1);
+      name += "v";
+      name += std::to_string(c.s0);
+      return name;
     });
 
 // ---------------------------------------------------------------------------
@@ -245,13 +263,17 @@ INSTANTIATE_TEST_SUITE_P(
         SsfCase{400, 0.1, CorruptionPolicy::WrongConsensus},
         SsfCase{400, 0.0, CorruptionPolicy::WrongConsensus}),
     [](const ::testing::TestParamInfo<SsfCase>& param_info) {
-      std::string name = to_string(param_info.param.policy);
-      for (auto& ch : name) {
+      std::string policy = to_string(param_info.param.policy);
+      for (auto& ch : policy) {
         if (ch == '-') ch = '_';
       }
-      return "n" + std::to_string(param_info.param.n) + "_d" +
-             std::to_string(static_cast<int>(param_info.param.delta * 100)) + "_" +
-             name;
+      std::string name = "n";
+      name += std::to_string(param_info.param.n);
+      name += "_d";
+      name += std::to_string(static_cast<int>(param_info.param.delta * 100));
+      name += "_";
+      name += policy;
+      return name;
     });
 
 // ---------------------------------------------------------------------------
