@@ -4,8 +4,10 @@
 // For each (protocol, n, h) configuration this times, on AggregateEngine
 // with one lane:
 //   * interpreted_cached — the production protocol object (SourceFilter /
-//     SelfStabilizingSourceFilter / AutomatonProtocol) through the virtual
-//     display()/update() path, i.e. the pre-compiled production round loop;
+//     SelfStabilizingSourceFilter) through the virtual display()/update()
+//     path, i.e. the pre-compiled production round loop.  Table automata
+//     have no production class: their interpreted row is a
+//     CompiledPopulation through the same virtual path;
 //   * compiled — the mirrored CompiledPopulation with set_compiled(true):
 //     memoized display table, compile-on-miss (state id → outcome row)
 //     transition tables, no virtual dispatch in the hot loop.  SSF's fresh
@@ -89,7 +91,6 @@ std::shared_ptr<const TableAutomaton> make_majority_automaton() {
 struct Setup {
   std::unique_ptr<PullProtocol> interpreted;
   std::unique_ptr<CompiledPopulation> compiled;
-  std::shared_ptr<const AgentAutomaton> keepalive;  // table: shared automaton
   NoiseMatrix noise;
   std::uint64_t horizon;  // 0: no intrinsic schedule, rounds just count up
 };
@@ -104,7 +105,6 @@ Setup make_setup(const Config& cfg) {
             : make_sf_schedule(pop, Holdings{cfg.h}, Delta{kSfDelta}, C1{2.0});
     return Setup{.interpreted = std::make_unique<SourceFilter>(pop, schedule),
                  .compiled = make_compiled_sf(pop, schedule),
-                 .keepalive = nullptr,
                  .noise = NoiseMatrix::uniform(2, kSfDelta),
                  .horizon = schedule.total_rounds()};
   }
@@ -116,7 +116,6 @@ Setup make_setup(const Config& cfg) {
             SelfStabilizingSourceFilter::with_memory_budget(
                 pop, Holdings{cfg.h}, m)),
         .compiled = make_compiled_ssf(pop, m),
-        .keepalive = nullptr,
         .noise = NoiseMatrix::uniform(4, kSsfDelta),
         .horizon = 0};
   }
@@ -124,17 +123,12 @@ Setup make_setup(const Config& cfg) {
                   "unknown bench protocol");
   auto automaton = make_majority_automaton();
   const std::uint64_t minority = cfg.n / 16;
-  std::vector<AutomatonGroup> igroups{
-      {cfg.n - minority, automaton.get(), 0}, {minority, automaton.get(), 1}};
-  std::vector<CompiledGroup> cgroups{{cfg.n - minority, automaton, 0},
-                                     {minority, automaton, 1}};
-  return Setup{
-      .interpreted = std::make_unique<AutomatonProtocol>(std::move(igroups)),
-      .compiled =
-          std::make_unique<CompiledPopulation>(std::move(cgroups), 0),
-      .keepalive = automaton,
-      .noise = NoiseMatrix::uniform(2, kSfDelta),
-      .horizon = 0};
+  const std::vector<CompiledGroup> groups{{cfg.n - minority, automaton, 0},
+                                          {minority, automaton, 1}};
+  return Setup{.interpreted = std::make_unique<CompiledPopulation>(groups, 0),
+               .compiled = std::make_unique<CompiledPopulation>(groups, 0),
+               .noise = NoiseMatrix::uniform(2, kSfDelta),
+               .horizon = 0};
 }
 
 // All timing runs share one named seed: throughput, not the stream

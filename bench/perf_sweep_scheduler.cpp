@@ -2,13 +2,14 @@
 // (analysis/scheduler.hpp) against the legacy per-cell repetition loop.
 //
 // One SF grid (n × δ) is executed four ways:
-//   * legacy_per_cell    — the pre-scheduler pattern: one run_repetitions()
-//                          call per cell, a full barrier between cells;
+//   * legacy_per_cell    — the pre-scheduler pattern: one run_experiment()
+//                          call per cell at the same worker count, a full
+//                          barrier between cells;
 //   * scheduler_equal    — the global (cell × repetition) queue with early
 //                          stopping disabled, i.e. exactly the same set of
 //                          repetitions.  The bench asserts the statistics
-//                          are bit-identical to the legacy loop (same
-//                          finalize code path, same substreams) — this is
+//                          are bit-identical to the per-cell loop (same
+//                          substreams, same finalize code path) — this is
 //                          the "equal statistics" comparison;
 //   * scheduler_adaptive — the same queue with the Wilson-CI stop rule:
 //                          strictly fewer repetitions wherever the interval
@@ -131,24 +132,16 @@ int main(int argc, char** argv) {
               threads == 0 ? hw : threads);
 
   // --- legacy per-cell barrier loop (the seed pattern) -------------------
+  const SchedulerOptions equal_opts{.threads = threads, .stop = fixed};
   auto start = Clock::now();
   std::vector<CellStats> legacy;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& cell = cells[i];
-    const auto results = run_repetitions(
-        cell.make_protocol, cell.noise, cell.correct, cell.cfg,
-        RepeatOptions{.repetitions = reps, .seed = cell.seed,
-                      .threads = threads});
-    std::vector<RepOutcome> outcomes;
-    outcomes.reserve(results.size());
-    for (const auto& r : results) outcomes.push_back(to_outcome(r));
-    legacy.push_back(finalize_prefix(outcomes, reps, fixed));
+  for (const ExperimentCell& cell : cells) {
+    legacy.push_back(run_experiment({cell}, equal_opts)[0]);
   }
   const double legacy_seconds = seconds_since(start);
   std::printf("  legacy_per_cell:    %.3fs\n", legacy_seconds);
 
   // --- scheduler, early stopping off: equal statistics -------------------
-  SchedulerOptions equal_opts{.threads = threads, .stop = fixed};
   start = Clock::now();
   const auto equal = run_experiment(cells, equal_opts);
   const double equal_seconds = seconds_since(start);

@@ -11,9 +11,9 @@
 // (analysis/scheduler.hpp): `--threads` drains cells concurrently,
 // `--ci-halfwidth`/`--max-reps` opt into adaptive early stopping, and
 // `--cache-dir` reuses previously computed repetitions.  Cell seeds keep
-// the legacy run_repetitions derivations (13000/13100/13200 + s,
+// the pre-scheduler bench's per-cell seeds (13000/13100/13200 + s,
 // 14000/14100 + policy, 15000/15100), so every trajectory — and the printed
-// tables — are bit-identical to the pre-scheduler bench.
+// tables — are bit-identical to it.
 #include "bench_common.hpp"
 
 namespace {

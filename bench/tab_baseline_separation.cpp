@@ -10,10 +10,9 @@
 // (analysis/scheduler.hpp): `--threads` drains cells concurrently,
 // `--ci-halfwidth`/`--max-reps` opt into adaptive early stopping, and
 // `--cache-dir` reuses previously computed repetitions.  Cell seeds keep the
-// legacy run_repetitions derivation (12000 + n + h·3, shared by the four
-// protocols of one (n, h) group), so trajectories are bit-identical to the
-// pre-scheduler bench; the cells stay distinct in the cache through their
-// protocol digests.
+// pre-scheduler bench's per-cell seeds (12000 + n + h·3, shared by the four
+// protocols of one (n, h) group), so trajectories are bit-identical to it;
+// the cells stay distinct in the cache through their protocol digests.
 #include "bench_common.hpp"
 
 namespace {

@@ -8,9 +8,8 @@
 // (analysis/scheduler.hpp): `--threads` drains cells concurrently,
 // `--ci-halfwidth`/`--max-reps` opt into adaptive early stopping, and
 // `--cache-dir` reuses previously computed repetitions.  Cell seeds keep the
-// legacy run_repetitions derivation (SF 10000 + n + s1·7 + s0, SSF
-// 11000 + n + s1·7 + s0), so trajectories are bit-identical to the
-// pre-scheduler bench.
+// pre-scheduler bench's per-cell seeds (SF 10000 + n + s1·7 + s0, SSF
+// 11000 + n + s1·7 + s0), so trajectories are bit-identical to it.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {

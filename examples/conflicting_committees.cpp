@@ -15,6 +15,7 @@
 // Build & run:  ./build/examples/conflicting_committees
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "noisypull/noisypull.hpp"
 
@@ -61,15 +62,21 @@ int main() {
   Table table({"scouts for B", "scouts for A", "bias", "success rate"});
   for (std::uint64_t s0 : {0ULL, 3ULL, 5ULL}) {
     const PopulationConfig p2{.n = 2'000, .s1 = s0 + 1, .s0 = s0};
-    const auto results = run_repetitions(
-        [&](Rng&) -> std::unique_ptr<PullProtocol> {
-          return std::make_unique<SourceFilter>(p2, Holdings{p2.n},
-                                                Delta{delta}, C1{2.0});
-        },
-        noise, p2.correct_opinion(), RunConfig{.h = p2.n},
-        RepeatOptions{.repetitions = 24, .seed = 99 + s0});
-    table.cell(p2.s1).cell(p2.s0).cell(p2.bias()).cell(
-        success_rate(results), 3);
+    const auto stats = run_experiment(
+        {ExperimentCell{
+            .label = "s0=" + std::to_string(s0),
+            .make_protocol =
+                [p2, delta](Rng&) -> std::unique_ptr<PullProtocol> {
+                  return std::make_unique<SourceFilter>(p2, Holdings{p2.n},
+                                                        Delta{delta}, C1{2.0});
+                },
+            .noise = noise,
+            .correct = p2.correct_opinion(),
+            .cfg = RunConfig{.h = p2.n},
+            .seed = 99 + s0}},
+        SchedulerOptions{.stop = StopRule{.max_reps = 24}});
+    table.cell(p2.s1).cell(p2.s0).cell(p2.bias()).cell(stats[0].success_rate,
+                                                       3);
     table.end_row();
   }
   table.print(std::cout);

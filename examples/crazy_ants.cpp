@@ -21,6 +21,8 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "noisypull/noisypull.hpp"
 
@@ -28,35 +30,45 @@ namespace {
 
 using namespace noisypull;
 
-// Rounds until the whole group pulls toward the nest; empty when no
-// repetition ever aligned.
+// Mean rounds until the whole group pulls toward the nest over 8 seeded
+// repetitions of at most `budget` rounds (0: the protocol's own horizon);
+// empty when no repetition ever aligned.
+std::optional<double> alignment_rounds(ProtocolFactory make_protocol,
+                                       std::uint64_t n, double delta,
+                                       std::uint64_t seed,
+                                       std::uint64_t budget) {
+  const PopulationConfig pop{.n = n, .s1 = 1, .s0 = 0};
+  const auto stats = run_experiment(
+      {ExperimentCell{.label = "n=" + std::to_string(n),
+                      .make_protocol = std::move(make_protocol),
+                      .noise = NoiseMatrix::uniform(2, delta),
+                      .correct = pop.correct_opinion(),
+                      .cfg = RunConfig{.h = n, .max_rounds = budget},
+                      .seed = seed}},
+      SchedulerOptions{.stop = StopRule{.max_reps = 8}});
+  return stats[0].mean_convergence_round;
+}
+
 std::optional<double> sf_alignment_rounds(std::uint64_t n, double delta,
                                           std::uint64_t seed) {
   const PopulationConfig pop{.n = n, .s1 = 1, .s0 = 0};
-  const auto noise = NoiseMatrix::uniform(2, delta);
-  const auto results = run_repetitions(
-      [&](Rng&) -> std::unique_ptr<PullProtocol> {
+  return alignment_rounds(
+      [pop, n, delta](Rng&) -> std::unique_ptr<PullProtocol> {
         return std::make_unique<SourceFilter>(pop, Holdings{n}, Delta{delta},
                                               C1{2.0});
       },
-      noise, pop.correct_opinion(), RunConfig{.h = n},
-      RepeatOptions{.repetitions = 8, .seed = seed});
-  return mean_convergence_round(results);
+      n, delta, seed, /*budget=*/0);
 }
 
 std::optional<double> voter_alignment_rounds(std::uint64_t n, double delta,
                                              std::uint64_t seed,
                                              std::uint64_t budget) {
   const PopulationConfig pop{.n = n, .s1 = 1, .s0 = 0};
-  const auto noise = NoiseMatrix::uniform(2, delta);
-  const auto results = run_repetitions(
-      [&](Rng& init) -> std::unique_ptr<PullProtocol> {
+  return alignment_rounds(
+      [pop](Rng& init) -> std::unique_ptr<PullProtocol> {
         return std::make_unique<VoterProtocol>(pop, init);
       },
-      noise, pop.correct_opinion(),
-      RunConfig{.h = n, .max_rounds = budget},
-      RepeatOptions{.repetitions = 8, .seed = seed});
-  return mean_convergence_round(results);
+      n, delta, seed, budget);
 }
 
 }  // namespace

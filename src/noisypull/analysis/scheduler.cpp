@@ -16,8 +16,8 @@
 // The scheduler's shared queue state is guarded by one mutex and a condition
 // variable (workers park when every remaining repetition is already in
 // flight).  Allowlisted by tools/noisypull_lint.cpp's threading-header rule:
-// like sim/repeat.cpp, this file *drives* the shared ThreadPool rather than
-// opening a new parallelism seam.  The additional thread is the watchdog,
+// this file *drives* the shared ThreadPool rather than opening a new
+// parallelism seam.  The additional thread is the watchdog,
 // which only reads steady_clock and flips CancelTokens — it never touches
 // outcomes, so it cannot influence statistics.
 #include <atomic>
@@ -114,8 +114,8 @@ StopRule normalized(StopRule rule) {
 }
 
 bool outcome_success(const RepOutcome& o, bool require_stability) noexcept {
-  // Mirrors success_rate() in sim/repeat.cpp: stability on the wrong
-  // opinion is failure, not success.
+  // Stability on the wrong opinion is failure, not success: a RepOutcome
+  // can be built by hand (tests, cache records), so both bits are read.
   return require_stability ? (o.stable && o.all_correct_at_end)
                            : o.all_correct_at_end;
 }
@@ -564,8 +564,8 @@ std::vector<CellStats> run_experiment(const std::vector<ExperimentCell>& cells,
   const StopRule rule = normalized(opts.stop);
   for (const ExperimentCell& cell : cells) {
     NOISYPULL_CHECK(!cell.cfg.record_trajectory,
-                    "the scheduler does not record trajectories; use "
-                    "run_repetitions for trajectory experiments");
+                    "the scheduler does not record trajectories; call "
+                    "run() directly for trajectory experiments");
     if (cell.steady_state) {
       NOISYPULL_CHECK(cell.steady_state->measure >= 1,
                       "steady-state cells need at least one measured round");
@@ -788,12 +788,11 @@ std::vector<CellStats> run_experiment(const std::vector<ExperimentCell>& cells,
 
   const auto worker = [&](std::uint64_t lane) {
     // One engine per worker, rebuilt only when the worker switches cells:
-    // repetitions of one cell reuse the engine's scratch buffers exactly as
-    // the run_repetitions workers do.  Workers start spread across the grid
-    // (lane-seeded cursor) and stay on their cell until it has no issuable
-    // work — depth-first per worker completes decision prefixes early, and
-    // the cursor only moves (work stealing) when the current cell is
-    // drained.  None of this affects results: statistics are a function of
+    // repetitions of one cell reuse the engine's scratch buffers.  Workers
+    // start spread across the grid (lane-seeded cursor) and stay on their
+    // cell until it has no issuable work — depth-first per worker completes
+    // decision prefixes early, and the cursor only moves (work stealing)
+    // when the current cell is drained.  None of this affects results: statistics are a function of
     // outcome prefixes, not of who computed them.
     std::unique_ptr<Engine> engine;
     std::size_t engine_cell = std::numeric_limits<std::size_t>::max();

@@ -1,20 +1,20 @@
 // Experiment-level scheduler: one global (cell × repetition) work queue.
 //
 // Every theorem table in bench/ estimates success probabilities over a
-// parameter grid.  Before this module, each grid cell called
-// run_repetitions() with a fixed repetition count and synchronized before
-// the next cell started, so a table's wall-clock was the sum of per-cell
-// barriers — and easy cells burned exactly as many repetitions as hard
-// ones.  The scheduler flattens the whole table into one queue of
-// (cell, repetition) work items drained by a fixed worker pool
-// (common/thread_pool.hpp), and optionally stops issuing repetitions for a
-// cell once its success-rate confidence interval is tight enough.
+// parameter grid from seeded repetitions, and this is the one harness that
+// runs them.  A per-cell loop with a barrier between cells would make a
+// table's wall-clock the sum of per-cell barriers — and easy cells would
+// burn exactly as many repetitions as hard ones.  The scheduler flattens the
+// whole table into one queue of (cell, repetition) work items drained by a
+// fixed worker pool (common/thread_pool.hpp), and optionally stops issuing
+// repetitions for a cell once its success-rate confidence interval is tight
+// enough.  A fixed repetition count is StopRule{.max_reps = R} with no cache.
 //
 // Determinism contract (tests/test_scheduler.cpp, tests/test_chaos.cpp):
-//   * Repetition r of a cell runs on the substreams Rng(seed, 2r) /
-//     Rng(seed, 2r+1) — the exact derivation of run_repetitions() — so each
-//     repetition's trajectory is a function of (cell, r) alone, never of
-//     which worker ran it or when.
+//   * Repetition r of a cell builds its protocol from the substream
+//     Rng(seed, 2r) and runs on Rng(seed, 2r+1), so each repetition's
+//     trajectory is a function of (cell, r) alone, never of which worker
+//     ran it or when.
 //   * The early-stopping decision is evaluated on completed-repetition
 //     *prefixes in repetition-index order*: the rule stops a cell at the
 //     smallest prefix length m ∈ [min_reps, max_reps] whose Wilson interval
@@ -54,6 +54,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -65,14 +66,14 @@
 #include "noisypull/fault/fault_plan.hpp"
 #include "noisypull/sim/churn.hpp"
 #include "noisypull/sim/lumped_engine.hpp"
-#include "noisypull/sim/repeat.hpp"
+#include "noisypull/sim/runner.hpp"
 
 namespace noisypull {
 
 // Bumped whenever engine or runner semantics change in a way that alters
 // trajectories for identical inputs (it is folded into every cache key, so
 // a bump invalidates all previously cached cells at once).
-inline constexpr std::uint64_t kCellCacheSchemaVersion = 2;
+inline constexpr std::uint64_t kCellCacheSchemaVersion = 3;
 
 // Version of the on-disk cache *record layout*, independent of the key
 // schema above: v2 added the entry CRC and the steady-state outcome fields.
@@ -124,6 +125,12 @@ struct SteadyStateSpec {
   std::uint64_t measure = 1;
   std::optional<ChurnConfig> churn{};  // requires an SSF protocol
 };
+
+// Builds a fresh protocol for one repetition.  `init_rng` (the substream
+// Rng(seed, 2r)) must be used for all randomness of construction and
+// corruption.
+using ProtocolFactory =
+    std::function<std::unique_ptr<PullProtocol>(Rng& init_rng)>;
 
 // One grid cell: everything needed to run (and cache) its repetitions.
 // Field order tracks how often benches set each field (designated
@@ -196,7 +203,8 @@ struct CellStats {
   Interval wilson;              // 95% Wilson interval of the stop metric
   double ci_halfwidth = 0.0;    // (wilson.upper - wilson.lower) / 2
   // Welford accumulation over first_all_correct of converged repetitions,
-  // in index order; nullopt when none converged.
+  // in index order; nullopt when none converged (Table::cell prints
+  // "never", never a numeric sentinel).
   std::optional<double> mean_convergence_round;
   double convergence_stddev = 0.0;
   double mean_rounds_run = 0.0;
@@ -233,8 +241,11 @@ struct SchedulerOptions {
   StopRule stop{};
   // Directory of the content-addressed result cache; empty disables it.
   std::string cache_dir{};
-  // Engine lanes inside each repetition (Engine::set_threads); 0 = auto
-  // anti-oversubscription split as in RepeatOptions::engine_threads.
+  // Engine lanes inside each repetition (Engine::set_threads).  Default 1:
+  // repetition-level parallelism is preferred when there are many
+  // repetitions.  0 = auto: hardware_concurrency / workers (at least 1), so
+  // workers × lanes never oversubscribe the machine — the setting for few
+  // huge repetitions.  Statistics are bit-identical for every value.
   unsigned engine_threads = 1;
   // Checkpoint/resume manifest file; empty disables.  A sweep restarted
   // with the same path replays completed (cell × repetition) outcomes and

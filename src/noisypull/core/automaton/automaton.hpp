@@ -21,9 +21,9 @@
 //    engines hand every agent of a block one shared substream in sequence,
 //    so one extra or missing draw shifts every later agent of the block and
 //    breaks the bit-identity contract (tests/test_compiled_path.cpp).  The
-//    default wraps transition() in a single-uniform inverse-CDF edge —
-//    bit-identical to AutomatonProtocol::update, which is the interpreted
-//    reference for synthetic table automata.
+//    default wraps transition() in a single-uniform inverse-CDF edge, which
+//    is the draw law of synthetic table automata (they have no production
+//    class; the oracle tests hold it to the exact chain).
 //
 // The signature hooks bound memoization: two rounds with equal
 // update_signature() must have identical transition/compile behavior, and
@@ -62,8 +62,7 @@ struct WeightedState {
 //   CoinPair      — two next_bool() draws b1 then b2 (SSF: weak tie first,
 //                   then opinion tie); successor target[(b1?2:0) | (b2?1:0)].
 //   InverseCdf    — one next_double(); walk `law` accumulating prob until
-//                   u < acc, falling through to the last entry — the exact
-//                   loop of AutomatonProtocol::update.
+//                   u < acc, falling through to the last entry.
 struct CompiledEdge {
   enum class Kind : std::uint8_t { Deterministic, Coin, CoinPair, InverseCdf };
 
@@ -143,7 +142,7 @@ class AgentAutomaton {
 
   // Opinion an agent in `state` reports — the PullProtocol::opinion
   // counterpart, needed wherever convergence is judged from automaton states
-  // (AutomatonProtocol, sim/lumped_engine, the compiled path).  The default
+  // (sim/lumped_engine, CompiledPopulation).  The default
   // matches the TableAutomaton fuzz family's encoding (opinion = low state
   // bit); the SF/SSF mirrors override it to read the interned `current`
   // field.
@@ -152,9 +151,9 @@ class AgentAutomaton {
   }
 
   // Sampling procedure for one update (see the header comment).  Default:
-  // one-uniform inverse-CDF over transition() — bit-identical to
-  // AutomatonProtocol::update and correct for every automaton, at the cost
-  // of always consuming one next_double even for deterministic laws.
+  // one-uniform inverse-CDF over transition() — correct for every
+  // automaton, at the cost of always consuming one next_double even for
+  // deterministic laws.
   virtual CompiledEdge compile(AutomatonState state, std::uint64_t round,
                                const SymbolCounts& obs) const {
     CompiledEdge e;

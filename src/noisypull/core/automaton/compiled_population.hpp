@@ -25,9 +25,10 @@
 // Bit-identity contract: under an engine running the fast path, the replay
 // digest and final opinions are identical to the same CompiledPopulation
 // run through the virtual PullProtocol path, which in turn mirrors the
-// production protocol (SourceFilter / SelfStabilizingSourceFilter /
-// AutomatonProtocol) draw for draw — see compile() in
-// core/automaton/automaton.hpp and tests/test_compiled_path.cpp.
+// production protocol (SourceFilter / SelfStabilizingSourceFilter) draw for
+// draw — see compile() in core/automaton/automaton.hpp and
+// tests/test_compiled_path.cpp.  Table automata have no production class:
+// the virtual path is their reference.
 //
 // Table layout: a hit is two dependent array loads — the state's row
 // header (rows indexed directly by state id), then the 4-byte entry of the
@@ -63,9 +64,9 @@
 
 namespace noisypull {
 
-// A contiguous run of agents sharing one automaton and one initial state —
-// the owning counterpart of AutomatonGroup (the engines outlive any one
-// round, so the population keeps its automata alive).
+// A contiguous run of agents sharing one automaton and one initial state
+// (owning: the engines outlive any one round, so the population keeps its
+// automata alive).
 struct CompiledGroup {
   std::uint64_t count = 0;
   std::shared_ptr<const AgentAutomaton> automaton;

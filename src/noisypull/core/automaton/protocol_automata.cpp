@@ -129,18 +129,18 @@ std::vector<WeightedState> SfAutomaton::transition(
   Concrete c = states_[state];
 
   if (round < schedule_.phase_rounds) {
-    c.balance += static_cast<std::int64_t>(obs[1]);
+    c.listen += static_cast<std::int64_t>(obs[1]);
     return {{intern(c), 1.0}};
   }
   if (round < schedule_.boosting_start()) {
-    c.balance -= static_cast<std::int64_t>(obs[0]);
+    c.listen -= static_cast<std::int64_t>(obs[0]);
     if (round + 1 != schedule_.boosting_start()) return {{intern(c), 1.0}};
     // finish_listening: weak ← majority of the two counters, tie → coin;
-    // current ← weak; the balance restarts at 0 for the boost counters.
-    // Only current is kept: nothing after this round reads weak.
-    const bool tie = c.balance == 0;
-    const Opinion majority = c.balance > 0 ? 1 : 0;
-    c.balance = 0;
+    // current ← weak.  Only current is kept: nothing after this round reads
+    // weak or the listening counters (boost is still 0 here).
+    const bool tie = c.listen == 0;
+    const Opinion majority = c.listen > 0 ? 1 : 0;
+    c.listen = 0;
     if (!tie) {
       c.current = majority;
       return {{intern(c), 1.0}};
@@ -152,12 +152,13 @@ std::vector<WeightedState> SfAutomaton::transition(
     return coin_split(intern(heads), intern(tails));
   }
   if (round >= schedule_.total_rounds()) return {{state, 1.0}};
-  c.balance += static_cast<std::int64_t>(obs[1]) -
-               static_cast<std::int64_t>(obs[0]);
+  c.listen = 0;  // dead; nonzero only if the finish round was stalled
+  c.boost += static_cast<std::int64_t>(obs[1]) -
+             static_cast<std::int64_t>(obs[0]);
   if (!is_subphase_end(round)) return {{intern(c), 1.0}};
   // finish_subphase: current ← majority of boost ones vs zeros, tie → coin.
-  const std::int64_t balance = c.balance;
-  c.balance = 0;
+  const std::int64_t balance = c.boost;
+  c.boost = 0;
   if (balance != 0) {
     c.current = balance > 0 ? 1 : 0;
     return {{intern(c), 1.0}};
@@ -180,17 +181,17 @@ CompiledEdge SfAutomaton::compile(AutomatonState state, std::uint64_t round,
   Concrete c = states_[state];
 
   if (round < schedule_.phase_rounds) {
-    c.balance += static_cast<std::int64_t>(obs[1]);
+    c.listen += static_cast<std::int64_t>(obs[1]);
     return CompiledEdge::deterministic(intern(c));
   }
   if (round < schedule_.boosting_start()) {
-    c.balance -= static_cast<std::int64_t>(obs[0]);
+    c.listen -= static_cast<std::int64_t>(obs[0]);
     if (round + 1 != schedule_.boosting_start()) {
       return CompiledEdge::deterministic(intern(c));
     }
-    const bool tie = c.balance == 0;
-    const Opinion majority = c.balance > 0 ? 1 : 0;
-    c.balance = 0;
+    const bool tie = c.listen == 0;
+    const Opinion majority = c.listen > 0 ? 1 : 0;
+    c.listen = 0;
     if (!tie) {
       c.current = majority;
       return CompiledEdge::deterministic(intern(c));
@@ -204,11 +205,12 @@ CompiledEdge SfAutomaton::compile(AutomatonState state, std::uint64_t round,
   if (round >= schedule_.total_rounds()) {
     return CompiledEdge::deterministic(state);
   }
-  c.balance += static_cast<std::int64_t>(obs[1]) -
-               static_cast<std::int64_t>(obs[0]);
+  c.listen = 0;
+  c.boost += static_cast<std::int64_t>(obs[1]) -
+             static_cast<std::int64_t>(obs[0]);
   if (!is_subphase_end(round)) return CompiledEdge::deterministic(intern(c));
-  const std::int64_t balance = c.balance;
-  c.balance = 0;
+  const std::int64_t balance = c.boost;
+  c.boost = 0;
   if (balance != 0) {
     c.current = balance > 0 ? 1 : 0;
     return CompiledEdge::deterministic(intern(c));
@@ -367,58 +369,6 @@ CompiledEdge SsfAutomaton::compile(AutomatonState state,
 
 Opinion SsfAutomaton::opinion(AutomatonState state) const {
   return concrete(state).current;
-}
-
-// --------------------------------------------------------------------------
-// AutomatonProtocol
-
-AutomatonProtocol::AutomatonProtocol(std::vector<AutomatonGroup> groups) {
-  NOISYPULL_CHECK(!groups.empty(), "automaton protocol needs agents");
-  for (const auto& g : groups) {
-    NOISYPULL_CHECK(g.count >= 1, "empty automaton group");
-    NOISYPULL_CHECK(g.automaton != nullptr, "group needs an automaton");
-    if (alphabet_ == 0) alphabet_ = g.automaton->alphabet_size();
-    NOISYPULL_CHECK(g.automaton->alphabet_size() == alphabet_,
-                    "all groups must share one alphabet");
-    for (std::uint64_t i = 0; i < g.count; ++i) {
-      agents_.push_back({g.automaton, g.initial});
-    }
-  }
-}
-
-Symbol AutomatonProtocol::display(std::uint64_t agent,
-                                  std::uint64_t round) const {
-  NOISYPULL_CHECK(agent < agents_.size(), "agent index out of range");
-  return agents_[agent].automaton->display(agents_[agent].state, round);
-}
-
-void AutomatonProtocol::update(std::uint64_t agent, std::uint64_t round,
-                               const SymbolCounts& obs, Rng& rng) {
-  NOISYPULL_CHECK(agent < agents_.size(), "agent index out of range");
-  AgentSlot& slot = agents_[agent];
-  const auto law = slot.automaton->transition(slot.state, round, obs);
-  NOISYPULL_ASSERT(!law.empty());
-  // Inverse-CDF sample; the final state absorbs rounding slack.
-  const double u = rng.next_double();
-  double acc = 0.0;
-  for (const auto& ws : law) {
-    acc += ws.prob;
-    if (u < acc) {
-      slot.state = ws.state;
-      return;
-    }
-  }
-  slot.state = law.back().state;
-}
-
-Opinion AutomatonProtocol::opinion(std::uint64_t agent) const {
-  NOISYPULL_CHECK(agent < agents_.size(), "agent index out of range");
-  return agents_[agent].automaton->opinion(agents_[agent].state);
-}
-
-AutomatonState AutomatonProtocol::state(std::uint64_t agent) const {
-  NOISYPULL_CHECK(agent < agents_.size(), "agent index out of range");
-  return agents_[agent].state;
 }
 
 }  // namespace noisypull

@@ -24,11 +24,11 @@
 //    to four ways (weak and current tie-break coins are independent); the
 //    compiled edge consumes one next_bool() per realized tie, weak first.
 //
-// AutomatonProtocol adapts any automaton population to the PullProtocol
-// interface so the Monte-Carlo engines can run the *same* dynamics the
-// oracle enumerates — the differential test for synthetic protocols.  (The
-// production-scale adapter with the flat SoA state and the table-driven
-// round kernel is CompiledPopulation, one header over.)
+// The one adapter that runs any automaton population under the Monte-Carlo
+// engines is CompiledPopulation (compiled_population.hpp): its virtual
+// update() runs the *same* dynamics the oracle enumerates — the
+// differential test for synthetic protocols — and its compiled fast path
+// runs them at production scale.
 //
 // The mirrors are intentionally independent re-implementations from the
 // protocol *specification* (the paper's Algorithms 1–2), not wrappers over
@@ -42,6 +42,7 @@
 // cells compiled on a miss), so lookup+insert must be atomic.  Ids depend on
 // interleaving; observables never do (see the AgentAutomaton thread-safety
 // contract).
+#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -49,7 +50,6 @@
 
 #include "noisypull/common/symbols.hpp"
 #include "noisypull/core/automaton/automaton.hpp"
-#include "noisypull/core/protocol.hpp"
 #include "noisypull/core/schedule.hpp"
 
 namespace noisypull {
@@ -79,10 +79,9 @@ class TableAutomaton final : public AgentAutomaton {
   std::vector<WeightedState> transition(AutomatonState state,
                                         std::uint64_t round,
                                         const SymbolCounts& obs) const override;
-  // compile() stays the inherited inverse-CDF default: the interpreted
-  // reference for table automata is AutomatonProtocol::update, which draws
-  // one uniform unconditionally — a Deterministic/Coin edge here would
-  // consume differently and break compiled-vs-interpreted bit-identity.
+  // compile() stays the inherited inverse-CDF default, which draws one
+  // uniform unconditionally: table automata have no production class, and
+  // the oracle tests pin this draw law against the exact chain.
 
   // Tables are round-homogeneous: one signature for the whole run.
   std::uint64_t update_signature(std::uint64_t /*round*/) const override {
@@ -124,20 +123,25 @@ class SfAutomaton final : public AgentAutomaton {
 
  private:
   // Exact lumping of SourceFilter's agent state to what later rounds read.
-  // One signed balance stands for both counter pairs: counter1 − counter0
-  // while listening, boost_ones − boost_zeros while boosting.
-  // finish_listening and finish_subphase read nothing but its sign, and
-  // the phases never overlap (each finish zeroes it), so one state per
-  // balance replaces one per counter pair, and boosting balances recur
-  // across sub-phase rounds.  The weak opinion is dropped too: after
+  // Each counter pair becomes one signed balance: listen = counter1 −
+  // counter0, boost = boost_ones − boost_zeros.  finish_listening and
+  // finish_subphase read nothing but its sign, so one state per balance
+  // replaces one per counter pair, and boosting balances recur across
+  // sub-phase rounds.  The two balances stay apart: an agent stalled
+  // through the finish-listening round never runs it, and SourceFilter
+  // then starts its boost counters from zero, not from the listening
+  // counts.  Every boosting update zeroes listen (dead from then on; a
+  // no-op after a finish).  The weak opinion is dropped too: after
   // finish_listening copies it into current, no transition, display or
   // opinion reads it.
   struct Concrete {
-    std::int64_t balance = 0;
+    std::int64_t listen = 0;
+    std::int64_t boost = 0;
     Opinion current = 0;
 
     bool operator<(const Concrete& rhs) const {
-      if (balance != rhs.balance) return balance < rhs.balance;
+      if (listen != rhs.listen) return listen < rhs.listen;
+      if (boost != rhs.boost) return boost < rhs.boost;
       return current < rhs.current;
     }
   };
@@ -204,38 +208,6 @@ class SsfAutomaton final : public AgentAutomaton {
   mutable std::mutex intern_mutex_;
   mutable std::vector<Concrete> states_;
   mutable std::map<Concrete, AutomatonState> ids_;
-};
-
-// A contiguous run of agents sharing one automaton and initial state.
-struct AutomatonGroup {
-  std::uint64_t count = 0;
-  const AgentAutomaton* automaton = nullptr;  // non-owning
-  AutomatonState initial = 0;
-};
-
-// Runs an automaton population under the Monte-Carlo engines: display()
-// reads the agent's automaton state, update() samples the next state from
-// the automaton's exact transition law using the engine-provided Rng.
-class AutomatonProtocol final : public PullProtocol {
- public:
-  explicit AutomatonProtocol(std::vector<AutomatonGroup> groups);
-
-  std::size_t alphabet_size() const override { return alphabet_; }
-  std::uint64_t num_agents() const override { return agents_.size(); }
-  Symbol display(std::uint64_t agent, std::uint64_t round) const override;
-  void update(std::uint64_t agent, std::uint64_t round,
-              const SymbolCounts& obs, Rng& rng) override;
-  Opinion opinion(std::uint64_t agent) const override;
-
-  AutomatonState state(std::uint64_t agent) const;
-
- private:
-  struct AgentSlot {
-    const AgentAutomaton* automaton = nullptr;
-    AutomatonState state = 0;
-  };
-  std::size_t alphabet_ = 0;
-  std::vector<AgentSlot> agents_;
 };
 
 }  // namespace noisypull

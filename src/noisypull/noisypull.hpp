@@ -45,7 +45,6 @@
 #include "noisypull/sim/adversary.hpp"
 #include "noisypull/sim/churn.hpp"
 #include "noisypull/sim/lumped_engine.hpp"
-#include "noisypull/sim/repeat.hpp"
 #include "noisypull/sim/runner.hpp"
 #include "noisypull/theory/bounds.hpp"
 #include "noisypull/theory/exact_chain.hpp"

@@ -18,7 +18,7 @@
 // Per-round cost is therefore Σ_class #occupied · #outcomes, independent of
 // n; counts are 64-bit, so n = 10¹² is a configuration value, not a memory
 // size.  The trajectory is *distribution-identical* to running ExactEngine /
-// AggregateEngine over an AutomatonProtocol with the same classes — but NOT
+// AggregateEngine over a CompiledPopulation with the same classes — but NOT
 // bit-identical (the randomness is spent on population-level splits instead
 // of per-agent draws), which is why scheduler cache keys fold a distinct
 // engine kind (analysis/scheduler.hpp) and replay digests are only

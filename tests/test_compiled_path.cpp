@@ -14,7 +14,8 @@
 //   * compiled == interpreted on the same CompiledPopulation, across lanes
 //     {1, 4}, engines {Aggregate, Heterogeneous};
 //   * CompiledPopulation == the production protocol it mirrors
-//     (AutomatonProtocol / SourceFilter / SelfStabilizingSourceFilter);
+//     (SourceFilter / SelfStabilizingSourceFilter; for table automata the
+//     interpreted run is the reference);
 //   * the same under FaultyEngine with zero and nonzero FaultPlans — the
 //     forged/stalled/drop fallbacks route exactly the faulted agents through
 //     the virtual path and nobody else's draws move;
@@ -157,34 +158,23 @@ std::unique_ptr<CompiledPopulation> make_compiled(Proto p) {
   return pop;
 }
 
-// The production protocol each compiled population mirrors.  The holder
-// keeps non-owned automata alive for AutomatonProtocol.
-struct Production {
-  std::unique_ptr<PullProtocol> protocol;
-  std::shared_ptr<const AgentAutomaton> keepalive;
-};
-
-Production make_production(Proto p) {
+// The production protocol each compiled population mirrors.  Table
+// automata have no separate production class: their reference is the
+// CompiledPopulation's own virtual update(), which consumes the rng as the
+// inherited InverseCdf compile() + CompiledEdge::resolve do.
+std::unique_ptr<PullProtocol> make_production(Proto p) {
   switch (p) {
-    case Proto::Table: {
-      auto automaton = shared_table_automaton();
-      auto protocol = std::make_unique<AutomatonProtocol>(
-          std::vector<AutomatonGroup>{
-              {.count = 8, .automaton = automaton.get(), .initial = 1},
-              {.count = kN - 8, .automaton = automaton.get(), .initial = 0}});
-      return {std::move(protocol), std::move(automaton)};
-    }
+    case Proto::Table:
+      return make_compiled(Proto::Table);
     case Proto::Sf:
-      return {std::make_unique<SourceFilter>(
-                  kPop, make_sf_schedule(kPop, Holdings{16}, Delta{kDelta})),
-              nullptr};
+      return std::make_unique<SourceFilter>(
+          kPop, make_sf_schedule(kPop, Holdings{16}, Delta{kDelta}));
     case Proto::Ssf:
-      return {std::make_unique<SelfStabilizingSourceFilter>(
-                  SelfStabilizingSourceFilter::with_memory_budget(
-                      kPop, Holdings{4}, MemoryBudget{16})),
-              nullptr};
+      return std::make_unique<SelfStabilizingSourceFilter>(
+          SelfStabilizingSourceFilter::with_memory_budget(kPop, Holdings{4},
+                                                          MemoryBudget{16}));
   }
-  return {};
+  return nullptr;
 }
 
 // Heterogeneous = AggregateEngine over per-agent channels.
@@ -347,9 +337,9 @@ TEST_P(CompiledPath, CompiledMatchesTheProductionProtocol) {
   const auto [proto, eng] = GetParam();
   const ProtoParams pp = params_of(proto);
 
-  const Production production = make_production(proto);
+  const auto production = make_production(proto);
   const auto prod_engine = make_engine(eng, pp.d);
-  const RunOut reference = run(*production.protocol, *prod_engine, pp, 7);
+  const RunOut reference = run(*production, *prod_engine, pp, 7);
 
   const auto compiled = make_compiled(proto);
   const auto engine = make_engine(eng, pp.d);
@@ -393,10 +383,10 @@ TEST_P(CompiledPath, FaultPlanMatrixPreservesBitIdentity) {
     }
 
     // And production-protocol equivalence under the same faults.
-    const Production production = make_production(proto);
+    const auto production = make_production(proto);
     const auto prod_inner = make_engine(eng, pp.d);
     FaultyEngine prod_engine(*prod_inner, pc.plan);
-    EXPECT_EQ(run(*production.protocol, prod_engine, pp, 7), reference)
+    EXPECT_EQ(run(*production, prod_engine, pp, 7), reference)
         << pc.name << " (production)";
   }
 }
@@ -1104,6 +1094,43 @@ TEST(CompiledPathRows, FullHorizonSfStoresUnderOneMegabyte) {
 }
 
 // ---------------------------------------------------------------------------
+// An SF agent stalled through the finish-listening round never runs it, so
+// SourceFilter starts its boost counters from zero, not from its listening
+// counts.  One-round sub-phases after 26-round listening phases make the
+// stale listening balance outweigh a sub-phase's observations, so a mirror
+// that carried it over would flip the stalled agents' first boosting
+// decision.  A blackout over that round: the mirror, interpreted and
+// compiled, must still match the production protocol.
+
+TEST(CompiledPathEdge, SfBlackoutOverFinishListeningMatchesProduction) {
+  const SfSchedule sched{.h = 16, .m = 416, .phase_rounds = 26, .w = 16,
+                         .subphase_rounds = 1, .num_subphases = 8,
+                         .final_rounds = 2};
+  const ProtoParams pp{.d = 2, .h = 16, .rounds = sched.total_rounds() + 2};
+  FaultPlan plan = FaultPlan::for_binary(/*correct=*/1);
+  plan.seed = 5;
+  plan.first_eligible = kPop.s0 + kPop.s1;
+  plan.stall.blackout_fraction = 0.25;  // 11 non-sources
+  plan.stall.blackout_start = sched.boosting_start() - 1;
+  plan.stall.blackout_rounds = 1;
+
+  SourceFilter production(kPop, sched);
+  const auto prod_inner = make_engine(Eng::Aggregate, pp.d);
+  FaultyEngine prod_engine(*prod_inner, plan);
+  const RunOut reference = run(production, prod_engine, pp, 13);
+
+  for (const bool compiled : {false, true}) {
+    const auto protocol = make_compiled_sf(kPop, sched);
+    const auto inner = make_engine(Eng::Aggregate, pp.d);
+    FaultyEngine faulty(*inner, plan);
+    faulty.set_compiled(compiled);
+    faulty.set_threads(4);
+    EXPECT_EQ(run(*protocol, faulty, pp, 13), reference)
+        << (compiled ? "compiled" : "interpreted");
+  }
+}
+
+// ---------------------------------------------------------------------------
 // k-ary alphabet: the composition enumeration end to end.
 
 TEST(CompiledPathEdge, KaryTableCompiledMatchesInterpretedAndProduction) {
@@ -1127,14 +1154,9 @@ TEST(CompiledPathEdge, KaryTableCompiledMatchesInterpretedAndProduction) {
   AggregateEngine engine;
   engine.set_compiled(true);
   engine.set_threads(4);
+  // The interpreted run is the production reference for table automata
+  // (see make_production).
   EXPECT_EQ(run(*compiled, engine, pp, 23), reference);
-
-  AutomatonProtocol production(std::vector<AutomatonGroup>{
-      {.count = 6, .automaton = automaton.get(), .initial = 1},
-      {.count = 6, .automaton = automaton.get(), .initial = 2},
-      {.count = kN - 12, .automaton = automaton.get(), .initial = 0}});
-  AggregateEngine prod_engine;
-  EXPECT_EQ(run(production, prod_engine, pp, 23), reference);
 }
 
 // ---------------------------------------------------------------------------

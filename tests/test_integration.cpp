@@ -124,14 +124,19 @@ TEST(Integration, RepeatHarnessEstimatesHighSuccessForSf) {
   const auto p = pop(400, 1, 0);
   const double delta = 0.15;
   const auto noise = NoiseMatrix::uniform(2, delta);
-  const auto results = run_repetitions(
-      [&](Rng&) -> std::unique_ptr<PullProtocol> {
-        return std::make_unique<SourceFilter>(p, Holdings{p.n}, Delta{delta},
-                                              C1{2.0});
-      },
-      noise, p.correct_opinion(), RunConfig{.h = p.n},
-      RepeatOptions{.repetitions = 10, .seed = 7});
-  EXPECT_GE(success_rate(results), 0.9);
+  const auto stats = run_experiment(
+      {ExperimentCell{
+          .label = "sf",
+          .make_protocol = [&](Rng&) -> std::unique_ptr<PullProtocol> {
+            return std::make_unique<SourceFilter>(p, Holdings{p.n},
+                                                  Delta{delta}, C1{2.0});
+          },
+          .noise = noise,
+          .correct = p.correct_opinion(),
+          .cfg = RunConfig{.h = p.n},
+          .seed = 7}},
+      SchedulerOptions{.stop = StopRule{.max_reps = 10}});
+  EXPECT_GE(stats[0].success_rate, 0.9);
 }
 
 TEST(Integration, WeakOpinionAdvantageIsPositive) {

@@ -19,9 +19,13 @@ using oracle_test::run_replicates;
 constexpr std::uint64_t kReps = 20000;
 constexpr std::uint64_t kSeed = 0x0acc1e5eed0001ULL;
 
-TableAutomaton make_automaton() {
-  return TableAutomaton(
-      2, {TableState{.show = 0, .watch_a = 0, .watch_b = 1, .if_greater = 0,
+// Shared: the replicate populations (CompiledPopulation on its virtual
+// update path) hold the same automaton as the chain classes.
+std::shared_ptr<const TableAutomaton> make_automaton() {
+  return std::make_shared<const TableAutomaton>(
+      2,
+      std::vector<TableState>{
+          TableState{.show = 0, .watch_a = 0, .watch_b = 1, .if_greater = 0,
                      .if_less = 1, .tie_a = 0, .tie_b = 2},
           TableState{.show = 1, .watch_a = 1, .watch_b = 0, .if_greater = 1,
                      .if_less = 2, .tie_a = 1, .tie_b = 1},
@@ -37,20 +41,22 @@ TEST(OracleEngines, AggregateMatchesExactChain) {
 
   std::vector<ChainClass> classes(2);
   classes[0] = {.size = 5,
-                .automaton = &automaton,
+                .automaton = automaton.get(),
                 .initial = 0,
                 .channel = noise.matrix()};
   classes[1] = {.size = 3,
-                .automaton = &automaton,
+                .automaton = automaton.get(),
                 .initial = 1,
                 .channel = noise.matrix()};
   ExactChain chain(classes, {.h = h});
 
   const auto empirical = run_replicates(
       [&] {
-        return std::make_unique<AutomatonProtocol>(std::vector<AutomatonGroup>{
-            {.count = 5, .automaton = &automaton, .initial = 0},
-            {.count = 3, .automaton = &automaton, .initial = 1}});
+        return std::make_unique<CompiledPopulation>(
+            std::vector<CompiledGroup>{
+                {.count = 5, .automaton = automaton, .initial = 0},
+                {.count = 3, .automaton = automaton, .initial = 1}},
+            /*planned_rounds=*/0);
       },
       [] { return std::make_unique<AggregateEngine>(); }, noise, h, rounds,
       kReps, kSeed);
@@ -66,11 +72,11 @@ TEST(OracleEngines, SequentialAscendingMatchesExactChain) {
 
   std::vector<ChainClass> classes(2);
   classes[0] = {.size = 4,
-                .automaton = &automaton,
+                .automaton = automaton.get(),
                 .initial = 0,
                 .channel = noise.matrix()};
   classes[1] = {.size = 2,
-                .automaton = &automaton,
+                .automaton = automaton.get(),
                 .initial = 2,
                 .channel = noise.matrix()};
   ExactChain chain(
@@ -79,9 +85,11 @@ TEST(OracleEngines, SequentialAscendingMatchesExactChain) {
 
   const auto empirical = run_replicates(
       [&] {
-        return std::make_unique<AutomatonProtocol>(std::vector<AutomatonGroup>{
-            {.count = 4, .automaton = &automaton, .initial = 0},
-            {.count = 2, .automaton = &automaton, .initial = 2}});
+        return std::make_unique<CompiledPopulation>(
+            std::vector<CompiledGroup>{
+                {.count = 4, .automaton = automaton, .initial = 0},
+                {.count = 2, .automaton = automaton, .initial = 2}},
+            /*planned_rounds=*/0);
       },
       [] {
         return std::make_unique<SequentialEngine>(
@@ -101,11 +109,11 @@ TEST(OracleEngines, HeterogeneousMatchesExactChain) {
 
   std::vector<ChainClass> classes(2);
   classes[0] = {.size = 4,
-                .automaton = &automaton,
+                .automaton = automaton.get(),
                 .initial = 0,
                 .channel = clean.matrix()};
   classes[1] = {.size = 3,
-                .automaton = &automaton,
+                .automaton = automaton.get(),
                 .initial = 1,
                 .channel = dirty.matrix()};
   ExactChain chain(classes, {.h = h});
@@ -116,9 +124,11 @@ TEST(OracleEngines, HeterogeneousMatchesExactChain) {
 
   const auto empirical = run_replicates(
       [&] {
-        return std::make_unique<AutomatonProtocol>(std::vector<AutomatonGroup>{
-            {.count = 4, .automaton = &automaton, .initial = 0},
-            {.count = 3, .automaton = &automaton, .initial = 1}});
+        return std::make_unique<CompiledPopulation>(
+            std::vector<CompiledGroup>{
+                {.count = 4, .automaton = automaton, .initial = 0},
+                {.count = 3, .automaton = automaton, .initial = 1}},
+            /*planned_rounds=*/0);
       },
       [&] { return std::make_unique<AggregateEngine>(per_agent); },
       // The noise argument is only alphabet-validated with per-agent
@@ -154,17 +164,17 @@ TEST(OracleEngines, FaultyEngineMatchesExactChain) {
 
   std::vector<ChainClass> classes(3);
   classes[0] = {.size = 2,
-                .automaton = &automaton,
+                .automaton = automaton.get(),
                 .initial = 0,
                 .channel = noise.matrix(),
                 .forged = DisplayOverride::none(),
                 .stall = StallWindow{.start = 1, .rounds = 2}};
   classes[1] = {.size = 4,
-                .automaton = &automaton,
+                .automaton = automaton.get(),
                 .initial = 0,
                 .channel = noise.matrix()};
   classes[2] = {.size = 2,
-                .automaton = &automaton,
+                .automaton = automaton.get(),
                 .initial = 1,
                 .channel = noise.matrix(),
                 .forged = oracle_test::byzantine_override(plan)};
@@ -175,10 +185,12 @@ TEST(OracleEngines, FaultyEngineMatchesExactChain) {
 
   const auto empirical = run_replicates(
       [&] {
-        return std::make_unique<AutomatonProtocol>(std::vector<AutomatonGroup>{
-            {.count = 2, .automaton = &automaton, .initial = 0},
-            {.count = 4, .automaton = &automaton, .initial = 0},
-            {.count = 2, .automaton = &automaton, .initial = 1}});
+        return std::make_unique<CompiledPopulation>(
+            std::vector<CompiledGroup>{
+                {.count = 2, .automaton = automaton, .initial = 0},
+                {.count = 4, .automaton = automaton, .initial = 0},
+                {.count = 2, .automaton = automaton, .initial = 1}},
+            /*planned_rounds=*/0);
       },
       [&] { return std::make_unique<oracle_test::OwnedFaultyAggregate>(plan); },
       noise, h, rounds, kReps, kSeed + 3, oracle_test::faulted_view(plan, n));

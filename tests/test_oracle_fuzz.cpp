@@ -14,14 +14,16 @@
 //   NOISYPULL_ORACLE_COMPILED=1       replicates run CompiledPopulation
 //                                     mirrors on the compiled engine fast
 //                                     path (DESIGN.md §13) instead of the
-//                                     production protocols — the oracle side
-//                                     is unchanged, so this differentially
-//                                     tests the compiled kernel against the
-//                                     exact chain.  (SequentialEngine has no
-//                                     compiled path; the flag is a no-op on
-//                                     sequential tuples, which then still
-//                                     pin the CompiledPopulation's virtual
-//                                     fallback.)
+//                                     SF/SSF production protocols — the
+//                                     oracle side is unchanged, so this
+//                                     differentially tests the compiled
+//                                     kernel against the exact chain.
+//                                     Table tuples always run a
+//                                     CompiledPopulation (its virtual path
+//                                     by default); the flag only turns the
+//                                     engine's fast path on.  (SequentialEngine
+//                                     has no compiled path; the flag is a
+//                                     no-op on sequential tuples.)
 //
 // Scope note: drop faults are deliberately absent.  Their thinning
 // randomness comes from a fixed per-(round, agent) substream of the plan
@@ -250,7 +252,11 @@ TupleOutcome run_tuple(std::uint64_t index) {
     // Class layout in agent-index order: [blackout][middle][byzantine].
     const std::vector<std::pair<std::uint64_t, std::uint64_t>> spans = {
         {0, blackout}, {blackout, n - blackout - byz}, {n - byz, byz}};
-    std::vector<AutomatonGroup> groups;
+    // Aliasing shared_ptrs (no control block): `automata` outlives every
+    // replicate protocol — both live in this stack frame.
+    const std::shared_ptr<const AgentAutomaton> shared_table(
+        std::shared_ptr<void>(), table);
+    std::vector<CompiledGroup> groups;
     for (const auto& [first, count] : spans) {
       if (count == 0) continue;
       const auto init = static_cast<AutomatonState>(rng.next_below(num_states));
@@ -268,26 +274,13 @@ TupleOutcome run_tuple(std::uint64_t index) {
       }
       classes.push_back(cls);
       class_noise.push_back(channel);
-      groups.push_back({.count = count, .automaton = table, .initial = init});
+      groups.push_back(
+          {.count = count, .automaton = shared_table, .initial = init});
     }
     make_protocol = [groups] {
-      return std::make_unique<AutomatonProtocol>(groups);
+      return std::make_unique<CompiledPopulation>(groups,
+                                                  /*planned_rounds=*/0);
     };
-    if (compiled_mode) {
-      // Aliasing shared_ptrs (no control block): `automata` outlives every
-      // replicate protocol — both live in this stack frame.
-      std::vector<CompiledGroup> cgroups;
-      for (const AutomatonGroup& g : groups) {
-        cgroups.push_back({.count = g.count,
-                           .automaton = std::shared_ptr<const AgentAutomaton>(
-                               std::shared_ptr<void>(), g.automaton),
-                           .initial = g.initial});
-      }
-      make_protocol = [cgroups] {
-        return std::make_unique<CompiledPopulation>(cgroups,
-                                                    /*planned_rounds=*/0);
-      };
-    }
   } else if (proto_kind == ProtoKind::Sf) {
     const PopulationConfig pop{.n = n, .s1 = 1, .s0 = rng.next_below(2)};
     automata.push_back(std::make_unique<SfAutomaton>(sched, true, 1));

@@ -182,14 +182,19 @@ TEST_P(SfConvergence, ReachesCorrectConsensus) {
   const PopulationConfig p{.n = c.n, .s1 = c.s1, .s0 = c.s0};
   const std::uint64_t h = c.h == 0 ? c.n : c.h;
   const auto noise = NoiseMatrix::uniform(2, c.delta);
-  const auto results = run_repetitions(
-      [&](Rng&) -> std::unique_ptr<PullProtocol> {
-        return std::make_unique<SourceFilter>(p, Holdings{h}, Delta{c.delta},
-                                              C1{2.0});
-      },
-      noise, p.correct_opinion(), RunConfig{.h = h},
-      RepeatOptions{.repetitions = 5, .seed = 77});
-  EXPECT_GE(success_rate(results), 0.8);
+  const auto stats = run_experiment(
+      {ExperimentCell{
+          .label = "sf",
+          .make_protocol = [&](Rng&) -> std::unique_ptr<PullProtocol> {
+            return std::make_unique<SourceFilter>(p, Holdings{h},
+                                                  Delta{c.delta}, C1{2.0});
+          },
+          .noise = noise,
+          .correct = p.correct_opinion(),
+          .cfg = RunConfig{.h = h},
+          .seed = 77}},
+      SchedulerOptions{.stop = StopRule{.max_reps = 5}});
+  EXPECT_GE(stats[0].success_rate, 0.8);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -233,23 +238,25 @@ TEST_P(SsfRecovery, ConvergesDespiteCorruption) {
   const auto c = GetParam();
   const PopulationConfig p{.n = c.n, .s1 = 2, .s0 = 0};
   const auto noise = NoiseMatrix::uniform(4, c.delta);
-  const auto results = run_repetitions(
-      [&](Rng& init) -> std::unique_ptr<PullProtocol> {
-        auto ssf =
-            std::make_unique<SelfStabilizingSourceFilter>(p, Holdings{p.n},
-                                                          Delta{c.delta},
-                                                          C1{2.0});
-        corrupt_population(*ssf, c.policy, p.correct_opinion(), init);
-        return ssf;
-      },
-      noise, p.correct_opinion(),
-      RunConfig{.h = p.n,
-                .max_rounds = SelfStabilizingSourceFilter(p, Holdings{p.n},
-                                                          Delta{c.delta},
-                                                          C1{2.0})
-                                  .convergence_deadline()},
-      RepeatOptions{.repetitions = 4, .seed = 88});
-  EXPECT_GE(success_rate(results), 0.75) << to_string(c.policy);
+  const auto stats = run_experiment(
+      {ExperimentCell{
+          .label = "ssf",
+          .make_protocol = [&](Rng& init) -> std::unique_ptr<PullProtocol> {
+            auto ssf = std::make_unique<SelfStabilizingSourceFilter>(
+                p, Holdings{p.n}, Delta{c.delta}, C1{2.0});
+            corrupt_population(*ssf, c.policy, p.correct_opinion(), init);
+            return ssf;
+          },
+          .noise = noise,
+          .correct = p.correct_opinion(),
+          .cfg = RunConfig{.h = p.n,
+                           .max_rounds = SelfStabilizingSourceFilter(
+                                             p, Holdings{p.n}, Delta{c.delta},
+                                             C1{2.0})
+                                             .convergence_deadline()},
+          .seed = 88}},
+      SchedulerOptions{.stop = StopRule{.max_reps = 4}});
+  EXPECT_GE(stats[0].success_rate, 0.75) << to_string(c.policy);
 }
 
 INSTANTIATE_TEST_SUITE_P(

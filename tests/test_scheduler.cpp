@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "noisypull/analysis/table.hpp"
 #include "noisypull/core/source_filter.hpp"
-#include "noisypull/sim/repeat.hpp"
 
 namespace noisypull {
 namespace {
@@ -122,21 +122,75 @@ TEST(StopPoint, MixedPrefixNeverStopsBelowTarget) {
   EXPECT_EQ(stop_point(outcomes, rule), 16u);
 }
 
-TEST(FinalizePrefix, MatchesRepeatHelpers) {
-  const auto p = pop(120, 1, 0);
-  const auto results = run_repetitions(
-      sf_factory(p, 0.25), NoiseMatrix::uniform(2, 0.25), 1,
-      RunConfig{.h = p.n}, RepeatOptions{.repetitions = 6, .seed = 7});
-  std::vector<RepOutcome> outcomes;
-  for (const auto& r : results) outcomes.push_back(to_outcome(r));
-  const StopRule rule{.max_reps = 6};
-  const CellStats stats = finalize_prefix(outcomes, 6, rule);
-  EXPECT_EQ(stats.success_rate, success_rate(results));
-  EXPECT_EQ(stats.stable_success_rate,
-            success_rate(results, /*require_stability=*/true));
-  EXPECT_EQ(stats.mean_convergence_round, mean_convergence_round(results));
+TEST(Aggregation, SuccessRate) {
+  auto outcomes = synthetic_outcomes("1101");
+  const StopRule rule{.max_reps = 4};
+  EXPECT_DOUBLE_EQ(finalize_prefix(outcomes, 4, rule).success_rate, 0.75);
+  outcomes[1].stable = false;
+  outcomes[3].stable = false;
+  EXPECT_DOUBLE_EQ(finalize_prefix(outcomes, 4, rule).stable_success_rate,
+                   0.25);
 }
 
+TEST(Aggregation, StabilityOnTheWrongOpinionIsNotSuccess) {
+  // A run that settled (stable) on the WRONG consensus never counts as
+  // success: RepOutcome is a plain struct (cache records, tests), so the
+  // aggregation reads both bits.
+  auto outcomes = synthetic_outcomes("01");
+  outcomes[0].stable = true;  // stable, but on the wrong opinion
+  const CellStats stats = finalize_prefix(outcomes, 2, StopRule{.max_reps = 2});
+  EXPECT_EQ(stats.successes, 1u);
+  EXPECT_EQ(stats.stable_successes, 1u);
+  EXPECT_DOUBLE_EQ(stats.success_rate, 0.5);
+  EXPECT_DOUBLE_EQ(stats.stable_success_rate, 0.5);
+}
+
+TEST(Aggregation, MeanConvergenceRound) {
+  auto outcomes = synthetic_outcomes("110");
+  outcomes[0].first_all_correct = 10;
+  outcomes[1].first_all_correct = 20;  // outcomes[2] never converged
+  const StopRule rule{.max_reps = 3};
+  const CellStats stats = finalize_prefix(outcomes, 3, rule);
+  ASSERT_TRUE(stats.mean_convergence_round.has_value());
+  EXPECT_DOUBLE_EQ(*stats.mean_convergence_round, 15.0);
+
+  // No converged run → empty optional, never a numeric sentinel that could
+  // leak into tables as if it were a round count.
+  EXPECT_FALSE(finalize_prefix(synthetic_outcomes("00"), 2, rule)
+                   .mean_convergence_round.has_value());
+}
+
+TEST(Aggregation, MeanConvergenceRoundRendersAsNeverInTables) {
+  const CellStats stats =
+      finalize_prefix(synthetic_outcomes("0"), 1, StopRule{.max_reps = 1});
+  Table table({"mcr"});
+  table.cell(stats.mean_convergence_round, 1).end_row();
+  EXPECT_EQ(table.rows()[0][0], "never");
+}
+
+// The reference the scheduler must reproduce: a serial loop where
+// repetition r builds its protocol from Rng(seed, 2r) and runs on
+// Rng(seed, 2r+1).
+std::vector<RepOutcome> serial_outcomes(const ExperimentCell& cell,
+                                        std::uint64_t reps) {
+  std::unique_ptr<Engine> engine;
+  if (cell.use_aggregate_engine) {
+    engine = std::make_unique<AggregateEngine>();
+  } else {
+    engine = std::make_unique<ExactEngine>();
+  }
+  std::vector<RepOutcome> outcomes;
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    Rng init_rng(cell.seed, 2 * r);
+    Rng run_rng(cell.seed, 2 * r + 1);
+    const auto protocol = cell.make_protocol(init_rng);
+    outcomes.push_back(to_outcome(run(*protocol, *engine, cell.noise,
+                                      cell.correct, cell.cfg, run_rng)));
+  }
+  return outcomes;
+}
+
+// The scheduler's statistics equal those of the serial reference loop.
 TEST(Scheduler, MatchesRunRepetitions) {
   const auto p = pop(150, 1, 0);
   const std::vector<ExperimentCell> cells = {sf_cell(p, 0.2, 21),
@@ -145,12 +199,8 @@ TEST(Scheduler, MatchesRunRepetitions) {
   const auto stats = run_experiment(cells, opts);
   ASSERT_EQ(stats.size(), cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    const auto results = run_repetitions(
-        cells[c].make_protocol, cells[c].noise, cells[c].correct, cells[c].cfg,
-        RepeatOptions{.repetitions = 5, .seed = cells[c].seed});
-    std::vector<RepOutcome> outcomes;
-    for (const auto& r : results) outcomes.push_back(to_outcome(r));
-    const CellStats expected = finalize_prefix(outcomes, 5, opts.stop);
+    const CellStats expected =
+        finalize_prefix(serial_outcomes(cells[c], 5), 5, opts.stop);
     EXPECT_EQ(stats[c].success_rate, expected.success_rate);
     EXPECT_EQ(stats[c].mean_convergence_round,
               expected.mean_convergence_round);
@@ -159,6 +209,140 @@ TEST(Scheduler, MatchesRunRepetitions) {
     EXPECT_EQ(stats[c].reps_computed, 5u);
     EXPECT_EQ(stats[c].reps_cached, 0u);
   }
+}
+
+// finalize_prefix's aggregates are the plain per-repetition counts over the
+// serial loop's outcomes.
+TEST(FinalizePrefix, MatchesRepeatHelpers) {
+  const auto outcomes = serial_outcomes(sf_cell(pop(120, 1, 0), 0.25, 7), 6);
+  const CellStats stats = finalize_prefix(outcomes, 6, StopRule{.max_reps = 6});
+  std::uint64_t good = 0, stable = 0, converged = 0;
+  double rounds = 0.0;
+  for (const RepOutcome& o : outcomes) {
+    good += o.all_correct_at_end ? 1 : 0;
+    stable += o.all_correct_at_end && o.stable ? 1 : 0;
+    if (o.first_all_correct != kNever) {
+      ++converged;
+      rounds += static_cast<double>(o.first_all_correct);
+    }
+  }
+  EXPECT_EQ(stats.success_rate, static_cast<double>(good) / 6.0);
+  EXPECT_EQ(stats.stable_success_rate, static_cast<double>(stable) / 6.0);
+  ASSERT_EQ(stats.mean_convergence_round.has_value(), converged > 0);
+  if (converged > 0) {
+    EXPECT_DOUBLE_EQ(*stats.mean_convergence_round,
+                     rounds / static_cast<double>(converged));
+  }
+}
+
+TEST(Repeat, ProducesOneResultPerRepetition) {
+  const auto stats = run_experiment({sf_cell(pop(100, 1, 0), 0.1, 1)},
+                                    SchedulerOptions{.stop = {.max_reps = 5}});
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].reps, 5u);
+  EXPECT_EQ(stats[0].reps_computed, 5u);
+  EXPECT_GT(stats[0].mean_rounds_run, 0.0);
+}
+
+TEST(Repeat, DeterministicForSameSeed) {
+  const std::vector<ExperimentCell> cells = {
+      sf_cell(pop(100, 1, 0), 0.1, 33), truncated_cell(pop(100, 1, 0), 0.3, 33)};
+  const SchedulerOptions opts{.stop = {.max_reps = 4}};
+  const auto a = run_experiment(cells, opts);
+  const auto b = run_experiment(cells, opts);
+  for (std::size_t c = 0; c < cells.size(); ++c) expect_same(a[c], b[c]);
+}
+
+TEST(Repeat, ThreadCountDoesNotChangeResults) {
+  const std::vector<ExperimentCell> cells = {
+      sf_cell(pop(100, 1, 0), 0.1, 44), truncated_cell(pop(100, 1, 0), 0.3, 44)};
+  const StopRule rule{.max_reps = 6};
+  const auto seq =
+      run_experiment(cells, SchedulerOptions{.threads = 1, .stop = rule});
+  const auto par =
+      run_experiment(cells, SchedulerOptions{.threads = 4, .stop = rule});
+  for (std::size_t c = 0; c < cells.size(); ++c) expect_same(seq[c], par[c]);
+}
+
+TEST(Repeat, RepetitionsAreIndependentAcrossSeeds) {
+  // The truncated cell's correct counts are random, so two seeds must
+  // disagree somewhere.
+  const ExperimentCell cell = truncated_cell(pop(100, 1, 0), 0.3, 1);
+  ExperimentCell reseeded = cell;
+  ++reseeded.seed;
+  const auto a = serial_outcomes(cell, 4);
+  const auto b = serial_outcomes(reseeded, 4);
+  bool any_diff = false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    any_diff |= a[i].correct_at_end != b[i].correct_at_end ||
+                a[i].first_all_correct != b[i].first_all_correct;
+  }
+  EXPECT_TRUE(any_diff);
+}
+
+TEST(Repeat, ExactEngineOptionRuns) {
+  ExperimentCell exact = sf_cell(pop(60, 1, 0), 0.1, 5);
+  exact.cfg.h = 4;
+  exact.use_aggregate_engine = false;
+  const StopRule rule{.max_reps = 2};
+  const auto stats = run_experiment({exact}, SchedulerOptions{.stop = rule});
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].reps, 2u);
+  const CellStats expected =
+      finalize_prefix(serial_outcomes(exact, 2), 2, rule);
+  EXPECT_EQ(stats[0].success_rate, expected.success_rate);
+  EXPECT_EQ(stats[0].mean_convergence_round, expected.mean_convergence_round);
+  EXPECT_EQ(stats[0].mean_rounds_run, expected.mean_rounds_run);
+}
+
+TEST(Scheduler, EngineThreadsDoNotChangeStats) {
+  // Engine lanes inside each repetition compose with the workers without
+  // changing a single statistic bit.
+  const auto p = pop(100, 1, 0);
+  const std::vector<ExperimentCell> cells = {sf_cell(p, 0.1, 77),
+                                             truncated_cell(p, 0.3, 78)};
+  const StopRule rule{.max_reps = 4};
+  const auto serial = run_experiment(
+      cells, SchedulerOptions{.threads = 2, .stop = rule, .engine_threads = 1});
+  const auto lanes = run_experiment(
+      cells, SchedulerOptions{.threads = 2, .stop = rule, .engine_threads = 3});
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    expect_same(serial[c], lanes[c]);
+  }
+}
+
+TEST(Repeat, FactoryExceptionsPropagateToTheCaller) {
+  ExperimentCell cell = sf_cell(pop(50, 1, 0), 0.1, 1);
+  cell.make_protocol = [](Rng&) -> std::unique_ptr<PullProtocol> {
+    throw std::invalid_argument("factory failure");
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_THROW(
+        run_experiment({cell}, SchedulerOptions{.threads = threads,
+                                                .stop = {.max_reps = 6}}),
+        std::invalid_argument)
+        << threads << " workers";
+  }
+}
+
+TEST(Repeat, RunExceptionsPropagateToTheCaller) {
+  // Alphabet mismatch between protocol (binary) and noise (3 symbols)
+  // surfaces from inside the run.
+  ExperimentCell cell = sf_cell(pop(50, 1, 0), 0.1, 1);
+  cell.noise = NoiseMatrix::uniform(3, 0.1);
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_THROW(
+        run_experiment({cell}, SchedulerOptions{.threads = threads,
+                                                .stop = {.max_reps = 4}}),
+        std::invalid_argument)
+        << threads << " workers";
+  }
+}
+
+TEST(Scheduler, RejectsZeroMaxReps) {
+  EXPECT_THROW(run_experiment({sf_cell(pop(50, 1, 0), 0.1, 1)},
+                              SchedulerOptions{.stop = {.max_reps = 0}}),
+               std::invalid_argument);
 }
 
 TEST(Scheduler, BitIdenticalAcrossWorkerCounts) {

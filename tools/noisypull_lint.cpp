@@ -550,16 +550,14 @@ void rule_iostream_in_header(const FileContext& ctx,
 // threading-header: raw threading primitives stay confined to the files
 // that implement or drive the shared ThreadPool.  A scoped allowlist, not a
 // directory exclusion: a new file wanting <thread> must either route its
-// parallelism through Engine::set_threads / RepeatOptions or be added here
-// with a reason.
+// parallelism through Engine::set_threads / SchedulerOptions or be added
+// here with a reason.
 void rule_threading_header(const FileContext& ctx,
                            std::vector<Finding>& findings) {
   static constexpr const char* kAllowedSuffixes[] = {
       // the pool itself
       "src/noisypull/common/thread_pool.hpp",
       "src/noisypull/common/thread_pool.cpp",
-      // outer repetition workers (join the pool-less std::thread fan-out)
-      "src/noisypull/sim/repeat.cpp",
       // experiment scheduler: drives the pool; queue state under one mutex,
       // plus the watchdog thread cancelling overdue repetitions
       "src/noisypull/analysis/scheduler.cpp",
