@@ -3,22 +3,21 @@
 //
 // For each (protocol, n, h) configuration this times, on AggregateEngine
 // with one lane:
-//   * interpreted_cached — the production protocol object (SourceFilter /
-//     SelfStabilizingSourceFilter) through the virtual display()/update()
-//     path, i.e. the pre-compiled production round loop.  Table automata
-//     have no production class: their interpreted row is a
-//     CompiledPopulation through the same virtual path;
+//   * interpreted_cached — the production protocol object (SourceFilter)
+//     through the virtual display()/update() path, i.e. the pre-compiled
+//     production round loop.  Table automata have no production class:
+//     their interpreted row is a CompiledPopulation through the same
+//     virtual path;
 //   * compiled — the mirrored CompiledPopulation with set_compiled(true):
 //     memoized display table, compile-on-miss (state id → outcome row)
-//     transition tables, no virtual dispatch in the hot loop.  SSF's fresh
-//     memory histograms miss nearly every round and pay one compile() per
-//     agent — the SSF row reports what a user of --compiled actually gets,
-//     not a forced best case.
+//     transition tables, no virtual dispatch in the hot loop.
 //
-// Most rows time calibrated slices of rounds from round 1.  The sf_full
-// row times one whole run() — planned horizon, opinions counted every
-// round — at perfbench's sf_h64_compiled configuration, where boosting
-// dominates and the first rounds say little.
+// Most rows time calibrated slices of rounds from round 1.  The
+// full-horizon rows time one whole run() — planned horizon, opinions
+// counted every round: sf_full at perfbench's sf_h64_compiled
+// configuration, where boosting dominates and the first rounds say
+// little, and sf_grid at a THM4-N grid cell (s1 = 1), whose long
+// listening phase keeps compiling new cells.
 //
 // Before any timing, the harness replays every smoke-sized configuration
 // through BOTH paths (plus the compiled population's own virtual fallback)
@@ -55,8 +54,8 @@ double seconds_since(Clock::time_point start) {
 }
 
 struct Config {
-  const char* row;       // CI floor key: "table" | "sf" | "ssf" | "sf_full"
-  const char* protocol;  // "table" | "sf" | "ssf"
+  const char* row;       // CI floor key: "table" | "sf" | "sf_full" | "sf_grid"
+  const char* protocol;  // "table" | "sf"
   std::uint64_t n;
   std::uint64_t h;
   std::uint64_t s1 = 1;
@@ -66,10 +65,8 @@ struct Config {
 };
 
 // SF and Table run the binary channel at δ = 0.2 (the perf_round_kernel
-// operating point); SSF needs δ < 1/4 with headroom for its 4-symbol
-// alphabet, so it runs δ = 0.1 like the CLI's SSF default scenarios.
+// operating point and the THM4-N grid's noise level).
 constexpr double kSfDelta = 0.2;
-constexpr double kSsfDelta = 0.1;
 
 // A 2-state follow-the-majority table automaton (ties flip a fair coin via
 // the inverse-CDF default of TableAutomaton::compile): the minimal
@@ -107,17 +104,6 @@ Setup make_setup(const Config& cfg) {
                  .compiled = make_compiled_sf(pop, schedule),
                  .noise = NoiseMatrix::uniform(2, kSfDelta),
                  .horizon = schedule.total_rounds()};
-  }
-  if (std::strcmp(cfg.protocol, "ssf") == 0) {
-    const PopulationConfig pop{.n = cfg.n, .s1 = 1, .s0 = 0};
-    const MemoryBudget m{ssf_memory_budget(pop, Delta{kSsfDelta}, C1{2.0})};
-    return Setup{
-        .interpreted = std::make_unique<SelfStabilizingSourceFilter>(
-            SelfStabilizingSourceFilter::with_memory_budget(
-                pop, Holdings{cfg.h}, m)),
-        .compiled = make_compiled_ssf(pop, m),
-        .noise = NoiseMatrix::uniform(4, kSsfDelta),
-        .horizon = 0};
   }
   NOISYPULL_CHECK(std::strcmp(cfg.protocol, "table") == 0,
                   "unknown bench protocol");
@@ -349,14 +335,18 @@ int main(int argc, char** argv) {
   const Config identity_configs[] = {
       {.row = "table", .protocol = "table", .n = 20000, .h = 8},
       {.row = "sf", .protocol = "sf", .n = 20000, .h = 4},
-      {.row = "ssf", .protocol = "ssf", .n = 2000, .h = 4},
   };
   // perfbench's sf_h64_compiled configuration, over its whole horizon
   // (1173 rounds): boosting dominates, which the first-rounds rows never
   // reach.  Cheap enough (about a second per path) to run in --smoke too.
   const Config full_sf{.row = "sf_full", .protocol = "sf", .n = 10000,
                        .h = 64, .s1 = 100, .full_horizon = true};
-  std::printf("perf_compiled_path: identity gate (3 protocols x 3 paths)\n");
+  // A THM4-N grid cell (δ = 0.2, s1 = 1, full horizon): the s = 1
+  // listening phase spreads balances over hundreds of rounds, so the
+  // compiled path keeps missing there.  Its ratio is the grid's.
+  const Config grid_sf{.row = "sf_grid", .protocol = "sf", .n = 4000,
+                       .h = 63, .s1 = 1, .full_horizon = true};
+  std::printf("perf_compiled_path: identity gate (2 protocols x 3 paths)\n");
   if (!check_identity(identity_configs, /*rounds=*/48)) {
     std::fprintf(stderr, "perf_compiled_path: identity gate FAILED\n");
     return 1;
@@ -373,10 +363,9 @@ int main(int argc, char** argv) {
         Config{.row = "sf", .protocol = "sf", .n = 100000, .h = 16});
     configs.push_back(
         Config{.row = "table", .protocol = "table", .n = 1000000, .h = 8});
-    configs.push_back(
-        Config{.row = "ssf", .protocol = "ssf", .n = 20000, .h = 4});
   }
   configs.push_back(full_sf);
+  configs.push_back(grid_sf);
 
   std::vector<ConfigResult> results;
   for (const Config& cfg : configs) {

@@ -23,7 +23,9 @@
 //    breaks the bit-identity contract (tests/test_compiled_path.cpp).  The
 //    default wraps transition() in a single-uniform inverse-CDF edge, which
 //    is the draw law of synthetic table automata (they have no production
-//    class; the oracle tests hold it to the exact chain).
+//    class; the oracle tests hold it to the exact chain).  Only the SF
+//    mirror overrides it: SSF is not compiled (DESIGN.md §13), so its
+//    mirror keeps the default and does not reproduce SSF's draws.
 //
 // The signature hooks bound memoization: two rounds with equal
 // update_signature() must have identical transition/compile behavior, and
@@ -59,15 +61,13 @@ struct WeightedState {
 //   Coin          — one next_bool(); true → target[1], false → target[0]
 //                   (matching the protocols' `rng.next_bool() ? 1 : 0` tie
 //                   break, heads landing on opinion 1).
-//   CoinPair      — two next_bool() draws b1 then b2 (SSF: weak tie first,
-//                   then opinion tie); successor target[(b1?2:0) | (b2?1:0)].
 //   InverseCdf    — one next_double(); walk `law` accumulating prob until
 //                   u < acc, falling through to the last entry.
 struct CompiledEdge {
-  enum class Kind : std::uint8_t { Deterministic, Coin, CoinPair, InverseCdf };
+  enum class Kind : std::uint8_t { Deterministic, Coin, InverseCdf };
 
   Kind kind = Kind::Deterministic;
-  std::array<AutomatonState, 4> target{};
+  std::array<AutomatonState, 2> target{};
   std::vector<WeightedState> law;  // InverseCdf only, in summation order
 
   static CompiledEdge deterministic(AutomatonState to) {
@@ -91,11 +91,6 @@ struct CompiledEdge {
         return target[0];
       case Kind::Coin:
         return rng.next_bool() ? target[1] : target[0];
-      case Kind::CoinPair: {
-        const bool b1 = rng.next_bool();  // first tie (SSF: weak opinion)
-        const bool b2 = rng.next_bool();  // second tie (SSF: opinion)
-        return target[(b1 ? 2U : 0U) | (b2 ? 1U : 0U)];
-      }
       case Kind::InverseCdf: {
         const double u = rng.next_double();
         double acc = 0.0;
@@ -117,8 +112,8 @@ struct CompiledEdge {
 // become probability splits).  Implementations live in
 // core/automaton/protocol_automata.hpp.
 //
-// Thread-safety contract: interning automata (SF/SSF mirrors) are called
-// from the engines' block-parallel update phase through
+// Thread-safety contract: interning automata (SF/SSF mirrors) may be
+// called from the engines' block-parallel update phase through
 // CompiledPopulation (update() and cells compiled on a miss), so
 // compile()/transition() must be internally synchronized (the mirrors
 // guard their intern tables with a mutex).  The *ids* handed out then

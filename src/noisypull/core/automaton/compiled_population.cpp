@@ -386,26 +386,4 @@ std::unique_ptr<CompiledPopulation> make_compiled_sf(
                                               schedule.total_rounds());
 }
 
-std::unique_ptr<CompiledPopulation> make_compiled_ssf(
-    const PopulationConfig& pop, MemoryBudget m) {
-  pop.validate();
-  std::vector<CompiledGroup> groups;
-  if (pop.s1 > 0) {
-    groups.push_back(
-        {pop.s1, std::make_shared<SsfAutomaton>(m, true, Opinion{1}), 0});
-  }
-  if (pop.s0 > 0) {
-    groups.push_back(
-        {pop.s0, std::make_shared<SsfAutomaton>(m, true, Opinion{0}), 0});
-  }
-  const std::uint64_t nonsources = pop.n - pop.num_sources();
-  if (nonsources > 0) {
-    groups.push_back(
-        {nonsources, std::make_shared<SsfAutomaton>(m, false, Opinion{0}), 0});
-  }
-  // SSF is self-stabilizing: no intrinsic horizon (planned_rounds = 0),
-  // matching SelfStabilizingSourceFilter.
-  return std::make_unique<CompiledPopulation>(std::move(groups), 0);
-}
-
 }  // namespace noisypull

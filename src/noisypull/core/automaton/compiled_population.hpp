@@ -25,10 +25,11 @@
 // Bit-identity contract: under an engine running the fast path, the replay
 // digest and final opinions are identical to the same CompiledPopulation
 // run through the virtual PullProtocol path, which in turn mirrors the
-// production protocol (SourceFilter / SelfStabilizingSourceFilter) draw for
-// draw — see compile() in core/automaton/automaton.hpp and
-// tests/test_compiled_path.cpp.  Table automata have no production class:
-// the virtual path is their reference.
+// production protocol (SourceFilter) draw for draw — see compile() in
+// core/automaton/automaton.hpp and tests/test_compiled_path.cpp.  Table
+// automata have no production class: the virtual path is their reference.
+// SSF is not compiled: its memory histograms are fresh nearly every round,
+// so its cells almost never hit (DESIGN.md §13).
 //
 // Table layout: a hit is two dependent array loads — the state's row
 // header (rows indexed directly by state id), then the 4-byte entry of the
@@ -37,11 +38,11 @@
 // widened at merge; observation outcomes cluster around their mean, so
 // windows stay narrow.  Tables live for the run and are reused by every
 // round sharing their signature.  Protocol phases whose states recur (Table
-// states, SF boosting balances) hit almost always; phases whose states are
-// fresh every round (SSF memory accumulation) pay one compile() per agent,
-// as the virtual path would, and a table whose storage reaches
+// states, SF boosting balances) hit almost always.  SF's listening phase at
+// s1 = 1 is long, and its balances keep spreading, so agents keep reaching
+// cells no earlier round realized; a table whose storage reaches
 // kBytesPerAgent bytes per agent starts over — row index included — so
-// they hold O(n) bytes rather than one cell per agent-round.
+// such a phase holds O(n) bytes rather than one cell per agent-round.
 #pragma once
 
 #include <algorithm>
@@ -76,7 +77,7 @@ struct CompiledGroup {
 // Compiled transitions as 4-byte entries, the storage unit of both the row
 // tables and the miss journals.  An entry below kEdgeTag is a deterministic
 // successor, stored inline; kEdgeTag + i names edge i of the owner's pool
-// (Coin, CoinPair and InverseCdf edges, with their targets and laws);
+// (Coin and InverseCdf edges, with their targets and laws);
 // kMissing marks a cell not compiled yet.
 class EdgePool {
  public:
@@ -98,11 +99,6 @@ class EdgePool {
         break;  // stored inline, never pooled
       case CompiledEdge::Kind::Coin:
         return rng.next_bool() ? e.target[1] : e.target[0];
-      case CompiledEdge::Kind::CoinPair: {
-        const bool b1 = rng.next_bool();
-        const bool b2 = rng.next_bool();
-        return e.target[(b1 ? 2U : 0U) | (b2 ? 1U : 0U)];
-      }
       case CompiledEdge::Kind::InverseCdf: {
         const double u = rng.next_double();
         double acc = 0.0;
@@ -129,8 +125,6 @@ class EdgePool {
         break;  // stored inline, never pooled
       case CompiledEdge::Kind::Coin:
         return pred(e.target[0]) || pred(e.target[1]);
-      case CompiledEdge::Kind::CoinPair:
-        return std::any_of(e.target.begin(), e.target.end(), pred);
       case CompiledEdge::Kind::InverseCdf:
         return std::any_of(law_target_.begin() + e.target[0],
                            law_target_.begin() + e.target[0] + e.target[1],
@@ -149,7 +143,7 @@ class EdgePool {
   // the pool: target[0] is the first law entry, target[1] the entry count.
   struct Edge {
     std::uint8_t kind = 0;
-    std::array<AutomatonState, 4> target{};
+    std::array<AutomatonState, 2> target{};
   };
 
   std::uint32_t push(const Edge& e);
@@ -386,9 +380,9 @@ class CompiledPopulation final : public PullProtocol {
 
   // A table whose storage reaches this many bytes per agent starts over
   // (row index included) at the next round of its signature, and refills
-  // with the cells later rounds realize: a phase of fresh states (SSF
-  // memory accumulation) keeps O(n) bytes instead of one cell per
-  // agent-round.  SF and Table tables stay far below it.
+  // with the cells later rounds realize: a phase that keeps reaching new
+  // cells (SF listening at s1 = 1) keeps O(n) bytes instead of one cell per
+  // agent-round.  Table tables and SF boosting stay far below it.
   static constexpr std::uint64_t kBytesPerAgent = 256;
 
   // ---- Telemetry (deterministic: functions of the trajectory) ----------
@@ -492,14 +486,11 @@ class CompiledPopulation final : public PullProtocol {
   std::vector<std::uint32_t> state_;     // agent → interned state id (SoA)
 };
 
-// Factories mirroring the production populations' agent layout (sources
-// preferring 1 first, then sources preferring 0, then non-sources —
+// Factory mirroring SourceFilter's agent layout (sources preferring 1
+// first, then sources preferring 0, then non-sources —
 // PopulationConfig::is_source/source_preference).  The returned population
-// is draw-for-draw interchangeable with the mirrored protocol under any
-// engine.
+// is draw-for-draw interchangeable with SourceFilter under any engine.
 std::unique_ptr<CompiledPopulation> make_compiled_sf(
     const PopulationConfig& pop, const SfSchedule& schedule);
-std::unique_ptr<CompiledPopulation> make_compiled_ssf(
-    const PopulationConfig& pop, MemoryBudget m);
 
 }  // namespace noisypull

@@ -317,56 +317,6 @@ std::vector<WeightedState> SsfAutomaton::transition(
   return out;
 }
 
-// Same flush rule as transition(), with SelfStabilizingSourceFilter::update's
-// exact draw pattern: majority() consumes one next_bool() only on a tie, the
-// weak-opinion majority before the opinion majority.
-CompiledEdge SsfAutomaton::compile(AutomatonState state,
-                                   std::uint64_t /*round*/,
-                                   const SymbolCounts& obs) const {
-  NOISYPULL_CHECK(obs.size == 4, "SSF expects the {0,1}^2 alphabet");
-  const std::lock_guard<std::mutex> lock(intern_mutex_);
-  NOISYPULL_ASSERT(state < states_.size());
-  Concrete c = states_[state];
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    c.mem[s] += obs[s];
-    total += c.mem[s];
-  }
-  if (total < m_) return CompiledEdge::deterministic(intern(c));
-
-  const std::uint64_t src_ones = c.mem[3];
-  const std::uint64_t src_zeros = c.mem[2];
-  const std::uint64_t all_ones = c.mem[1] + c.mem[3];
-  const std::uint64_t all_zeros = c.mem[0] + c.mem[2];
-  c.mem.fill(0);
-  const bool weak_tie = src_ones == src_zeros;
-  const bool current_tie = all_ones == all_zeros;
-  const Opinion weak = src_ones > src_zeros ? 1 : 0;
-  const Opinion current = all_ones > all_zeros ? 1 : 0;
-  const auto flushed = [&](Opinion w, Opinion cur) {
-    Concrete next = c;
-    next.weak = w;
-    next.current = cur;
-    return intern(next);
-  };
-  if (!weak_tie && !current_tie) {
-    return CompiledEdge::deterministic(flushed(weak, current));
-  }
-  if (weak_tie && !current_tie) {
-    return CompiledEdge::coin(flushed(0, current), flushed(1, current));
-  }
-  if (!weak_tie) {  // current_tie only
-    return CompiledEdge::coin(flushed(weak, 0), flushed(weak, 1));
-  }
-  CompiledEdge e;
-  e.kind = CompiledEdge::Kind::CoinPair;  // b1 = weak coin, b2 = current coin
-  e.target[0] = flushed(0, 0);
-  e.target[1] = flushed(0, 1);
-  e.target[2] = flushed(1, 0);
-  e.target[3] = flushed(1, 1);
-  return e;
-}
-
 Opinion SsfAutomaton::opinion(AutomatonState state) const {
   return concrete(state).current;
 }

@@ -1,9 +1,9 @@
 // Finite per-agent automata for the protocols of the paper.
 //
 // core/automaton/automaton.hpp defines the AgentAutomaton interface; this
-// header provides the three families both the exact oracle
-// (theory/exact_chain) and the compiled engine fast path
-// (core/automaton/compiled_population.hpp) run on:
+// header provides the three families the exact oracle (theory/exact_chain)
+// runs on; the compiled engine fast path
+// (core/automaton/compiled_population.hpp) runs the first two:
 //
 //  * TableAutomaton — a small synthetic protocol family closed under
 //    fuzzing: each state displays a fixed symbol and transitions by
@@ -21,8 +21,8 @@
 //
 //  * SsfAutomaton — the exact mirror of core/SelfStabilizingSourceFilter
 //    (stale_flush = 0) for one role.  Memory flush ties split the state up
-//    to four ways (weak and current tie-break coins are independent); the
-//    compiled edge consumes one next_bool() per realized tie, weak first.
+//    to four ways (weak and current tie-break coins are independent).  It
+//    serves the exact chain and the lumped engine; SSF is not compiled.
 //
 // The one adapter that runs any automaton population under the Monte-Carlo
 // engines is CompiledPopulation (compiled_population.hpp): its virtual
@@ -37,9 +37,9 @@
 #pragma once
 
 // <mutex> is allowlisted here by tools/noisypull_lint.cpp's threading-header
-// rule: the interning tables of the SF/SSF mirrors are grown lazily from the
-// engines' block-parallel update phase (CompiledPopulation's update() and
-// cells compiled on a miss), so lookup+insert must be atomic.  Ids depend on
+// rule: the interning tables of the SF/SSF mirrors may be grown lazily from
+// the engines' block-parallel update phase (CompiledPopulation's update()
+// and cells compiled on a miss), so lookup+insert must be atomic.  Ids depend on
 // interleaving; observables never do (see the AgentAutomaton thread-safety
 // contract).
 #include <array>
@@ -159,7 +159,10 @@ class SfAutomaton final : public AgentAutomaton {
 };
 
 // Exact one-agent mirror of core/SelfStabilizingSourceFilter (Algorithm 2,
-// Theorem 5) with stale_flush = 0.  State 0 is the fresh agent.
+// Theorem 5) with stale_flush = 0.  State 0 is the fresh agent.  Its law
+// (transition()) is exact, but it no longer mirrors SSF's draws on the
+// compiled path: SSF does not take that path (DESIGN.md §13), so compile()
+// is the inherited inverse-CDF default.
 class SsfAutomaton final : public AgentAutomaton {
  public:
   SsfAutomaton(MemoryBudget m, bool is_source, Opinion preference);
@@ -171,12 +174,6 @@ class SsfAutomaton final : public AgentAutomaton {
                                         std::uint64_t round,
                                         const SymbolCounts& obs) const override;
   Opinion opinion(AutomatonState state) const override;
-
-  // Production-consumption edge: one next_bool() per realized flush tie,
-  // weak before current — the order SelfStabilizingSourceFilter::update
-  // calls majority().
-  CompiledEdge compile(AutomatonState state, std::uint64_t round,
-                       const SymbolCounts& obs) const override;
 
   // SSF has no clock: one signature for displays and updates alike.
   std::uint64_t update_signature(std::uint64_t /*round*/) const override {

@@ -3,7 +3,7 @@
 // The compiled path replaces the virtual display/update dispatch with a flat
 // SoA state vector, per-signature display memo tables and a memoized
 // (state id, outcome index) → edge transition table.  None of that may ever
-// change a trajectory: for every protocol family (Table / SF / SSF), engine
+// change a trajectory: for every protocol family (Table / SF), engine
 // (AggregateEngine with one channel or per-agent channels, bare or wrapped
 // in FaultyEngine), lane count and fault plan, the replay digest AND the final
 // per-agent opinions must be identical to the interpreted run, which in turn
@@ -14,8 +14,8 @@
 //   * compiled == interpreted on the same CompiledPopulation, across lanes
 //     {1, 4}, engines {Aggregate, Heterogeneous};
 //   * CompiledPopulation == the production protocol it mirrors
-//     (SourceFilter / SelfStabilizingSourceFilter; for table automata the
-//     interpreted run is the reference);
+//     (SourceFilter; for table automata the interpreted run is the
+//     reference);
 //   * the same under FaultyEngine with zero and nonzero FaultPlans — the
 //     forged/stalled/drop fallbacks route exactly the faulted agents through
 //     the virtual path and nobody else's draws move;
@@ -26,8 +26,9 @@
 //     leave digests and the table telemetry (cells_compiled, table_bytes,
 //     table_restarts) independent of the lane count;
 //   * the row tables: outcome windows widen on both sides, tagged edges
-//     resolve like CompiledEdge::resolve, a restart releases the row index,
-//     and full-horizon SF stays under 1 MB;
+//     resolve like CompiledEdge::resolve, SF's s1 = 1 listening phase
+//     restarts its tables and a restart releases the row index, and
+//     full-horizon SF stays under 1 MB;
 //   * the cached opinion histogram equals the per-agent count after every
 //     round (any path, lanes, fault plan, restart or Decomposition round),
 //     and full-horizon SF recounts and rebuilds its sampler only where its
@@ -49,7 +50,6 @@
 #include "noisypull/core/automaton/protocol_automata.hpp"
 #include "noisypull/core/schedule.hpp"
 #include "noisypull/core/source_filter.hpp"
-#include "noisypull/core/ssf.hpp"
 #include "noisypull/fault/faulty_engine.hpp"
 #include "noisypull/model/engine.hpp"
 #include "noisypull/rng/observation_cache.hpp"
@@ -61,6 +61,13 @@ struct CompiledPopulationTestPeer {
   static const RowTable& table(const CompiledPopulation& pop,
                                std::size_t group, std::uint64_t signature) {
     return pop.groups_.at(group).update_tables.at(signature).rows;
+  }
+  // Visits every (group, signature) table.
+  template <typename Visit>
+  static void for_each_table(const CompiledPopulation& pop, Visit&& visit) {
+    for (const auto& g : pop.groups_) {
+      for (const auto& [sig, t] : g.update_tables) visit(t.rows);
+    }
   }
 };
 
@@ -74,20 +81,13 @@ constexpr double kDelta = 0.2;
 // preferring 0, non-sources) are non-empty and the schedule bias stays >= 1.
 constexpr PopulationConfig kPop{.n = kN, .s1 = 2, .s0 = 1};
 
-enum class Proto { Table, Sf, Ssf };
+enum class Proto { Table, Sf };
 
 std::string proto_name(Proto p) {
-  switch (p) {
-    case Proto::Table: return "Table";
-    case Proto::Sf: return "Sf";
-    case Proto::Ssf: return "Ssf";
-  }
-  return "?";
+  return p == Proto::Table ? "Table" : "Sf";
 }
 
-// Per-family run geometry.  SSF uses h = 4 so the d = 4 outcome space
-// (C(7,3) = 35) passes the aggregate sampler's amortization gate at n = 48;
-// its memory budget m = 16 flushes every ceil(16/4) = 4 rounds.
+// Per-family run geometry.
 struct ProtoParams {
   std::size_t d;
   std::uint64_t h;
@@ -101,7 +101,6 @@ ProtoParams params_of(Proto p) {
       const SfSchedule s = make_sf_schedule(kPop, Holdings{16}, Delta{kDelta});
       return {.d = 2, .h = 16, .rounds = s.total_rounds() + 4};
     }
-    case Proto::Ssf: return {.d = 4, .h = 4, .rounds = 24};
   }
   return {};
 }
@@ -151,9 +150,6 @@ std::unique_ptr<CompiledPopulation> make_compiled(Proto p) {
       pop = make_compiled_sf(kPop,
                              make_sf_schedule(kPop, Holdings{16}, Delta{kDelta}));
       break;
-    case Proto::Ssf:
-      pop = make_compiled_ssf(kPop, MemoryBudget{16});
-      break;
   }
   return pop;
 }
@@ -169,10 +165,6 @@ std::unique_ptr<PullProtocol> make_production(Proto p) {
     case Proto::Sf:
       return std::make_unique<SourceFilter>(
           kPop, make_sf_schedule(kPop, Holdings{16}, Delta{kDelta}));
-    case Proto::Ssf:
-      return std::make_unique<SelfStabilizingSourceFilter>(
-          SelfStabilizingSourceFilter::with_memory_budget(kPop, Holdings{4},
-                                                          MemoryBudget{16}));
   }
   return nullptr;
 }
@@ -220,9 +212,8 @@ RunOut run(PullProtocol& protocol, Engine& engine, const ProtoParams& pp,
   return out;
 }
 
-FaultPlan nonzero_plan(Proto p, bool with_drop) {
-  FaultPlan plan = p == Proto::Ssf ? FaultPlan::for_ssf(/*correct=*/1)
-                                   : FaultPlan::for_binary(/*correct=*/1);
+FaultPlan nonzero_plan(bool with_drop) {
+  FaultPlan plan = FaultPlan::for_binary(/*correct=*/1);
   plan.seed = 99;
   plan.first_eligible = kPop.s0 + kPop.s1;  // sources stay honest
   plan.byzantine.fraction = 0.25;
@@ -231,7 +222,7 @@ FaultPlan nonzero_plan(Proto p, bool with_drop) {
   plan.burst.rate = 0.1;
   plan.burst.rounds = 2;
   // Uniform burst level, capped at 1/|alphabet| by FaultPlan::validate.
-  plan.burst.delta = p == Proto::Ssf ? 0.2 : 0.5;
+  plan.burst.delta = 0.5;
   return plan;
 }
 
@@ -362,8 +353,8 @@ TEST_P(CompiledPath, FaultPlanMatrixPreservesBitIdentity) {
   };
   const PlanCase plans[] = {
       {"zero", FaultPlan{}},
-      {"byz+stall", nonzero_plan(proto, /*with_drop=*/false)},
-      {"byz+stall+drop", nonzero_plan(proto, /*with_drop=*/true)},
+      {"byz+stall", nonzero_plan(/*with_drop=*/false)},
+      {"byz+stall+drop", nonzero_plan(/*with_drop=*/true)},
   };
 
   for (const PlanCase& pc : plans) {
@@ -396,9 +387,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{Proto::Table, Eng::Aggregate},
                       Case{Proto::Table, Eng::Heterogeneous},
                       Case{Proto::Sf, Eng::Aggregate},
-                      Case{Proto::Sf, Eng::Heterogeneous},
-                      Case{Proto::Ssf, Eng::Aggregate},
-                      Case{Proto::Ssf, Eng::Heterogeneous}),
+                      Case{Proto::Sf, Eng::Heterogeneous}),
     [](const ::testing::TestParamInfo<Case>& param_info) {
       return proto_name(param_info.param.proto) +
              eng_name(param_info.param.eng);
@@ -471,7 +460,7 @@ class CountingProtocol final : public PullProtocol {
 };
 
 TEST(CompiledPathEdge, InverseCdfRoundsMakeNoVirtualUpdates) {
-  for (Proto proto : {Proto::Table, Proto::Sf, Proto::Ssf}) {
+  for (Proto proto : {Proto::Table, Proto::Sf}) {
     const ProtoParams pp = params_of(proto);
     const auto reference_pop = make_compiled(proto);
     AggregateEngine reference_engine;
@@ -512,18 +501,13 @@ struct BigCase {
   ProtoParams pp;
 };
 
-BigCase make_big(Proto p) {
-  if (p == Proto::Sf) {
-    return {make_compiled_sf(kBigPop, kBigSchedule),
-            {.d = 2, .h = 8, .rounds = kBigSchedule.total_rounds() + 2}};
-  }
-  return {make_compiled_ssf(kBigPop, MemoryBudget{16}),
-          {.d = 4, .h = 4, .rounds = 20}};
+BigCase make_big_sf() {
+  return {make_compiled_sf(kBigPop, kBigSchedule),
+          {.d = 2, .h = 8, .rounds = kBigSchedule.total_rounds() + 2}};
 }
 
-FaultPlan big_plan(Proto p, bool with_drop) {
-  FaultPlan plan = p == Proto::Ssf ? FaultPlan::for_ssf(/*correct=*/1)
-                                   : FaultPlan::for_binary(/*correct=*/1);
+FaultPlan big_plan(bool with_drop) {
+  FaultPlan plan = FaultPlan::for_binary(/*correct=*/1);
   plan.seed = 5;
   plan.first_eligible = kBigPop.s0 + kBigPop.s1;
   plan.stall.crash_rate = 0.05;
@@ -538,9 +522,8 @@ struct BigOut {
   bool operator==(const BigOut&) const = default;
 };
 
-BigOut run_big(Proto p, bool compiled, unsigned lanes,
-               const FaultPlan* plan) {
-  BigCase c = make_big(p);
+BigOut run_big(bool compiled, unsigned lanes, const FaultPlan* plan) {
+  BigCase c = make_big_sf();
   AggregateEngine inner;
   std::unique_ptr<FaultyEngine> faulty;
   Engine* engine = &inner;
@@ -558,44 +541,51 @@ BigOut run_big(Proto p, bool compiled, unsigned lanes,
 }
 
 TEST(CompiledPathEdge, ConcurrentMissesKeepIdentityAcrossLanes) {
-  for (Proto proto : {Proto::Sf, Proto::Ssf}) {
-    const BigOut reference = run_big(proto, /*compiled=*/false, 1, nullptr);
-    const BigOut base = run_big(proto, /*compiled=*/true, 1, nullptr);
-    EXPECT_EQ(base.run, reference.run) << proto_name(proto);
-    EXPECT_GT(base.cells_compiled, 0u);
-    EXPECT_GT(base.table_bytes, 0u);
-    const FaultPlan zero{};
+  const BigOut reference = run_big(/*compiled=*/false, 1, nullptr);
+  const BigOut base = run_big(/*compiled=*/true, 1, nullptr);
+  EXPECT_EQ(base.run, reference.run);
+  EXPECT_GT(base.cells_compiled, 0u);
+  EXPECT_GT(base.table_bytes, 0u);
+  const FaultPlan zero{};
+  for (unsigned lanes : {1u, 2u, 4u}) {
+    EXPECT_EQ(run_big(true, lanes, nullptr), base) << lanes << " lanes";
+    EXPECT_EQ(run_big(true, lanes, &zero), base)
+        << "zero plan, " << lanes << " lanes";
+  }
+  for (bool with_drop : {false, true}) {
+    const FaultPlan plan = big_plan(with_drop);
+    const RunOut faulted = run_big(false, 1, &plan).run;
     for (unsigned lanes : {1u, 2u, 4u}) {
-      EXPECT_EQ(run_big(proto, true, lanes, nullptr), base)
-          << proto_name(proto) << ", " << lanes << " lanes";
-      EXPECT_EQ(run_big(proto, true, lanes, &zero), base)
-          << proto_name(proto) << ", zero plan, " << lanes << " lanes";
-    }
-    for (bool with_drop : {false, true}) {
-      const FaultPlan plan = big_plan(proto, with_drop);
-      const RunOut faulted = run_big(proto, false, 1, &plan).run;
-      for (unsigned lanes : {1u, 2u, 4u}) {
-        EXPECT_EQ(run_big(proto, true, lanes, &plan).run, faulted)
-            << proto_name(proto) << (with_drop ? ", stall+drop, " : ", stall, ")
-            << lanes << " lanes";
-      }
+      EXPECT_EQ(run_big(true, lanes, &plan).run, faulted)
+          << (with_drop ? "stall+drop, " : "stall, ") << lanes << " lanes";
     }
   }
 }
 
-// SSF states that never recur (a memory budget no run reaches, so no
-// flush) miss every round; their tables start over at kBytesPerAgent bytes
-// per agent instead of keeping one cell per agent-round.
+// SF's listening phase at s1 = 1, δ = 0.2 is long, and its balances keep
+// spreading, so agents keep reaching cells no earlier round realized.  Its
+// tables start over at kBytesPerAgent bytes per agent instead of keeping
+// one cell per agent-round.
+constexpr PopulationConfig kGridPop{.n = 500, .s1 = 1, .s0 = 0};
+
+// The storage of the largest (group, signature) table.
+std::uint64_t largest_table_bytes(const CompiledPopulation& pop) {
+  std::uint64_t largest = 0;
+  Peer::for_each_table(pop, [&](const RowTable& t) {
+    largest = std::max<std::uint64_t>(largest, t.bytes());
+  });
+  return largest;
+}
+
 TEST(CompiledPathEdge, FreshStateTablesStayBounded) {
-  const ProtoParams pp{.d = 4, .h = 4, .rounds = 200};
-  const auto make_pop = [] {
-    return make_compiled_ssf(kPop, MemoryBudget{1'000'000});
-  };
-  const auto ref_protocol = make_pop();
+  const SfSchedule schedule =
+      make_sf_schedule(kGridPop, Holdings{64}, Delta{kDelta});
+  const ProtoParams pp{.d = 2, .h = 64, .rounds = schedule.total_rounds()};
+  const auto ref_protocol = make_compiled_sf(kGridPop, schedule);
   AggregateEngine ref_engine;
   const RunOut reference = run(*ref_protocol, ref_engine, pp, 13);
 
-  const auto pop = make_pop();
+  const auto pop = make_compiled_sf(kGridPop, schedule);
   AggregateEngine engine;
   engine.set_compiled(true);
   const auto noise = NoiseMatrix::uniform(pp.d, kDelta);
@@ -603,20 +593,18 @@ TEST(CompiledPathEdge, FreshStateTablesStayBounded) {
   std::uint64_t peak = 0;
   for (std::uint64_t r = 0; r < pp.rounds; ++r) {
     engine.step(*pop, noise, Holdings{pp.h}, r, rng);
-    peak = std::max(peak, pop->table_bytes());
+    peak = std::max(peak, largest_table_bytes(*pop));
   }
   EXPECT_EQ(engine.replay_digest(), reference.digest);
-  for (std::uint64_t i = 0; i < kN; ++i) {
+  for (std::uint64_t i = 0; i < kGridPop.n; ++i) {
     EXPECT_EQ(pop->opinion(i), reference.opinions[i]) << i;
   }
-  // Every agent-round past the first few realizes a fresh cell.
-  EXPECT_GT(pop->cells_compiled(), kN * pp.rounds / 2);
-  EXPECT_GT(pop->table_restarts(), 0u);
-  // O(n) bytes at every round.  The two source groups hold three agents,
-  // so the non-source table dominates: it enters each round below its cap
-  // and one round of fresh cells adds a few dozen bytes per agent, in
-  // vectors at most twice as large as their contents.
-  EXPECT_LE(peak, 2 * CompiledPopulation::kBytesPerAgent * kN);
+  EXPECT_GE(pop->table_restarts(), 2u);
+  // O(n) bytes per table at every round: a table enters each round below
+  // its cap, one round's new cells add a few dozen bytes per agent, and
+  // its vectors are at most twice as large as their contents.  Summed over
+  // SF's several signatures the tables may exceed the bound.
+  EXPECT_LE(peak, 2 * CompiledPopulation::kBytesPerAgent * kGridPop.n);
 }
 
 // ---------------------------------------------------------------------------
@@ -653,9 +641,8 @@ std::string count_plan_name(CountPlan p) {
   return "?";
 }
 
-FaultPlan make_count_plan(Proto proto, CountPlan kind) {
-  FaultPlan plan = proto == Proto::Ssf ? FaultPlan::for_ssf(/*correct=*/1)
-                                       : FaultPlan::for_binary(/*correct=*/1);
+FaultPlan make_count_plan(CountPlan kind) {
+  FaultPlan plan = FaultPlan::for_binary(/*correct=*/1);
   plan.seed = 17;
   plan.first_eligible = kBigPop.s0 + kBigPop.s1;
   if (kind == CountPlan::ByzDrop) {
@@ -667,10 +654,9 @@ FaultPlan make_count_plan(Proto proto, CountPlan kind) {
   return plan;
 }
 
-// The big SF and SSF cases (all their rounds) and a four-block Table
-// population.
+// The big SF case (all its rounds) and a four-block Table population.
 BigCase make_count_case(Proto p) {
-  if (p != Proto::Table) return make_big(p);
+  if (p == Proto::Sf) return make_big_sf();
   const auto automaton = shared_table_automaton();
   return {std::make_unique<CompiledPopulation>(
               std::vector<CompiledGroup>{
@@ -686,7 +672,7 @@ std::vector<std::uint64_t> counted_run(Proto proto, bool compiled,
                                        unsigned lanes, CountPlan kind) {
   BigCase c = make_count_case(proto);
   AggregateEngine inner;
-  const FaultPlan plan = make_count_plan(proto, kind);
+  const FaultPlan plan = make_count_plan(kind);
   FaultyEngine faulty(inner, plan);
   Engine& engine = kind == CountPlan::Clean ? static_cast<Engine&>(inner)
                                             : static_cast<Engine&>(faulty);
@@ -706,7 +692,7 @@ std::vector<std::uint64_t> counted_run(Proto proto, bool compiled,
 // Every (protocol, compiled, lanes, plan) combination counts exactly, and
 // the per-round counts do not depend on the path or the lane count.
 TEST(CompiledPathEdge, CountOpinionMatchesPerAgentOpinions) {
-  for (const Proto proto : {Proto::Table, Proto::Sf, Proto::Ssf}) {
+  for (const Proto proto : {Proto::Table, Proto::Sf}) {
     for (const CountPlan kind :
          {CountPlan::Clean, CountPlan::ByzDrop, CountPlan::Crash}) {
       std::vector<std::uint64_t> reference;
@@ -725,20 +711,32 @@ TEST(CompiledPathEdge, CountOpinionMatchesPerAgentOpinions) {
   }
 }
 
-// SSF states that never recur restart the non-source table several times;
-// the rounds right after a restart are counted like any other.
+// SF's s1 = 1 listening phase at four blocks, h = 256: its tables start
+// over several times within the first 400 rounds (three times at seed 29,
+// the first at round 100).  Shared by the restart tests below.
+constexpr PopulationConfig kBigGridPop{.n = kBigN, .s1 = 1, .s0 = 0};
+constexpr std::uint64_t kBigGridH = 256;
+constexpr std::uint64_t kBigGridRounds = 400;
+
+std::unique_ptr<CompiledPopulation> make_big_grid_sf() {
+  return make_compiled_sf(
+      kBigGridPop,
+      make_sf_schedule(kBigGridPop, Holdings{kBigGridH}, Delta{kDelta}));
+}
+
+// The rounds right after a restart are counted like any other.
 TEST(CompiledPathCount, CountStaysExactAcrossTableRestarts) {
   for (const unsigned lanes : {1u, 4u}) {
-    const auto pop = make_compiled_ssf(kBigPop, MemoryBudget{1'000'000});
+    const auto pop = make_big_grid_sf();
     AggregateEngine engine;
     engine.set_compiled(true);
     engine.set_threads(lanes);
-    const auto noise = NoiseMatrix::uniform(4, kDelta);
+    const auto noise = NoiseMatrix::uniform(2, kDelta);
     Rng rng(29);
     std::uint64_t restart_rounds = 0;
-    for (std::uint64_t r = 0; r < 40; ++r) {
+    for (std::uint64_t r = 0; r < kBigGridRounds; ++r) {
       const std::uint64_t restarts = pop->table_restarts();
-      engine.step(*pop, noise, Holdings{4}, r, rng);
+      engine.step(*pop, noise, Holdings{kBigGridH}, r, rng);
       if (pop->table_restarts() > restarts) ++restart_rounds;
       expect_counts_exact(*pop, "round " + std::to_string(r) + ", " +
                                     std::to_string(lanes) + " lanes");
@@ -967,15 +965,6 @@ TEST(CompiledPathRows, TaggedEdgesResolveLikeCompiledEdge) {
       sf, kBigSchedule.boosting_start() - 1, kBigSchedule.h,
       [](const CompiledEdge& e) { return e.kind == CompiledEdge::Kind::Coin; },
       "Coin");
-  // CoinPair: m = h, so the first update flushes; both majorities tie.
-  const auto ssf = std::make_shared<const SsfAutomaton>(
-      MemoryBudget{4}, /*is_source=*/false, Opinion{0});
-  expect_tagged_cell_resolves_like_edge(
-      ssf, 0, 4,
-      [](const CompiledEdge& e) {
-        return e.kind == CompiledEdge::Kind::CoinPair;
-      },
-      "CoinPair");
   // InverseCdf: TableAutomaton's default compile, at a tie (a two-entry
   // law).
   expect_tagged_cell_resolves_like_edge(
@@ -994,50 +983,60 @@ struct RestartOut {
   bool operator==(const RestartOut&) const = default;
 };
 
-// SSF without flushes at four blocks: the non-source table restarts
-// several times within 40 rounds.
-RestartOut run_fresh_ssf(bool compiled, unsigned lanes,
-                         std::uint64_t* peak_bytes) {
-  const auto pop = make_compiled_ssf(kBigPop, MemoryBudget{1'000'000});
+// SF's s1 = 1 listening phase at four blocks (kBigGridPop): its tables
+// restart several times within 400 rounds.  Listening displays do not
+// depend on the balances, so the digest pins little here; the table
+// telemetry does, and FreshStateTablesStayBounded carries restarted tables
+// into boosting, where displays and opinions read them.
+RestartOut run_big_grid_sf(bool compiled, unsigned lanes,
+                           std::uint64_t* peak_bytes) {
+  const auto pop = make_big_grid_sf();
   AggregateEngine engine;
   engine.set_compiled(compiled);
   engine.set_threads(lanes);
-  const auto noise = NoiseMatrix::uniform(4, kDelta);
+  const auto noise = NoiseMatrix::uniform(2, kDelta);
   Rng rng(29);
   std::uint64_t restarts = 0;
   std::uint64_t bytes = 0;
-  for (std::uint64_t r = 0; r < 40; ++r) {
-    engine.step(*pop, noise, Holdings{4}, r, rng);
+  for (std::uint64_t r = 0; r < kBigGridRounds; ++r) {
+    engine.step(*pop, noise, Holdings{kBigGridH}, r, rng);
     // A restart frees the table's storage, row index included.
     if (pop->table_restarts() > restarts) {
       EXPECT_LT(pop->table_bytes(), bytes / 2) << "round " << r;
     }
     restarts = pop->table_restarts();
     bytes = pop->table_bytes();
-    if (peak_bytes != nullptr) *peak_bytes = std::max(*peak_bytes, bytes);
+    if (peak_bytes != nullptr) {
+      *peak_bytes = std::max(*peak_bytes, largest_table_bytes(*pop));
+    }
   }
   if (compiled) {
-    // The restarts released the index: rows start past the fresh agent's
-    // state, which no longer has one.
-    const RowTable& t = Peer::table(*pop, 2, 0);
-    EXPECT_GT(t.base(), 0u);
-    EXPECT_EQ(t.row(0).width, 0u);
+    // The restarts released the index: some table's rows start past the
+    // fresh agent's state, which no longer has one there.
+    std::uint64_t released = 0;
+    Peer::for_each_table(*pop, [&](const RowTable& t) {
+      if (t.base() == 0) return;
+      ++released;
+      EXPECT_EQ(t.row(0).width, 0u);
+    });
+    EXPECT_GT(released, 0u);
   }
   return {engine.replay_digest(), pop->cells_compiled(), pop->table_bytes(),
           pop->table_restarts()};
 }
 
 TEST(CompiledPathRows, RestartReleasesTheRowIndexAndRefillsBitIdentically) {
-  const RestartOut interpreted = run_fresh_ssf(false, 1, nullptr);
+  const RestartOut interpreted = run_big_grid_sf(false, 1, nullptr);
   std::uint64_t peak = 0;
-  const RestartOut base = run_fresh_ssf(true, 1, &peak);
+  const RestartOut base = run_big_grid_sf(true, 1, &peak);
   EXPECT_EQ(base.digest, interpreted.digest);
   EXPECT_GE(base.table_restarts, 2u);
   EXPECT_LE(peak, 2 * CompiledPopulation::kBytesPerAgent * kBigN);
   // Cap checks, restart points and byte counts are functions of the
   // trajectory, so they match at every lane count.
   for (unsigned lanes : {2u, 4u}) {
-    EXPECT_EQ(run_fresh_ssf(true, lanes, nullptr), base) << lanes << " lanes";
+    EXPECT_EQ(run_big_grid_sf(true, lanes, nullptr), base)
+        << lanes << " lanes";
   }
 }
 
@@ -1163,9 +1162,10 @@ TEST(CompiledPathEdge, KaryTableCompiledMatchesInterpretedAndProduction) {
 // Interned-state accessors stay consistent with reported opinions.
 
 TEST(CompiledPathEdge, StateAccessorAgreesWithOpinion) {
-  const ProtoParams pp = params_of(Proto::Ssf);
-  const auto automaton = std::make_shared<const SsfAutomaton>(
-      MemoryBudget{16}, /*is_source=*/false, /*preference=*/0);
+  const ProtoParams pp = params_of(Proto::Sf);
+  const auto automaton = std::make_shared<const SfAutomaton>(
+      make_sf_schedule(kPop, Holdings{pp.h}, Delta{kDelta}),
+      /*is_source=*/false, /*preference=*/0);
   CompiledPopulation protocol(
       std::vector<CompiledGroup>{{.count = kN, .automaton = automaton,
                                   .initial = 0}},

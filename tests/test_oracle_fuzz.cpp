@@ -11,19 +11,20 @@
 //
 //   NOISYPULL_ORACLE_MAX_TUPLES=<k>   run only the first k tuples (CI smoke)
 //   NOISYPULL_ORACLE_TUPLE=<i>        run exactly tuple i (failure repro)
-//   NOISYPULL_ORACLE_COMPILED=1       replicates run CompiledPopulation
-//                                     mirrors on the compiled engine fast
+//   NOISYPULL_ORACLE_COMPILED=1       replicates run the CompiledPopulation
+//                                     SF mirror on the compiled engine fast
 //                                     path (DESIGN.md §13) instead of the
-//                                     SF/SSF production protocols — the
-//                                     oracle side is unchanged, so this
+//                                     SF production protocol — the oracle
+//                                     side is unchanged, so this
 //                                     differentially tests the compiled
 //                                     kernel against the exact chain.
 //                                     Table tuples always run a
 //                                     CompiledPopulation (its virtual path
 //                                     by default); the flag only turns the
-//                                     engine's fast path on.  (SequentialEngine
-//                                     has no compiled path; the flag is a
-//                                     no-op on sequential tuples.)
+//                                     engine's fast path on.  SSF is not
+//                                     compiled, and SequentialEngine has no
+//                                     compiled path: the flag is a no-op on
+//                                     SSF and sequential tuples.
 //
 // Scope note: drop faults are deliberately absent.  Their thinning
 // randomness comes from a fixed per-(round, agent) substream of the plan
@@ -347,14 +348,13 @@ TupleOutcome run_tuple(std::uint64_t index) {
       classes.push_back(cls);
       class_noise.push_back(plain_noise);
     }
+    // SSF is not compiled: both modes run the production protocol, whose
+    // compiled_access() leaves the engine on the interpreted path.
     make_protocol = [pop, h, m] {
       return std::make_unique<SelfStabilizingSourceFilter>(
           SelfStabilizingSourceFilter::with_memory_budget(pop, Holdings{h},
                                                           m));
     };
-    if (compiled_mode) {
-      make_protocol = [pop, m] { return make_compiled_ssf(pop, m); };
-    }
   }
 
   // --- engine factory + display view --------------------------------------

@@ -44,7 +44,7 @@ struct CliOptions {
   std::string engine = "aggregate";   // aggregate | exact | sequential
                                       // | heterogeneous
   std::uint64_t threads = 1;          // block-parallel lanes inside the engine
-  bool compiled = false;              // compiled automaton fast path (sf/ssf)
+  bool compiled = false;              // compiled automaton fast path (sf)
   std::string order = "random";       // sequential activation order
   bool trajectory = false;            // print per-round correct counts
   bool verify_replay = false;         // run twice, compare replay digests
@@ -95,14 +95,12 @@ struct CliOptions {
   --threads T     block-parallel lanes inside the engine (default 1);
                   results are bit-identical for every T
   --compiled      run the protocol as a CompiledPopulation on the engines'
-                  table-driven fast path (sf/ssf only; bit-identical to the
+                  table-driven fast path (sf only; bit-identical to the
                   interpreted run; transition cells are compiled when an
-                  agent first needs them and reused after; faster than
-                  the interpreted run for sf (1.2-1.7x at n >= 10^4), but
-                  SLOWER for ssf, whose fresh states miss nearly every
-                  cell — see DESIGN.md s13; incompatible with
-                  --corruption and --stale-flush, which have no compiled
-                  mirror)
+                  agent first needs them and reused after; 1.3-1.5x the
+                  interpreted speed at s1 = 100 or in the first rounds,
+                  0.3-0.8x over the THM4 grid's s1 = 1 horizons — see
+                  BENCH_compiled_path.json and DESIGN.md s13)
   --order O       random | ascending | descending      (sequential engine)
   --trajectory    print per-round correct counts of repetition 0
   --verify-replay run the whole configuration twice with identical seeds and
@@ -360,15 +358,6 @@ PullSetup make_pull_setup(const CliOptions& opt, std::uint64_t h, Rng& init) {
   const std::uint64_t baseline_budget =
       std::max<std::uint64_t>(100, 50 * ((pop.n + h - 1) / h));
   if (opt.protocol == "ssf") {
-    if (opt.compiled) {
-      // Same Eq. 30 budget and 4·⌈m/h⌉ + 1 convergence deadline the
-      // production SelfStabilizingSourceFilter derives for itself.
-      const std::uint64_t m =
-          ssf_memory_budget(pop, Delta{opt.delta}, C1{opt.c1});
-      const std::uint64_t deadline = 4 * ((m + h - 1) / h) + 1;
-      return {make_compiled_ssf(pop, MemoryBudget{m}),
-              NoiseMatrix::uniform(4, opt.delta), correct, deadline};
-    }
     auto ssf = std::make_unique<SelfStabilizingSourceFilter>(pop, Holdings{h},
                                                              Delta{opt.delta},
                                                              C1{opt.c1});
@@ -615,28 +604,43 @@ int run_verify_replay(const CliOptions& opt, std::uint64_t h) {
   return 1;
 }
 
+// A flag the chosen protocol never reads would leave the run unchanged
+// while its table appears to answer for it; refuse it instead.
+bool rejects_ignored_flags(const CliOptions& opt) {
+  const std::string& p = opt.protocol;
+  const struct {
+    const char* flag;
+    bool set;
+    bool read;
+    const char* readers;
+  } flags[] = {
+      {"--corruption", opt.corruption != "none", p == "ssf" || p == "tagless",
+       "ssf | tagless"},
+      {"--stale-flush", opt.stale_flush > 0, p == "ssf", "ssf"},
+      {"--window", opt.window > 0, p == "repeated", "repeated"},
+      {"--sources", !opt.kary_sources.empty(), p == "kary", "kary"},
+  };
+  for (const auto& f : flags) {
+    if (f.set && !f.read) {
+      std::fprintf(stderr,
+                   "error: %s is read by --protocol %s only, not %s\n",
+                   f.flag, f.readers, p.c_str());
+      return true;
+    }
+  }
+  return false;
+}
+
 int run_cli(const CliOptions& opt) {
   const std::uint64_t h = opt.h == 0 ? opt.n : opt.h;
 
+  if (rejects_ignored_flags(opt)) return 2;
+
   if (opt.compiled) {
-    // The compiled fast path runs the interned SF/SSF mirrors
-    // (core/automaton); the other families and the state-mutation knobs
-    // have no compiled counterpart.
-    if (opt.protocol != "sf" && opt.protocol != "ssf") {
-      std::fprintf(stderr,
-                   "error: --compiled supports --protocol sf | ssf only\n");
-      return 2;
-    }
-    if (opt.corruption != "none") {
-      std::fprintf(stderr,
-                   "error: --compiled does not compose with --corruption "
-                   "(corrupted initial states have no compiled mirror)\n");
-      return 2;
-    }
-    if (opt.stale_flush > 0) {
-      std::fprintf(stderr,
-                   "error: --compiled does not compose with --stale-flush "
-                   "(the compiled SSF mirror runs stale_flush = 0)\n");
+    // The compiled fast path runs the interned SF mirror (core/automaton);
+    // the other families have no compiled counterpart.
+    if (opt.protocol != "sf") {
+      std::fprintf(stderr, "error: --compiled supports --protocol sf only\n");
       return 2;
     }
     if (opt.engine == "lumped") {
