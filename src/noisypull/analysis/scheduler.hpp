@@ -73,7 +73,7 @@ namespace noisypull {
 // Bumped whenever engine or runner semantics change in a way that alters
 // trajectories for identical inputs (it is folded into every cache key, so
 // a bump invalidates all previously cached cells at once).
-inline constexpr std::uint64_t kCellCacheSchemaVersion = 3;
+inline constexpr std::uint64_t kCellCacheSchemaVersion = 4;
 
 // Version of the on-disk cache *record layout*, independent of the key
 // schema above: v2 added the entry CRC and the steady-state outcome fields.

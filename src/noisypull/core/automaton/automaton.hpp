@@ -3,10 +3,11 @@
 // PR 7 introduced AgentAutomaton as the exact-oracle's view of one agent: a
 // finite state set with an exact per-(state, observation) transition *law*.
 // This module promotes that interface from oracle mirror to production
-// citizen (DESIGN.md §13): the same interned state machines now also drive
-// the engines' compiled fast path, where per-agent protocol state is one
-// flat vector of interned state ids and the round kernel runs table lookups
-// instead of virtual display()/update() calls.
+// citizen (DESIGN.md §13): the same state machines now also drive the
+// engines' compiled fast path, where per-agent protocol state is one flat
+// vector of state ids and the round kernel runs table lookups or
+// closed-form rules (UpdateRule) instead of virtual display()/update()
+// calls.
 //
 // Two complementary views of one automaton:
 //
@@ -44,9 +45,14 @@
 
 namespace noisypull {
 
-// Identifier of one per-agent automaton state.  Automata intern their own
-// state encodings; consumers only need equality and ordering.
+// Identifier of one per-agent automaton state.  Automata choose their own
+// state encodings (interned, or arithmetic — see UpdateRule); consumers only
+// need equality and ordering.
 using AutomatonState = std::uint32_t;
+
+// Every automaton's ids stay below this bound, so a compiled entry can hold
+// a successor id inline (EdgePool::kEdgeTag in compiled_population.hpp).
+inline constexpr std::uint64_t kMaxStateIds = std::uint64_t{1} << 31;
 
 struct WeightedState {
   AutomatonState state = 0;
@@ -105,6 +111,56 @@ struct CompiledEdge {
   }
 };
 
+// Closed-form update rule of one update signature, for automata whose ids
+// are arithmetic (AgentAutomaton::closed_form()): id = 2·position + opinion
+// bit, with a balance that moves by a per-outcome amount.  Binary alphabet
+// only: outcome index k stands for the counts (h − k, k), as the sampler's
+// canonical enumeration has it.
+//
+//   Identity — the id stays.
+//   Shift    — an id below `floor` first re-bases to `rebase` + (id & 1);
+//              then id += delta[k].  No draw.
+//   SignStep — the shift, then the shifted id x is compared with `zero` on
+//              its even part (x & ~1): above → `up`, below → `down`, equal →
+//              one next_bool(), heads → `up` (the protocols'
+//              `rng.next_bool() ? 1 : 0` tie break).
+//
+// apply() is the reference semantics; CompiledPopulation runs the same
+// arithmetic in loops specialized per kind.  Every delta is even, so a
+// Shift keeps the opinion bit and only a SignStep can change an opinion.
+struct UpdateRule {
+  enum class Kind : std::uint8_t { None, Identity, Shift, SignStep };
+
+  Kind kind = Kind::None;
+  AutomatonState floor = 0;
+  AutomatonState rebase = 0;
+  std::vector<std::int32_t> delta;  // Shift / SignStep, one per outcome
+  AutomatonState zero = 0;          // SignStep only
+  AutomatonState up = 0;
+  AutomatonState down = 0;
+
+  // The successor of `s` under outcome k, consuming the kind's draws.
+  AutomatonState apply(AutomatonState s, std::uint64_t k, Rng& rng) const {
+    if (kind == Kind::None || kind == Kind::Identity) return s;
+    const auto x = static_cast<AutomatonState>(
+        static_cast<std::int64_t>(s < floor ? rebase + (s & 1) : s) +
+        delta[k]);
+    if (kind == Kind::Shift) return x;
+    const AutomatonState even = x & ~AutomatonState{1};
+    if (even != zero) return even > zero ? up : down;
+    return rng.next_bool() ? up : down;
+  }
+};
+
+// Closed-form display rule of one display signature: every state shows
+// `symbol`, or every state shows its opinion bit (id & 1).
+struct DisplayRule {
+  enum class Kind : std::uint8_t { None, Constant, OpinionBit };
+
+  Kind kind = Kind::None;
+  Symbol symbol = 0;  // Constant only
+};
+
 // A finite per-agent state machine: the exact counterpart of one agent's
 // PullProtocol slice.  display() must match PullProtocol::display for the
 // agent's role and transition() must return the *exact* distribution of the
@@ -112,24 +168,27 @@ struct CompiledEdge {
 // become probability splits).  Implementations live in
 // core/automaton/protocol_automata.hpp.
 //
-// Thread-safety contract: interning automata (SF/SSF mirrors) may be
-// called from the engines' block-parallel update phase through
-// CompiledPopulation (update() and cells compiled on a miss), so
-// compile()/transition() must be internally synchronized (the mirrors
-// guard their intern tables with a mutex).  The *ids* handed out then
-// depend on call interleaving, which is harmless: every observable —
-// display, opinion, transition law — is a function of the interned
-// concrete state, never of the id.
+// Thread-safety contract: the engines' block-parallel update phase calls
+// compile() and update() concurrently through CompiledPopulation, so they
+// must be safe to call from several threads.  Table and SF automata are
+// immutable after construction (SF's ids are arithmetic over its
+// schedule).  Only the SSF mirror interns states on demand: it guards its
+// intern table with a mutex, and the *ids* it hands out may then depend on
+// call interleaving, which is harmless — every observable (display,
+// opinion, transition law) is a function of the interned concrete state,
+// never of the id.
 class AgentAutomaton {
  public:
   virtual ~AgentAutomaton() = default;
 
   virtual std::size_t alphabet_size() const = 0;
   // Number of state ids handed out so far: every id this automaton has
-  // returned is below it, and it only grows.  Interning automata count the
-  // states interned so far; the set of interned states is a function of
-  // the trajectory, so the count is the same at every lane count.
+  // returned is below it, and it only grows.  Table and SF automata fix it
+  // at construction; SSF counts the states interned so far (a function of
+  // the trajectory, so the same at every lane count).
   virtual std::size_t num_states() const = 0;
+  // The fresh agent's state.
+  virtual AutomatonState initial_state() const { return 0; }
   virtual Symbol display(AutomatonState state, std::uint64_t round) const = 0;
   virtual std::vector<WeightedState> transition(
       AutomatonState state, std::uint64_t round,
@@ -138,9 +197,9 @@ class AgentAutomaton {
   // Opinion an agent in `state` reports — the PullProtocol::opinion
   // counterpart, needed wherever convergence is judged from automaton states
   // (sim/lumped_engine, CompiledPopulation).  The default
-  // matches the TableAutomaton fuzz family's encoding (opinion = low state
-  // bit); the SF/SSF mirrors override it to read the interned `current`
-  // field.
+  // matches the TableAutomaton fuzz family's encoding and SF's id layout
+  // (opinion = low state bit); the SSF mirror overrides it to read the
+  // interned `current` field.
   virtual Opinion opinion(AutomatonState state) const {
     return static_cast<Opinion>(state & 1);
   }
@@ -164,6 +223,23 @@ class AgentAutomaton {
   }
   virtual std::uint64_t display_signature(std::uint64_t round) const {
     return round;
+  }
+
+  // Closed-form automata (DESIGN.md §13) promise: opinion(s) == s & 1 for
+  // every id, update_rule() is never None and display_rule() never None.
+  // CompiledPopulation then runs their rules instead of compiling cells,
+  // and keeps no per-id storage for them.  update_rule(round, h) must
+  // equal compile() for every state and every full sample of h
+  // observations, and depend on the round only through update_signature;
+  // display_rule(round) must equal display() and depend on the round only
+  // through display_signature.
+  virtual bool closed_form() const { return false; }
+  virtual UpdateRule update_rule(std::uint64_t /*round*/,
+                                 std::uint64_t /*h*/) const {
+    return {};
+  }
+  virtual DisplayRule display_rule(std::uint64_t /*round*/) const {
+    return {};
   }
 };
 

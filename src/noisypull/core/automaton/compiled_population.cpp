@@ -17,8 +17,14 @@ CompiledPopulation::CompiledPopulation(std::vector<CompiledGroup> groups,
     if (alphabet_ == 0) alphabet_ = cg.automaton->alphabet_size();
     NOISYPULL_CHECK(cg.automaton->alphabet_size() == alphabet_,
                     "all groups must share one alphabet");
+    NOISYPULL_CHECK(cg.initial < cg.automaton->num_states(),
+                    "initial state outside the automaton's state set");
     const auto gi = static_cast<std::uint32_t>(groups_.size());
     Group g;
+    g.closed_form = cg.automaton->closed_form();
+    NOISYPULL_CHECK(!g.closed_form || alphabet_ == 2,
+                    "closed-form rules need the binary alphabet");
+    g.num_states = cg.automaton->num_states();
     g.automaton = std::move(cg.automaton);
     g.agent_begin = state_.size();
     g.agent_end = state_.size() + cg.count;
@@ -61,9 +67,10 @@ Opinion CompiledPopulation::opinion(std::uint64_t agent) const {
 }
 
 Opinion CompiledPopulation::memo_opinion(const Group& g, AutomatonState s) {
+  if (g.closed_form) return static_cast<Opinion>(s & 1);
   std::vector<Opinion>& memo = g.opinion_table;
-  // Interned ids are contiguous, so filling [size, s] covers every id the
-  // group can currently hold.
+  // State ids are contiguous from 0, so filling [size, s] covers every id
+  // the group can currently hold.
   while (s >= memo.size()) {
     memo.push_back(
         g.automaton->opinion(static_cast<AutomatonState>(memo.size())));
@@ -88,18 +95,23 @@ std::uint64_t CompiledPopulation::count_opinion(Opinion o) const {
 void CompiledPopulation::begin_display_round(std::uint64_t round) {
   for (Group& g : groups_) {
     const std::uint64_t sig = g.automaton->display_signature(round);
-    if (!g.display_sig_valid || g.display_sig != sig) {
+    if (g.display_sig_valid && g.display_sig == sig) continue;
+    g.display_sig = sig;
+    g.display_sig_valid = true;
+    if (g.closed_form) {
+      g.display_rule = g.automaton->display_rule(round);
+      NOISYPULL_CHECK(g.display_rule.kind != DisplayRule::Kind::None,
+                      "closed-form automaton without a display rule");
+    } else {
       g.display_table.clear();
-      g.display_sig = sig;
-      g.display_sig_valid = true;
     }
   }
 }
 
 void CompiledPopulation::extend_display_table(Group& g, std::uint64_t round,
                                               AutomatonState s) {
-  // Interned ids are contiguous, so filling [size, s] covers every id the
-  // population can currently hold.  One virtual display() per new state —
+  // State ids are contiguous from 0, so filling [size, s] covers every id
+  // the population can currently hold.  One virtual display() per new state —
   // the only virtual calls of the whole display phase.
   for (auto id = static_cast<AutomatonState>(g.display_table.size()); id <= s;
        ++id) {
@@ -113,23 +125,31 @@ void CompiledPopulation::begin_update_round(std::uint64_t round,
   NOISYPULL_CHECK(
       num_outcomes >= 1 && num_outcomes - 1 <= MissJournal::kOutcomeMask,
       "compiled cells need an enumerable outcome space");
-  const std::uint64_t cap = kBytesPerAgent * num_agents_;
   for (Group& g : groups_) {
     const std::uint64_t sig = g.automaton->update_signature(round);
     UpdateTable& t = g.update_tables[sig];  // node-stable across inserts
-    if (t.num_outcomes == 0) t.num_outcomes = num_outcomes;
+    if (t.num_outcomes == 0) {
+      t.num_outcomes = num_outcomes;
+      if (g.closed_form) {
+        // Binary outcomes: index k is the counts (h − k, k).
+        t.rule = g.automaton->update_rule(round, num_outcomes - 1);
+        NOISYPULL_CHECK(t.rule.kind != UpdateRule::Kind::None,
+                        "closed-form automaton without an update rule");
+        NOISYPULL_CHECK(t.rule.kind == UpdateRule::Kind::Identity ||
+                            t.rule.delta.size() == num_outcomes,
+                        "closed-form rule needs one delta per outcome");
+      } else {
+        t.rows.cover(g.num_states);
+      }
+    }
     NOISYPULL_CHECK(t.num_outcomes == num_outcomes,
                     "outcome space changed across rounds sharing an update "
                     "signature (h and alphabet are fixed per run)");
-    // The interned-state count is the same at every lane count (the set of
-    // interned states is a function of the trajectory), so the row index,
-    // the cap check and the restart point are too.
-    const std::uint64_t states = g.automaton->num_states();
-    t.rows.cover(states);
-    if (t.rows.bytes() >= cap) {
-      t.rows.restart(states);
-      ++table_restarts_;
-    }
+    // Row tables are bounded by states × outcomes only while the state set
+    // is fixed; an interning automaton (SsfAutomaton) would grow them with
+    // every fresh state, so it is not compiled.
+    NOISYPULL_CHECK(g.automaton->num_states() == g.num_states,
+                    "compiled automata need a fixed state set");
     g.active = &t;
   }
   update_round_ = round;
@@ -170,8 +190,8 @@ void CompiledPopulation::end_update_round() {
               return memo_opinion(g, to) != from;
             });
       }
-      // A state interned before the table last started over has no row;
-      // a cell another block compiled first is already there.
+      // A state outside the row index has no row; a cell another block
+      // compiled first is already there.
       if (!t.rows.indexes(s) ||
           RowTable::find(t.rows.view(), s, outcome) != EdgePool::kMissing) {
         return;
@@ -182,20 +202,25 @@ void CompiledPopulation::end_update_round() {
     journal.clear();
   }
   for (Group& g : groups_) {
-    g.active->rows.compact_if_sparse();
+    UpdateTable& t = *g.active;
     // An agent can change opinion only along a cell of its group's active
-    // table: hits resolve cells merged in earlier rounds of the signature,
-    // misses the journal cells just folded into the bit.
-    if (g.active->changes_opinion) {
-      opinion_counts_stale_.store(true, std::memory_order_relaxed);
-    }
+    // table (hits resolve cells merged in earlier rounds of the signature,
+    // misses the journal cells just folded into the bit), or under a
+    // closed-form sign step: shifts keep the opinion bit.
+    t.rows.compact_if_sparse();
+    const bool changes = g.closed_form
+                             ? t.rule.kind == UpdateRule::Kind::SignStep
+                             : t.changes_opinion;
+    if (changes) opinion_counts_stale_.store(true, std::memory_order_relaxed);
   }
 }
 
 std::uint64_t CompiledPopulation::table_bytes() const noexcept {
   std::uint64_t bytes = 0;
   for (const Group& g : groups_) {
-    for (const auto& [sig, t] : g.update_tables) bytes += t.rows.bytes();
+    for (const auto& [sig, t] : g.update_tables) {
+      bytes += t.rows.bytes() + t.rule.delta.capacity() * sizeof(std::int32_t);
+    }
   }
   return bytes;
 }
@@ -304,13 +329,13 @@ void MissJournal::clear() {
 void RowTable::cover(std::uint64_t num_states) {
   NOISYPULL_CHECK(num_states <= EdgePool::kEdgeTag,
                   "state ids exceed the inline entry range");
-  if (num_states - base_ > rows_.size()) rows_.resize(num_states - base_);
+  if (num_states > rows_.size()) rows_.resize(num_states);
 }
 
 void RowTable::insert(AutomatonState s, std::uint64_t outcome,
                       std::uint32_t entry, const EdgePool& from,
                       std::uint64_t num_outcomes) {
-  Row& r = rows_[s - base_];
+  Row& r = rows_[s];
   const auto o = static_cast<std::uint32_t>(outcome);
   const std::uint32_t hi = r.lo + r.width;
   if (r.width == 0 || o < r.lo || o >= hi) {
@@ -354,11 +379,6 @@ void RowTable::compact_if_sparse() {
   dead_ = 0;
 }
 
-void RowTable::restart(std::uint64_t num_states) {
-  *this = RowTable();  // move-assigns empty vectors: releases capacity
-  base_ = static_cast<AutomatonState>(num_states);
-}
-
 std::size_t RowTable::bytes() const noexcept {
   return rows_.capacity() * sizeof(Row) +
          entries_.capacity() * sizeof(std::uint32_t) + pool_.bytes();
@@ -368,20 +388,17 @@ std::unique_ptr<CompiledPopulation> make_compiled_sf(
     const PopulationConfig& pop, const SfSchedule& schedule) {
   pop.validate();
   std::vector<CompiledGroup> groups;
-  if (pop.s1 > 0) {
-    groups.push_back(
-        {pop.s1, std::make_shared<SfAutomaton>(schedule, true, Opinion{1}), 0});
-  }
-  if (pop.s0 > 0) {
-    groups.push_back(
-        {pop.s0, std::make_shared<SfAutomaton>(schedule, true, Opinion{0}), 0});
-  }
-  const std::uint64_t nonsources = pop.n - pop.num_sources();
-  if (nonsources > 0) {
-    groups.push_back(
-        {nonsources, std::make_shared<SfAutomaton>(schedule, false, Opinion{0}),
-         0});
-  }
+  const auto add_group = [&](std::uint64_t count, bool is_source,
+                             Opinion preference) {
+    if (count == 0) return;
+    auto automaton =
+        std::make_shared<const SfAutomaton>(schedule, is_source, preference);
+    const AutomatonState fresh = automaton->initial_state();
+    groups.push_back({count, std::move(automaton), fresh});
+  };
+  add_group(pop.s1, true, Opinion{1});
+  add_group(pop.s0, true, Opinion{0});
+  add_group(pop.n - pop.num_sources(), false, Opinion{0});
   return std::make_unique<CompiledPopulation>(std::move(groups),
                                               schedule.total_rounds());
 }

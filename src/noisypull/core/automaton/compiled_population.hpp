@@ -1,26 +1,32 @@
-// CompiledPopulation — the production-scale adapter from interned automata
-// to the engines' compiled fast path (DESIGN.md §13).
+// CompiledPopulation — the production-scale adapter from automata to the
+// engines' compiled fast path (DESIGN.md §13).
 //
 // Per-agent protocol state is ONE flat std::vector<std::uint32_t> of
-// interned automaton state ids (SoA, cache-linear, no per-agent objects).
-// The engines drive two non-virtual phase APIs per round:
+// automaton state ids (SoA, cache-linear, no per-agent objects).  The
+// engines drive two non-virtual phase APIs per round:
 //
-//   display phase   begin_display_round() + display_at(): a per-state memo
-//                   table (state id → symbol) keyed by the automaton's
-//                   display_signature, so the serial digest loop does one
-//                   array lookup per agent and at most O(#occupied states)
-//                   virtual display() calls per signature change.
+//   display phase   for_each_display(): walks the agents group run by group
+//                   run, one dispatch per run.  A closed-form group shows
+//                   its DisplayRule (one symbol, or the id's opinion bit);
+//                   any other group reads a per-state memo table (state id
+//                   → symbol) keyed by the automaton's display_signature,
+//                   so the serial digest loop does one array lookup per
+//                   agent and at most O(#occupied states) virtual display()
+//                   calls per signature change.
 //
 //   update phase    begin_update_round() + apply_block()/apply() +
-//                   end_update_round(): a memoized (state, outcome index) →
-//                   compiled-edge row table per (group, update_signature),
-//                   filled by compile-on-miss.  An agent whose cell is not
-//                   yet compiled compiles it inline — compile() draws
-//                   nothing, so sample_index() followed by the edge's draws
-//                   stays draw-for-draw identical — into its block's miss
-//                   journal; journals merge into the tables serially after
-//                   the block-parallel phase, so tables are read-only while
-//                   lanes run.  No virtual dispatch on a hit.
+//                   end_update_round(), one table per (group,
+//                   update_signature).  A closed-form group's table is its
+//                   UpdateRule (shift, sign step or identity: arithmetic on
+//                   the id, no memory per state).  Any other group's table
+//                   is a memoized (state, outcome index) → compiled-edge
+//                   row table, filled by compile-on-miss.  An agent whose
+//                   cell is not yet compiled compiles it inline — compile()
+//                   draws nothing, so sample_index() followed by the edge's
+//                   draws stays draw-for-draw identical — into its block's
+//                   miss journal; journals merge into the tables serially
+//                   after the block-parallel phase, so tables are read-only
+//                   while lanes run.  No virtual dispatch on a hit.
 //
 // Bit-identity contract: under an engine running the fast path, the replay
 // digest and final opinions are identical to the same CompiledPopulation
@@ -31,18 +37,16 @@
 // SSF is not compiled: its memory histograms are fresh nearly every round,
 // so its cells almost never hit (DESIGN.md §13).
 //
-// Table layout: a hit is two dependent array loads — the state's row
+// Row-table layout: a hit is two dependent array loads — the state's row
 // header (rows indexed directly by state id), then the 4-byte entry of the
 // outcome inside the row's window.  A row holds only the outcome window
 // [lo, hi) its state has realized in rounds of the table's signature,
 // widened at merge; observation outcomes cluster around their mean, so
 // windows stay narrow.  Tables live for the run and are reused by every
-// round sharing their signature.  Protocol phases whose states recur (Table
-// states, SF boosting balances) hit almost always.  SF's listening phase at
-// s1 = 1 is long, and its balances keep spreading, so agents keep reaching
-// cells no earlier round realized; a table whose storage reaches
-// kBytesPerAgent bytes per agent starts over — row index included — so
-// such a phase holds O(n) bytes rather than one cell per agent-round.
+// round sharing their signature.  Row tables serve automata with a fixed
+// state set (Table), and each cell is compiled once per table, so a table
+// is bounded by states × outcomes whatever n and the horizon: SF, whose
+// balances keep spreading, runs closed-form rules instead.
 #pragma once
 
 #include <algorithm>
@@ -83,6 +87,7 @@ class EdgePool {
  public:
   static constexpr std::uint32_t kEdgeTag = std::uint32_t{1} << 31;
   static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
+  static_assert(kEdgeTag == kMaxStateIds, "every state id must fit inline");
 
   // Encodes `e`, pooling it unless it is deterministic.
   std::uint32_t add(const CompiledEdge& e);
@@ -211,12 +216,10 @@ class MissJournal {
 };
 
 // The persistent (state id → outcome row) table of one (group, update
-// signature).  rows_[s − base_] is the window of state s: its entries
-// for outcomes lo .. lo + width − 1 sit at entries_[start ...].  The row
-// index covers ids [base_, num_states) — every id the automaton has handed
-// out since the table last started over — so its size, like every other
-// byte here, is a function of the trajectory, not of the order in which
-// concurrent lanes interned states.
+// signature).  rows_[s] is the window of state s: its entries for outcomes
+// lo .. lo + width − 1 sit at entries_[start ...].  The row index covers
+// the automaton's fixed state set, so every byte here is a function of the
+// trajectory, not of the order in which concurrent lanes compiled cells.
 class RowTable {
  public:
   struct Row {
@@ -227,42 +230,35 @@ class RowTable {
 
   // The hot-loop view: plain pointers, hoisted across an agent run.
   struct View {
-    AutomatonState base;
     std::uint32_t num_rows;
     const Row* rows;
     const std::uint32_t* entries;
   };
 
   View view() const noexcept {
-    return {base_, static_cast<std::uint32_t>(rows_.size()), rows_.data(),
+    return {static_cast<std::uint32_t>(rows_.size()), rows_.data(),
             entries_.data()};
   }
 
   // The (state, outcome) entry, or EdgePool::kMissing.
   static std::uint32_t find(const View& v, AutomatonState s,
                             std::uint64_t outcome) noexcept {
-    const std::uint32_t rel = s - v.base;  // wraps below base
-    if (rel >= v.num_rows) return EdgePool::kMissing;
-    const Row r = v.rows[rel];
+    if (s >= v.num_rows) return EdgePool::kMissing;
+    const Row r = v.rows[s];
     const auto k = static_cast<std::uint32_t>(outcome) - r.lo;
     return k < r.width ? v.entries[r.start + k] : EdgePool::kMissing;
   }
 
   const EdgePool& pool() const noexcept { return pool_; }
-  // First id of the row index, and the window of state s (width 0 if s
-  // has no row or has realized no outcome).
-  AutomatonState base() const noexcept { return base_; }
+  // The window of state s (width 0 if s has no row or has realized no
+  // outcome).
   Row row(AutomatonState s) const noexcept {
-    return indexes(s) ? rows_[s - base_] : Row{};
+    return indexes(s) ? rows_[s] : Row{};
   }
 
   // Extends the row index to every id below num_states with empty rows.
   void cover(std::uint64_t num_states);
-  // Whether state s has a row (ids interned before the last restart do
-  // not: their cells stay misses, compiled in the journals each round).
-  bool indexes(AutomatonState s) const noexcept {
-    return s >= base_ && s - base_ < rows_.size();
-  }
+  bool indexes(AutomatonState s) const noexcept { return s < rows_.size(); }
   // Stores `entry` (from pool `from`) for an absent (s, outcome) cell of
   // an indexed state, widening the row's window to cover `outcome`.
   void insert(AutomatonState s, std::uint64_t outcome, std::uint32_t entry,
@@ -270,14 +266,11 @@ class RowTable {
   // Rewrites the entries back to back once widened windows left more dead
   // entries than live ones.
   void compact_if_sparse();
-  // Releases all storage; the row index restarts at id num_states.
-  void restart(std::uint64_t num_states);
 
   // Storage held (vector capacities), in bytes.
   std::size_t bytes() const noexcept;
 
  private:
-  AutomatonState base_ = 0;
   std::vector<Row> rows_;
   std::vector<std::uint32_t> entries_;
   std::size_t dead_ = 0;  // entries left behind by widened windows
@@ -300,11 +293,12 @@ class CompiledPopulation final : public PullProtocol {
   void update(std::uint64_t agent, std::uint64_t round,
               const SymbolCounts& obs, Rng& rng) override;
   Opinion opinion(std::uint64_t agent) const override;
-  // Answers from a cached opinion histogram, recounted (O(n) array lookups
-  // through a per-state opinion memo, one virtual opinion() per interned
-  // state, ever) only when a round since the last recount could have
-  // changed an opinion: a virtual update(), or a round whose table (in any
-  // group) holds a cell leading from a state to one of another opinion —
+  // Answers from a cached opinion histogram, recounted (O(n): the id's
+  // low bit in closed-form groups, else array lookups through a per-state
+  // opinion memo, one virtual opinion() per state, ever) only when a round
+  // since the last recount could have changed an opinion: a virtual
+  // update(), a round whose row table (in any group) holds a cell leading
+  // from a state to one of another opinion, or a closed-form sign step —
   // see end_update_round().  Not safe to call concurrently with itself or
   // with a round; the run loop calls it between rounds.
   std::uint64_t count_opinion(Opinion o) const override;
@@ -312,47 +306,73 @@ class CompiledPopulation final : public PullProtocol {
   CompiledAccess compiled_access() override { return {.population = this}; }
 
   // ---- Display phase (serial: the engine's digest loop) -----------------
-  void begin_display_round(std::uint64_t round);
-
-  Symbol display_at(std::uint64_t agent, std::uint64_t round) {
-    Group& g = groups_[group_of_[agent]];
-    const AutomatonState s = state_[agent];
-    if (s >= g.display_table.size()) extend_display_table(g, round, s);
-    return g.display_table[s];
+  // Calls visit(symbol) for agents 0 .. end − 1 in index order, with the
+  // display each shows in `round`.  One dispatch per group run: a
+  // closed-form group shows its DisplayRule, any other group its memo
+  // table (extended on demand).
+  template <typename Visit>
+  void for_each_display(std::uint64_t round, std::uint64_t end,
+                        Visit&& visit) {
+    begin_display_round(round);
+    for (Group& g : groups_) {
+      const std::uint64_t stop = g.agent_end < end ? g.agent_end : end;
+      std::uint64_t i = g.agent_begin;
+      if (i >= stop) break;
+      switch (g.display_rule.kind) {
+        case DisplayRule::Kind::Constant:
+          for (; i < stop; ++i) visit(g.display_rule.symbol);
+          break;
+        case DisplayRule::Kind::OpinionBit:
+          for (; i < stop; ++i) visit(static_cast<Symbol>(state_[i] & 1));
+          break;
+        case DisplayRule::Kind::None:
+          for (; i < stop; ++i) {
+            const AutomatonState s = state_[i];
+            if (s >= g.display_table.size()) extend_display_table(g, round, s);
+            visit(g.display_table[s]);
+          }
+          break;
+      }
+    }
   }
 
   // ---- Update phase -----------------------------------------------------
-  // Selects this round's table per group (by update_signature), extends its
-  // row index to the automaton's current states, starts it over if it has
-  // reached its storage cap, and readies `journals` empty miss journals.
-  // Serial, before the block-parallel phase.  `num_outcomes` is the size
-  // of the round's InverseCdf outcome enumeration — a function of (h, d)
-  // only, so every InverseCdf sampler of the round shares it.
+  // Selects this round's table per group (by update_signature), building
+  // it on the signature's first round: a closed-form group's rule, any
+  // other group's empty row table over its state set.  Readies `journals`
+  // empty miss journals.  Serial, before the block-parallel phase.
+  // `num_outcomes` is the size of the round's InverseCdf outcome
+  // enumeration — a function of (h, d) only, so every InverseCdf sampler
+  // of the round shares it.
   void begin_update_round(std::uint64_t round, std::uint64_t num_outcomes,
                           std::size_t journals);
 
   // Applies outcome index `outcome` (from sample_index() on `sampler`, the
-  // agent's InverseCdf sampler) to one agent: a row lookup plus the
-  // edge's exact draws, compiling the cell into journal `journal` on a
-  // miss.  Thread-safe across distinct agents as long as concurrent callers
-  // use distinct journals: tables are read-only during the phase,
-  // state_[agent] is owner-written.
+  // agent's InverseCdf sampler) to one agent: its group's rule, or a row
+  // lookup plus the edge's exact draws, compiling the cell into journal
+  // `journal` on a miss.  Thread-safe across distinct agents as long as
+  // concurrent callers use distinct journals: tables are read-only during
+  // the phase, state_[agent] is owner-written.
   void apply(std::size_t journal, std::uint64_t agent,
              const ObservationSampler& sampler, std::uint64_t outcome,
              Rng& rng) {
     const Group& g = groups_[group_of_[agent]];
-    state_[agent] = step(g, g.active->rows.view(), journals_[journal],
-                         state_[agent], outcome, sampler, rng);
+    const UpdateTable& t = *g.active;
+    state_[agent] =
+        t.rule.kind == UpdateRule::Kind::None
+            ? step(g, t.rows.view(), journals_[journal], state_[agent],
+                   outcome, sampler, rng)
+            : t.rule.apply(state_[agent], outcome, rng);
   }
 
   // Runs the whole update phase for agents [begin, end) in one call:
   // per agent, one sample_index() on the agent's rng followed by the
   // cell's exact draws — the same draw sequence, draw for draw, as the
   // engine calling apply(journal, i, sampler, sampler.sample_index(rng),
-  // rng) per agent.  The group's table view is hoisted across each
-  // contiguous agent run, so the inner loop carries no per-agent group
-  // lookup or fault check — the engines route blocks here only when no
-  // fault decorator is active for the round.
+  // rng) per agent.  The group's table is hoisted and its kind dispatched
+  // once per contiguous agent run, so the inner loop carries no per-agent
+  // group lookup, dispatch or fault check — the engines route blocks here
+  // only when no fault decorator is active for the round.
   void apply_block(std::size_t journal, std::uint64_t begin, std::uint64_t end,
                    const ObservationSampler& sampler, Rng& rng) {
     MissJournal& misses = journals_[journal];
@@ -361,40 +381,63 @@ class CompiledPopulation final : public PullProtocol {
     while (i < end) {
       const Group& g = groups_[gi];
       const std::uint64_t run_end = g.agent_end < end ? g.agent_end : end;
-      const RowTable::View v = g.active->rows.view();
-      for (; i < run_end; ++i) {
-        const std::uint64_t outcome = sampler.sample_index(rng);
-        state_[i] = step(g, v, misses, state_[i], outcome, sampler, rng);
+      const UpdateRule& rule = g.active->rule;
+      switch (rule.kind) {
+        case UpdateRule::Kind::None: {
+          const RowTable::View v = g.active->rows.view();
+          for (; i < run_end; ++i) {
+            const std::uint64_t outcome = sampler.sample_index(rng);
+            state_[i] = step(g, v, misses, state_[i], outcome, sampler, rng);
+          }
+          break;
+        }
+        case UpdateRule::Kind::Identity:
+          // The engine still draws every agent's sample: later agents of
+          // the block read the substream after it.
+          for (; i < run_end; ++i) sampler.sample_index(rng);
+          break;
+        case UpdateRule::Kind::Shift: {
+          const AutomatonState floor = rule.floor;
+          const AutomatonState rebase = rule.rebase;
+          const std::int32_t* delta = rule.delta.data();
+          for (; i < run_end; ++i) {
+            const std::uint64_t outcome = sampler.sample_index(rng);
+            const AutomatonState s = state_[i];
+            // Unsigned wrap-around add: the sum is the in-range id.
+            state_[i] = (s < floor ? rebase + (s & 1) : s) +
+                        static_cast<AutomatonState>(delta[outcome]);
+          }
+          break;
+        }
+        case UpdateRule::Kind::SignStep:
+          for (; i < run_end; ++i) {
+            const std::uint64_t outcome = sampler.sample_index(rng);
+            state_[i] = rule.apply(state_[i], outcome, rng);
+          }
+          break;
       }
       ++gi;
     }
   }
 
-  // Merges this round's miss journals into the tables.  Serial, after the
-  // block-parallel phase.  A cell compiled by several blocks is the same
-  // edge each time (compile() is a function of the concrete state), so the
-  // merge keeps one.  Every journal cell, merged or dropped, also feeds its
-  // table's sticky opinion bit; a round whose tables have it set
-  // invalidates the cached opinion histogram.
+  // Merges this round's miss journals into the row tables.  Serial, after
+  // the block-parallel phase.  A cell compiled by several blocks is the
+  // same edge each time (compile() is a function of the concrete state),
+  // so the merge keeps one.  Every journal cell, merged or dropped, also
+  // feeds its table's sticky opinion bit; a round whose tables have it set,
+  // or whose closed-form rule is a sign step, invalidates the cached
+  // opinion histogram.
   void end_update_round();
-
-  // A table whose storage reaches this many bytes per agent starts over
-  // (row index included) at the next round of its signature, and refills
-  // with the cells later rounds realize: a phase that keeps reaching new
-  // cells (SF listening at s1 = 1) keeps O(n) bytes instead of one cell per
-  // agent-round.  Table tables and SF boosting stay far below it.
-  static constexpr std::uint64_t kBytesPerAgent = 256;
 
   // ---- Telemetry (deterministic: functions of the trajectory) ----------
   // Distinct (group, signature, state, outcome) cells compiled into the
-  // tables so far (a cell compiled again after its table started over
-  // counts again).  Interned ids are a bijection with concrete states, so
-  // the count does not depend on id order, lanes or thread interleaving.
+  // row tables so far; closed-form groups compile none.  Compiled cells
+  // are a function of the concrete states, so the count does not depend on
+  // id order, lanes or thread interleaving.
   std::uint64_t cells_compiled() const noexcept { return cells_compiled_; }
-  // Bytes the tables hold now: row index, entries and edge pools.
+  // Bytes the tables hold now: row index, entries and edge pools, and the
+  // closed-form rules' per-outcome deltas.
   std::uint64_t table_bytes() const noexcept;
-  // Times a table reached kBytesPerAgent bytes per agent and started over.
-  std::uint64_t table_restarts() const noexcept { return table_restarts_; }
   // Times count_opinion() recounted the population instead of answering
   // from its cached histogram.  The invalidating rounds are a function of
   // the trajectory (the tables' opinion bits are set by the cells the
@@ -411,24 +454,36 @@ class CompiledPopulation final : public PullProtocol {
 
   struct UpdateTable {
     std::uint64_t num_outcomes = 0;
+    // Closed-form groups: the signature's rule (never None); the rows stay
+    // empty.  Other groups: kind None, and the row table.
+    UpdateRule rule;
     RowTable rows;
     // Sticky: some cell compiled for this signature leads from a state to
-    // a target of another opinion.  Survives the rows' restarts.
+    // a target of another opinion.
     bool changes_opinion = false;
   };
 
   struct Group {
     std::shared_ptr<const AgentAutomaton> automaton;
+    // Closed form (AgentAutomaton::closed_form()): rules instead of cells,
+    // opinion = id & 1, and no per-id storage.
+    bool closed_form = false;
+    // The automaton's state count, required fixed (see the row-table
+    // bound in the header comment).
+    std::uint64_t num_states = 0;
     // The group's agents occupy one contiguous index run [begin, end) —
     // the constructor lays groups out back to back.
     std::uint64_t agent_begin = 0;
     std::uint64_t agent_end = 0;
     std::uint64_t key_bits = 0;  // group index, shifted into a journal key
-    // Display memo for the current display signature.
+    // Display for the current display signature: the closed-form rule, or
+    // (kind None) the memo table.
     bool display_sig_valid = false;
     std::uint64_t display_sig = 0;
+    DisplayRule display_rule;
     std::vector<Symbol> display_table;
-    // Opinion memo (state id → opinion); opinions ignore the round.
+    // Opinion memo (state id → opinion) of row-table groups; opinions
+    // ignore the round.
     mutable std::vector<Opinion> opinion_table;
     // Update tables, one per update signature, persistent for the run.
     // std::map: node stability keeps `active` valid across insertions (and
@@ -442,7 +497,7 @@ class CompiledPopulation final : public PullProtocol {
     return g.key_bits | (static_cast<std::uint64_t>(s) << 32) | outcome;
   }
 
-  // One agent's update: a row-table hit resolves in place; a miss goes
+  // One agent's row-table update: a hit resolves in place; a miss goes
   // through the block's journal.
   AutomatonState step(const Group& g, const RowTable::View& v,
                       MissJournal& misses, AutomatonState s,
@@ -454,9 +509,13 @@ class CompiledPopulation final : public PullProtocol {
     return resolve_miss(misses, journal_key(g, s, outcome), g, sampler, rng);
   }
 
+  // Refreshes each group's display rule or memo when its display signature
+  // changes.
+  void begin_display_round(std::uint64_t round);
   void extend_display_table(Group& g, std::uint64_t round, AutomatonState s);
 
-  // State s's opinion through the group's memo, extending it on demand.
+  // State s's opinion: the id's low bit in a closed-form group, else
+  // through the group's memo, extending it on demand.
   static Opinion memo_opinion(const Group& g, AutomatonState s);
 
   // Miss path of apply()/apply_block(): finds or compiles the cell in the
@@ -470,7 +529,6 @@ class CompiledPopulation final : public PullProtocol {
   std::uint64_t planned_rounds_ = 0;
   std::uint64_t update_round_ = 0;  // round of the open update phase
   std::uint64_t cells_compiled_ = 0;
-  std::uint64_t table_restarts_ = 0;
   // Cached opinion histogram behind count_opinion().  `stale` is set by
   // virtual update() calls, which run concurrently across lanes (hence
   // atomic; relaxed suffices, the round's barrier orders it before the
@@ -483,13 +541,15 @@ class CompiledPopulation final : public PullProtocol {
   std::vector<MissJournal> journals_;    // one per engine block
   std::vector<Group> groups_;
   std::vector<std::uint32_t> group_of_;  // agent → group index
-  std::vector<std::uint32_t> state_;     // agent → interned state id (SoA)
+  std::vector<std::uint32_t> state_;     // agent → state id (SoA)
 };
 
 // Factory mirroring SourceFilter's agent layout (sources preferring 1
 // first, then sources preferring 0, then non-sources —
-// PopulationConfig::is_source/source_preference).  The returned population
-// is draw-for-draw interchangeable with SourceFilter under any engine.
+// PopulationConfig::is_source/source_preference), every agent fresh
+// (SfAutomaton::initial_state()).  The returned population is draw-for-draw
+// interchangeable with SourceFilter under any engine; its groups are
+// closed-form, so it compiles no cell.
 std::unique_ptr<CompiledPopulation> make_compiled_sf(
     const PopulationConfig& pop, const SfSchedule& schedule);
 

@@ -1,5 +1,7 @@
 #include "noisypull/core/automaton/protocol_automata.hpp"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "noisypull/common/check.hpp"
@@ -57,42 +59,61 @@ std::vector<WeightedState> TableAutomaton::transition(
 // --------------------------------------------------------------------------
 // SfAutomaton
 
+namespace {
+
+// a·b and a + b, saturated at kMaxStateIds: a schedule far past the id
+// bound must be refused, never wrap back below it.
+std::uint64_t capped_mul(std::uint64_t a, std::uint64_t b) {
+  return b != 0 && a > kMaxStateIds / b ? kMaxStateIds
+                                        : std::min(a * b, kMaxStateIds);
+}
+std::uint64_t capped_add(std::uint64_t a, std::uint64_t b) {
+  return std::min(a + b, kMaxStateIds);  // both operands <= kMaxStateIds
+}
+
+}  // namespace
+
 SfAutomaton::SfAutomaton(SfSchedule schedule, bool is_source,
                          Opinion preference)
     : schedule_(schedule), is_source_(is_source),
       preference_(preference & 1) {
   NOISYPULL_CHECK(schedule_.phase_rounds >= 1, "SF needs listening rounds");
-  const std::lock_guard<std::mutex> lock(intern_mutex_);
-  intern(Concrete{});  // state 0: the fresh agent
+  const std::uint64_t h = schedule_.h;
+  const std::uint64_t listen = capped_mul(schedule_.phase_rounds, h);
+  const std::uint64_t boosting_rounds = capped_add(
+      capped_mul(schedule_.num_subphases, schedule_.subphase_rounds),
+      std::min(schedule_.final_rounds, kMaxStateIds));
+  const std::uint64_t boost = capped_mul(boosting_rounds, h);
+  // Each region holds 2·bound + 1 balances, each with two currents.
+  const std::uint64_t span = 2 * (2 * listen + 1) + 2 * (2 * boost + 1);
+  NOISYPULL_CHECK(
+      span <= kMaxStateIds,
+      "SF schedule (h = " + std::to_string(h) +
+          ", phase_rounds = " + std::to_string(schedule_.phase_rounds) +
+          ", boosting rounds = " + std::to_string(boosting_rounds) +
+          ") needs at least " + std::to_string(span) +
+          " state ids; SF ids must stay below 2^31");
+  listen_bound_ = static_cast<std::int64_t>(listen);
+  boost_bound_ = static_cast<std::int64_t>(boost);
+  boost_base_ = static_cast<AutomatonState>(2 * (2 * listen + 1));
+  num_states_ = static_cast<std::size_t>(span);
 }
 
-// Callers must hold intern_mutex_.
-AutomatonState SfAutomaton::intern(const Concrete& c) const {
-  const auto it = ids_.find(c);
-  if (it != ids_.end()) return it->second;
-  const auto id = static_cast<AutomatonState>(states_.size());
-  states_.push_back(c);
-  ids_.emplace(c, id);
-  return id;
+AutomatonState SfAutomaton::listen_id(std::int64_t balance,
+                                      Opinion current) const {
+  NOISYPULL_CHECK(balance >= -listen_bound_ && balance <= listen_bound_,
+                  "SF listening balance outside the schedule's bound (more "
+                  "than h observations in a round?)");
+  return static_cast<AutomatonState>(2 * (balance + listen_bound_) + current);
 }
 
-std::size_t SfAutomaton::num_states() const {
-  const std::lock_guard<std::mutex> lock(intern_mutex_);
-  return states_.size();
-}
-
-SfAutomaton::Concrete SfAutomaton::concrete(AutomatonState state) const {
-  const std::lock_guard<std::mutex> lock(intern_mutex_);
-  NOISYPULL_ASSERT(state < states_.size());
-  return states_[state];
-}
-
-Symbol SfAutomaton::display(AutomatonState state, std::uint64_t round) const {
-  if (round < schedule_.boosting_start()) {
-    if (is_source_) return preference_;
-    return round < schedule_.phase_rounds ? Symbol{0} : Symbol{1};
-  }
-  return concrete(state).current;
+AutomatonState SfAutomaton::boost_id(std::int64_t balance,
+                                     Opinion current) const {
+  NOISYPULL_CHECK(balance >= -boost_bound_ && balance <= boost_bound_,
+                  "SF boosting balance outside the schedule's bound (more "
+                  "than h observations in a round?)");
+  return boost_base_ +
+         static_cast<AutomatonState>(2 * (balance + boost_bound_) + current);
 }
 
 bool SfAutomaton::is_subphase_end(std::uint64_t round) const noexcept {
@@ -107,13 +128,30 @@ bool SfAutomaton::is_subphase_end(std::uint64_t round) const noexcept {
   return off + 1 == short_span + schedule_.final_rounds;
 }
 
-std::uint64_t SfAutomaton::update_signature(std::uint64_t round) const {
-  if (round < schedule_.phase_rounds) return 0;  // Phase 0: count 1s
-  if (round < schedule_.boosting_start()) {      // Phase 1: count 0s, ...
-    return round + 1 == schedule_.boosting_start() ? 2 : 1;  // ... then finish
+SfAutomaton::Step SfAutomaton::step(std::uint64_t round) const noexcept {
+  if (round < schedule_.phase_rounds) {  // Phase 0: count 1s
+    return {Step::Kind::Listen, 1, 0, false};
   }
-  if (round >= schedule_.total_rounds()) return 5;  // terminated (identity)
-  return is_subphase_end(round) ? 4 : 3;  // boosting: sub-phase end / middle
+  if (round < schedule_.boosting_start()) {  // Phase 1: count 0s, then finish
+    return {Step::Kind::Listen, 0, 1, round + 1 == schedule_.boosting_start()};
+  }
+  if (round >= schedule_.total_rounds()) {  // terminated
+    return {Step::Kind::Identity, 0, 0, false};
+  }
+  return {Step::Kind::Boost, 1, 1, is_subphase_end(round)};
+}
+
+std::uint64_t SfAutomaton::update_signature(std::uint64_t round) const {
+  const Step st = step(round);
+  switch (st.kind) {
+    case Step::Kind::Listen:
+      return st.sign ? 2 : (st.ones != 0 ? 0 : 1);
+    case Step::Kind::Boost:
+      return st.sign ? 4 : 3;
+    case Step::Kind::Identity:
+      break;
+  }
+  return 5;
 }
 
 std::uint64_t SfAutomaton::display_signature(std::uint64_t round) const {
@@ -121,109 +159,109 @@ std::uint64_t SfAutomaton::display_signature(std::uint64_t round) const {
   return round < schedule_.boosting_start() ? 1 : 2;
 }
 
+DisplayRule SfAutomaton::display_rule(std::uint64_t round) const {
+  if (round >= schedule_.boosting_start()) {
+    return {.kind = DisplayRule::Kind::OpinionBit};
+  }
+  if (is_source_) return {.kind = DisplayRule::Kind::Constant,
+                          .symbol = preference_};
+  // Non-sources: Phase 0 → display 0; Phase 1 → display 1.
+  return {.kind = DisplayRule::Kind::Constant,
+          .symbol = round < schedule_.phase_rounds ? Symbol{0} : Symbol{1}};
+}
+
+Symbol SfAutomaton::display(AutomatonState state, std::uint64_t round) const {
+  const DisplayRule rule = display_rule(round);
+  return rule.kind == DisplayRule::Kind::Constant
+             ? rule.symbol
+             : static_cast<Symbol>(state & 1);
+}
+
+std::int64_t SfAutomaton::moved(const Step& st, AutomatonState s,
+                                std::uint64_t zeros,
+                                std::uint64_t ones) const noexcept {
+  std::int64_t balance = 0;
+  if (st.kind == Step::Kind::Listen) {
+    balance = static_cast<std::int64_t>(s >> 1) - listen_bound_;
+  } else if (s >= boost_base_) {
+    balance = static_cast<std::int64_t>((s - boost_base_) >> 1) - boost_bound_;
+  }  // else: stalled through the finish, so the boost counters start at 0
+  return balance + st.ones * static_cast<std::int64_t>(ones) -
+         st.zeros * static_cast<std::int64_t>(zeros);
+}
+
+std::array<AutomatonState, 2> SfAutomaton::successors(
+    const Step& st, AutomatonState s, std::int64_t balance) const {
+  if (st.kind == Step::Kind::Identity) return {s, s};
+  if (!st.sign) {
+    const auto current = static_cast<Opinion>(s & 1);
+    const AutomatonState to = st.kind == Step::Kind::Listen
+                                  ? listen_id(balance, current)
+                                  : boost_id(balance, current);
+    return {to, to};
+  }
+  // finish_listening / finish_subphase: current ← majority of the counter
+  // pair, tie → coin; the agent continues at boost balance 0.  Only current
+  // is kept: nothing later reads weak or the listening counters.
+  if (balance != 0) {
+    const AutomatonState to = boost_id(0, balance > 0 ? 1 : 0);
+    return {to, to};
+  }
+  return {boost_id(0, 0), boost_id(0, 1)};
+}
+
 std::vector<WeightedState> SfAutomaton::transition(
     AutomatonState state, std::uint64_t round, const SymbolCounts& obs) const {
   NOISYPULL_CHECK(obs.size == 2, "SF expects a binary alphabet");
-  const std::lock_guard<std::mutex> lock(intern_mutex_);
-  NOISYPULL_ASSERT(state < states_.size());
-  Concrete c = states_[state];
-
-  if (round < schedule_.phase_rounds) {
-    c.listen += static_cast<std::int64_t>(obs[1]);
-    return {{intern(c), 1.0}};
-  }
-  if (round < schedule_.boosting_start()) {
-    c.listen -= static_cast<std::int64_t>(obs[0]);
-    if (round + 1 != schedule_.boosting_start()) return {{intern(c), 1.0}};
-    // finish_listening: weak ← majority of the two counters, tie → coin;
-    // current ← weak.  Only current is kept: nothing after this round reads
-    // weak or the listening counters (boost is still 0 here).
-    const bool tie = c.listen == 0;
-    const Opinion majority = c.listen > 0 ? 1 : 0;
-    c.listen = 0;
-    if (!tie) {
-      c.current = majority;
-      return {{intern(c), 1.0}};
-    }
-    Concrete heads = c;
-    heads.current = 1;
-    Concrete tails = c;
-    tails.current = 0;
-    return coin_split(intern(heads), intern(tails));
-  }
-  if (round >= schedule_.total_rounds()) return {{state, 1.0}};
-  c.listen = 0;  // dead; nonzero only if the finish round was stalled
-  c.boost += static_cast<std::int64_t>(obs[1]) -
-             static_cast<std::int64_t>(obs[0]);
-  if (!is_subphase_end(round)) return {{intern(c), 1.0}};
-  // finish_subphase: current ← majority of boost ones vs zeros, tie → coin.
-  const std::int64_t balance = c.boost;
-  c.boost = 0;
-  if (balance != 0) {
-    c.current = balance > 0 ? 1 : 0;
-    return {{intern(c), 1.0}};
-  }
-  Concrete heads = c;
-  heads.current = 1;
-  Concrete tails = c;
-  tails.current = 0;
-  return coin_split(intern(heads), intern(tails));
+  NOISYPULL_ASSERT(state < num_states_);
+  const Step st = step(round);
+  const auto [tails, heads] =
+      successors(st, state, moved(st, state, obs[0], obs[1]));
+  return coin_split(heads, tails);
 }
 
-// Same branch structure as transition(), but returning the *sampling
-// procedure* with SourceFilter::update's exact draw pattern: no draw on
-// deterministic moves, one next_bool() per realized tie (heads → opinion 1).
+// Same successors as transition(), but as the *sampling procedure* with
+// SourceFilter::update's exact draw pattern: no draw on deterministic
+// moves, one next_bool() per realized tie (heads → opinion 1).
 CompiledEdge SfAutomaton::compile(AutomatonState state, std::uint64_t round,
                                   const SymbolCounts& obs) const {
   NOISYPULL_CHECK(obs.size == 2, "SF expects a binary alphabet");
-  const std::lock_guard<std::mutex> lock(intern_mutex_);
-  NOISYPULL_ASSERT(state < states_.size());
-  Concrete c = states_[state];
-
-  if (round < schedule_.phase_rounds) {
-    c.listen += static_cast<std::int64_t>(obs[1]);
-    return CompiledEdge::deterministic(intern(c));
-  }
-  if (round < schedule_.boosting_start()) {
-    c.listen -= static_cast<std::int64_t>(obs[0]);
-    if (round + 1 != schedule_.boosting_start()) {
-      return CompiledEdge::deterministic(intern(c));
-    }
-    const bool tie = c.listen == 0;
-    const Opinion majority = c.listen > 0 ? 1 : 0;
-    c.listen = 0;
-    if (!tie) {
-      c.current = majority;
-      return CompiledEdge::deterministic(intern(c));
-    }
-    Concrete heads = c;
-    heads.current = 1;
-    Concrete tails = c;
-    tails.current = 0;
-    return CompiledEdge::coin(intern(tails), intern(heads));
-  }
-  if (round >= schedule_.total_rounds()) {
-    return CompiledEdge::deterministic(state);
-  }
-  c.listen = 0;
-  c.boost += static_cast<std::int64_t>(obs[1]) -
-             static_cast<std::int64_t>(obs[0]);
-  if (!is_subphase_end(round)) return CompiledEdge::deterministic(intern(c));
-  const std::int64_t balance = c.boost;
-  c.boost = 0;
-  if (balance != 0) {
-    c.current = balance > 0 ? 1 : 0;
-    return CompiledEdge::deterministic(intern(c));
-  }
-  Concrete heads = c;
-  heads.current = 1;
-  Concrete tails = c;
-  tails.current = 0;
-  return CompiledEdge::coin(intern(tails), intern(heads));
+  NOISYPULL_ASSERT(state < num_states_);
+  const Step st = step(round);
+  const auto [tails, heads] =
+      successors(st, state, moved(st, state, obs[0], obs[1]));
+  return tails == heads ? CompiledEdge::deterministic(tails)
+                        : CompiledEdge::coin(tails, heads);
 }
 
-Opinion SfAutomaton::opinion(AutomatonState state) const {
-  return concrete(state).current;
+UpdateRule SfAutomaton::update_rule(std::uint64_t round,
+                                    std::uint64_t h) const {
+  // The balance bounds assume at most schedule.h observations a round.
+  NOISYPULL_CHECK(h >= 1 && h <= schedule_.h,
+                  "SF closed-form rule needs 1 <= h <= the schedule's h");
+  const Step st = step(round);
+  UpdateRule rule;
+  if (st.kind == Step::Kind::Identity) {
+    rule.kind = UpdateRule::Kind::Identity;
+    return rule;
+  }
+  rule.kind = st.sign ? UpdateRule::Kind::SignStep : UpdateRule::Kind::Shift;
+  if (st.kind == Step::Kind::Boost) {
+    rule.floor = boost_base_;  // listening ids re-base to boost balance 0
+    rule.rebase = boost_id(0, 0);
+  }
+  rule.delta.resize(h + 1);
+  for (std::uint64_t k = 0; k <= h; ++k) {
+    rule.delta[k] = static_cast<std::int32_t>(
+        2 * (st.ones * static_cast<std::int64_t>(k) -
+             st.zeros * static_cast<std::int64_t>(h - k)));
+  }
+  if (st.sign) {
+    rule.zero = st.kind == Step::Kind::Listen ? listen_id(0, 0) : boost_id(0, 0);
+    rule.down = boost_id(0, 0);
+    rule.up = boost_id(0, 1);
+  }
+  return rule;
 }
 
 // --------------------------------------------------------------------------

@@ -14,10 +14,12 @@
 //  * SfAutomaton — the exact mirror of core/SourceFilter for one agent
 //    role (source with a fixed preference, or non-source).  The concrete
 //    state, lumped to what later rounds read (the current opinion and the
-//    balance of the active counter pair), is interned on demand; protocol
-//    coin tosses (listening / sub-phase ties) become ½-½ probability
-//    splits in transition() and single next_bool() draws in compile() —
-//    exactly the draws SourceFilter::update makes.
+//    balance of the active counter pair), maps to an id by arithmetic over
+//    the schedule's balance bounds; protocol coin tosses (listening /
+//    sub-phase ties) become ½-½ probability splits in transition() and
+//    single next_bool() draws in compile() — exactly the draws
+//    SourceFilter::update makes.  Its rounds are closed-form (UpdateRule):
+//    the compiled path shifts ids instead of looking cells up.
 //
 //  * SsfAutomaton — the exact mirror of core/SelfStabilizingSourceFilter
 //    (stale_flush = 0) for one role.  Memory flush ties split the state up
@@ -37,11 +39,10 @@
 #pragma once
 
 // <mutex> is allowlisted here by tools/noisypull_lint.cpp's threading-header
-// rule: the interning tables of the SF/SSF mirrors may be grown lazily from
-// the engines' block-parallel update phase (CompiledPopulation's update()
-// and cells compiled on a miss), so lookup+insert must be atomic.  Ids depend on
-// interleaving; observables never do (see the AgentAutomaton thread-safety
-// contract).
+// rule: the SSF mirror's interning table may be grown lazily from the
+// engines' block-parallel update phase (CompiledPopulation's update()), so
+// lookup+insert must be atomic.  Ids depend on interleaving; observables
+// never do (see the AgentAutomaton thread-safety contract).
 #include <array>
 #include <cstdint>
 #include <map>
@@ -97,18 +98,40 @@ class TableAutomaton final : public AgentAutomaton {
 };
 
 // Exact one-agent mirror of core/SourceFilter (Algorithm 1, Theorem 4).
-// States are interned lazily; state 0 is the fresh agent.
+//
+// Exact lumping of SourceFilter's agent state to what later rounds read.
+// Each counter pair becomes one signed balance: listen = counter1 −
+// counter0, boost = boost_ones − boost_zeros.  finish_listening and
+// finish_subphase read nothing but its sign.  The two balances stay apart:
+// an agent stalled through the finish-listening round never runs it, and
+// SourceFilter then starts its boost counters from zero, not from the
+// listening counts.  The weak opinion is dropped: after finish_listening
+// copies it into current, no transition, display or opinion reads it.
+//
+// Id layout, two regions of (balance, current) pairs, id = base +
+// 2·(balance + bound) + current:
+//   listening — agents that have run neither the finish-listening round nor
+//               a boosting round; balance = listen, bound = phase_rounds·h;
+//   boosting  — the rest; balance = boost, bound = boosting rounds·h (an
+//               agent stalled over sub-phase ends keeps counting across
+//               them, so one sub-phase does not bound it).
+// The fresh agent is listening balance 0, current 0 (initial_state()).
+// Every id of both regions is below num_states(), a constant; a schedule
+// whose span would exceed kMaxStateIds is refused at construction.
 class SfAutomaton final : public AgentAutomaton {
  public:
   SfAutomaton(SfSchedule schedule, bool is_source, Opinion preference);
 
   std::size_t alphabet_size() const override { return 2; }
-  std::size_t num_states() const override;
+  std::size_t num_states() const override { return num_states_; }
+  AutomatonState initial_state() const override {
+    return listen_id(0, Opinion{0});
+  }
   Symbol display(AutomatonState state, std::uint64_t round) const override;
   std::vector<WeightedState> transition(AutomatonState state,
                                         std::uint64_t round,
                                         const SymbolCounts& obs) const override;
-  Opinion opinion(AutomatonState state) const override;
+  // current is the id's low bit: the inherited opinion() reads it.
 
   // Production-consumption edge: coins only on realized ties, exactly as
   // SourceFilter::finish_listening / finish_subphase draw them.
@@ -121,41 +144,45 @@ class SfAutomaton final : public AgentAutomaton {
   std::uint64_t update_signature(std::uint64_t round) const override;
   std::uint64_t display_signature(std::uint64_t round) const override;
 
+  // Listening rounds shift the listen balance, boosting rounds re-base a
+  // listening id (stalled through the finish) to boost balance 0 and shift
+  // the boost balance, finish rounds add a sign step, terminated rounds
+  // are the identity.
+  bool closed_form() const override { return true; }
+  UpdateRule update_rule(std::uint64_t round, std::uint64_t h) const override;
+  DisplayRule display_rule(std::uint64_t round) const override;
+
  private:
-  // Exact lumping of SourceFilter's agent state to what later rounds read.
-  // Each counter pair becomes one signed balance: listen = counter1 −
-  // counter0, boost = boost_ones − boost_zeros.  finish_listening and
-  // finish_subphase read nothing but its sign, so one state per balance
-  // replaces one per counter pair, and boosting balances recur across
-  // sub-phase rounds.  The two balances stay apart: an agent stalled
-  // through the finish-listening round never runs it, and SourceFilter
-  // then starts its boost counters from zero, not from the listening
-  // counts.  Every boosting update zeroes listen (dead from then on; a
-  // no-op after a finish).  The weak opinion is dropped too: after
-  // finish_listening copies it into current, no transition, display or
-  // opinion reads it.
-  struct Concrete {
-    std::int64_t listen = 0;
-    std::int64_t boost = 0;
-    Opinion current = 0;
-
-    bool operator<(const Concrete& rhs) const {
-      if (listen != rhs.listen) return listen < rhs.listen;
-      if (boost != rhs.boost) return boost < rhs.boost;
-      return current < rhs.current;
-    }
+  // What a round does to the balance (the same for every state): add
+  // `ones` times obs[1] minus `zeros` times obs[0] to the listen balance or
+  // to the boost one, then maybe decide the sign.
+  struct Step {
+    enum class Kind : std::uint8_t { Listen, Boost, Identity };
+    Kind kind;
+    std::int64_t ones;
+    std::int64_t zeros;
+    bool sign;  // finish round: current ← sign of the balance, which resets
   };
-
-  AutomatonState intern(const Concrete& c) const;
+  Step step(std::uint64_t round) const noexcept;
   bool is_subphase_end(std::uint64_t round) const noexcept;
-  Concrete concrete(AutomatonState state) const;
+
+  AutomatonState listen_id(std::int64_t balance, Opinion current) const;
+  AutomatonState boost_id(std::int64_t balance, Opinion current) const;
+  // The successor ids of a step, given the balance it reaches: one id, or
+  // a tie's (tails, heads) pair.
+  std::array<AutomatonState, 2> successors(const Step& st, AutomatonState s,
+                                           std::int64_t balance) const;
+  // The balance `st` reaches from `s` on counts (zeros, ones).
+  std::int64_t moved(const Step& st, AutomatonState s, std::uint64_t zeros,
+                     std::uint64_t ones) const noexcept;
 
   SfSchedule schedule_;
   bool is_source_;
   Opinion preference_;
-  mutable std::mutex intern_mutex_;
-  mutable std::vector<Concrete> states_;
-  mutable std::map<Concrete, AutomatonState> ids_;
+  std::int64_t listen_bound_;
+  std::int64_t boost_bound_;
+  AutomatonState boost_base_;  // first id of the boosting region
+  std::size_t num_states_;
 };
 
 // Exact one-agent mirror of core/SelfStabilizingSourceFilter (Algorithm 2,

@@ -90,7 +90,7 @@ class PullProtocol {
   // Number of agents whose opinion() is `o` — the run loop's per-round
   // convergence count (sim/runner.hpp count_correct).  The default asks
   // every agent; a protocol with a cheaper exact answer may override it
-  // (CompiledPopulation memoizes opinions per interned state).
+  // (CompiledPopulation caches the opinion histogram).
   virtual std::uint64_t count_opinion(Opinion o) const {
     std::uint64_t count = 0;
     const std::uint64_t n = num_agents();

@@ -67,16 +67,19 @@ std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
   std::array<std::uint64_t, kMaxAlphabet> c{};
   const std::uint64_t n = protocol.num_agents();
   const std::size_t d = protocol.alphabet_size();
-  pop.begin_display_round(round);
-  absorb_round(round);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    // Forged agents (Byzantine decorators) display through the virtual path
-    // — the decorator, not the automaton state, decides what they show.
-    const Symbol s = i >= access.forged_begin ? protocol.display(i, round)
-                                              : pop.display_at(i, round);
+  const auto absorb = [&](Symbol s) {
     NOISYPULL_ASSERT(s < d);
     absorb_display(s);
     ++c[s];
+  };
+  absorb_round(round);
+  // Forged agents (Byzantine decorators, a suffix of the index range)
+  // display through the virtual path — the decorator, not the automaton
+  // state, decides what they show.
+  const std::uint64_t honest_end = std::min(n, access.forged_begin);
+  pop.for_each_display(round, honest_end, absorb);
+  for (std::uint64_t i = honest_end; i < n; ++i) {
+    absorb(protocol.display(i, round));
   }
   return c;
 }

@@ -83,8 +83,8 @@ class Engine {
   // Toggles the compiled fast path (DESIGN.md §13): when enabled AND the
   // protocol exposes a CompiledPopulation (core/protocol.hpp,
   // compiled_access()), AggregateEngine replaces the per-agent virtual
-  // display()/update() calls with table lookups over interned automaton
-  // state ids.  Trajectory-invariant by construction — same draws from the
+  // display()/update() calls with table lookups or closed-form rules over
+  // automaton state ids.  Trajectory-invariant by construction — same draws from the
   // same substreams, identical replay digest — so it is excluded from
   // experiment cache keys (tests/test_compiled_path.cpp pins the
   // bit-identity).  Off by default; engines without a compiled path accept

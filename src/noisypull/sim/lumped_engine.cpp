@@ -267,7 +267,7 @@ LumpedSetup make_lumped_sf(const PopulationConfig& pop,
         std::make_unique<SfAutomaton>(schedule, is_source, preference));
     classes.push_back({.count = AgentCount{count},
                        .automaton = setup.automata.back().get(),
-                       .initial = 0,
+                       .initial = setup.automata.back()->initial_state(),
                        .channel = noise.matrix(),
                        .forged = DisplayOverride::none(),
                        .stall = {}});

@@ -69,7 +69,7 @@ namespace noisypull {
 // AutomatonState / WeightedState / AgentAutomaton — the per-agent state
 // machine vocabulary this oracle is built on — now live in
 // core/automaton/automaton.hpp (hoisted so the engines' compiled fast path
-// can share the interned automata; DESIGN.md §13).  The chain consumes only
+// can share the automata; DESIGN.md §13).  The chain consumes only
 // the exact-law half: transition() as the per-(state, observation)
 // distribution, never compile().
 

@@ -415,8 +415,8 @@ TEST(ExactChain, SfAutomatonTracksSourceFilterOnTieFreeRuns) {
                                             obs2(2, 0), obs2(0, 2), obs2(2, 1),
                                             obs2(2, 0)};
   Rng rng(7);
-  AutomatonState src_state = 0;
-  AutomatonState plain_state = 0;
+  AutomatonState src_state = source.initial_state();
+  AutomatonState plain_state = plain.initial_state();
   for (std::uint64_t round = 0; round < stream.size(); ++round) {
     ASSERT_EQ(source.display(src_state, round), sf.display(0, round))
         << "round " << round;
@@ -455,11 +455,11 @@ TEST(ExactChain, SfLumpingShrinksSupportAndKeepsTheLaw) {
   std::vector<ChainClass> classes(2);
   classes[0] = {.size = 1,
                 .automaton = &source,
-                .initial = 0,
+                .initial = source.initial_state(),
                 .channel = noise.matrix()};
   classes[1] = {.size = 3,
                 .automaton = &plain,
-                .initial = 0,
+                .initial = plain.initial_state(),
                 .channel = noise.matrix()};
   ExactChain chain(classes, {.h = Holdings{2}});
 

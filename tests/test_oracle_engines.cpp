@@ -218,17 +218,17 @@ TEST(OracleEngines, SourceFilterMatchesExactChain) {
   std::vector<ChainClass> classes(3);
   classes[0] = {.size = 1,
                 .automaton = &source1,
-                .initial = 0,
+                .initial = source1.initial_state(),
                 .channel = noise.matrix()};
   classes[1] = {.size = 1,
                 .automaton = &source0,
-                .initial = 0,
+                .initial = source0.initial_state(),
                 .channel = noise.matrix()};
   classes[2] = {.size = 3,
                 .automaton = &plain,
-                .initial = 0,
+                .initial = plain.initial_state(),
                 .channel = noise.matrix()};
-  // SF's interned counter states make the joint support large; pruning at
+  // SF's counter states make the joint support large; pruning at
   // 1e-8 bounds it, and compare_to_oracle widens every tolerance by the
   // truncated mass.
   ExactChain chain(classes, {.h = h, .prune_epsilon = 1e-8});

@@ -291,14 +291,14 @@ TupleOutcome run_tuple(std::uint64_t index) {
 
     classes.push_back({.size = 1,
                        .automaton = src1,
-                       .initial = 0,
+                       .initial = src1->initial_state(),
                        .channel = noise.matrix()});
     class_noise.push_back(noise);
     if (pop.s0 > 0) {
       automata.push_back(std::make_unique<SfAutomaton>(sched, true, 0));
       classes.push_back({.size = pop.s0,
                          .automaton = automata.back().get(),
-                         .initial = 0,
+                         .initial = automata.back()->initial_state(),
                          .channel = noise.matrix()});
       class_noise.push_back(noise);
     }
@@ -307,7 +307,7 @@ TupleOutcome run_tuple(std::uint64_t index) {
         engine_kind == EngineKind::Heterogeneous ? second : noise;
     classes.push_back({.size = n - pop.num_sources(),
                        .automaton = plain,
-                       .initial = 0,
+                       .initial = plain->initial_state(),
                        .channel = plain_noise.matrix()});
     class_noise.push_back(plain_noise);
     make_protocol = [pop, sched] {

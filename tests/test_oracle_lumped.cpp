@@ -83,12 +83,12 @@ TEST(OracleLumped, SourceFilterSmallN) {
   automata.push_back(std::make_unique<SfAutomaton>(sched, true, 0));
   automata.push_back(std::make_unique<SfAutomaton>(sched, false, 0));
   const std::vector<ChainClass> classes = {
-      {.size = 1, .automaton = automata[0].get(), .initial = 0,
-       .channel = noise.matrix()},
-      {.size = 1, .automaton = automata[1].get(), .initial = 0,
-       .channel = noise.matrix()},
-      {.size = 4, .automaton = automata[2].get(), .initial = 0,
-       .channel = noise.matrix()}};
+      {.size = 1, .automaton = automata[0].get(),
+       .initial = automata[0]->initial_state(), .channel = noise.matrix()},
+      {.size = 1, .automaton = automata[1].get(),
+       .initial = automata[1]->initial_state(), .channel = noise.matrix()},
+      {.size = 4, .automaton = automata[2].get(),
+       .initial = automata[2]->initial_state(), .channel = noise.matrix()}};
   ExactChainOptions options;
   options.h = Holdings{2};
   options.prune_epsilon = kPrune;

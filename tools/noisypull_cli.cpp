@@ -45,7 +45,7 @@ struct CliOptions {
                                       // | heterogeneous
   std::uint64_t threads = 1;          // block-parallel lanes inside the engine
   bool compiled = false;              // compiled automaton fast path (sf)
-  std::string order = "random";       // sequential activation order
+  std::string order;                  // sequential activation order ("" = random)
   bool trajectory = false;            // print per-round correct counts
   bool verify_replay = false;         // run twice, compare replay digests
   bool csv = false;
@@ -86,21 +86,23 @@ struct CliOptions {
   --engine E      aggregate | exact | sequential | heterogeneous | lumped
                                                        (default aggregate)
                   lumped: O(#states)-per-round population dynamics (sf/ssf
-                  only, no faults/corruption; statistically equivalent to
-                  aggregate, not bit-identical — digests only compare
-                  lumped-to-lumped)
+                  only, no faults/corruption/--stale-flush/--threads;
+                  statistically equivalent to aggregate, not
+                  bit-identical — digests only compare lumped-to-lumped)
                   heterogeneous: aggregate over per-agent channels (all at
                   --delta); per-agent channels ignore the round's matrix,
                   so it rejects --burst-rate
-  --threads T     block-parallel lanes inside the engine (default 1);
-                  results are bit-identical for every T
+  --threads T     block-parallel lanes inside the engine (default 1;
+                  aggregate, heterogeneous and exact engines); results are
+                  bit-identical for every T
   --compiled      run the protocol as a CompiledPopulation on the engines'
-                  table-driven fast path (sf only; bit-identical to the
-                  interpreted run; transition cells are compiled when an
-                  agent first needs them and reused after; 1.3-1.5x the
-                  interpreted speed at s1 = 100 or in the first rounds,
-                  0.3-0.8x over the THM4 grid's s1 = 1 horizons — see
-                  BENCH_compiled_path.json and DESIGN.md s13)
+                  fast path (sf only, aggregate/heterogeneous engines;
+                  bit-identical to the interpreted run; SF's rounds are
+                  closed-form shifts of its state ids, no tables;
+                  2.1-2.6x the interpreted speed on the SF rows of
+                  BENCH_compiled_path.json, 1.8-2.4x over the THM4 grid's
+                  s1 = 1 horizons, about 1x at h = n, where the sampler
+                  falls back per agent — see DESIGN.md s13)
   --order O       random | ascending | descending      (sequential engine)
   --trajectory    print per-round correct counts of repetition 0
   --verify-replay run the whole configuration twice with identical seeds and
@@ -308,7 +310,7 @@ std::unique_ptr<Engine> make_engine(const CliOptions& opt,
       order = SequentialEngine::Order::FixedAscending;
     } else if (opt.order == "descending") {
       order = SequentialEngine::Order::FixedDescending;
-    } else if (opt.order != "random") {
+    } else if (!opt.order.empty() && opt.order != "random") {
       std::fprintf(stderr, "error: unknown order '%s'\n", opt.order.c_str());
       std::exit(2);
     }
@@ -631,24 +633,48 @@ bool rejects_ignored_flags(const CliOptions& opt) {
   return false;
 }
 
+// The same silent wrong table, scoped by engine: a flag only some engines
+// read.  The lumped engine runs SSF with stale_flush = 0 and no lanes, only
+// the sequential engine has an activation order, and only the aggregate
+// engines (one channel or per-agent channels) take the compiled fast path.
+bool rejects_ignored_engine_flags(const CliOptions& opt) {
+  const std::string& e = opt.engine;
+  const bool aggregate = e == "aggregate" || e == "heterogeneous";
+  const struct {
+    const char* flag;
+    bool set;
+    bool read;
+    const char* readers;
+  } flags[] = {
+      {"--stale-flush", opt.stale_flush > 0, e != "lumped",
+       "aggregate | heterogeneous | exact | sequential"},
+      {"--order", !opt.order.empty(), e == "sequential", "sequential"},
+      {"--compiled", opt.compiled, aggregate, "aggregate | heterogeneous"},
+      {"--threads", opt.threads != 1, aggregate || e == "exact",
+       "aggregate | heterogeneous | exact"},
+  };
+  for (const auto& f : flags) {
+    if (f.set && !f.read) {
+      std::fprintf(stderr, "error: %s is read by --engine %s only, not %s\n",
+                   f.flag, f.readers, e.c_str());
+      return true;
+    }
+  }
+  return false;
+}
+
 int run_cli(const CliOptions& opt) {
   const std::uint64_t h = opt.h == 0 ? opt.n : opt.h;
 
-  if (rejects_ignored_flags(opt)) return 2;
+  if (rejects_ignored_flags(opt) || rejects_ignored_engine_flags(opt)) {
+    return 2;
+  }
 
-  if (opt.compiled) {
-    // The compiled fast path runs the interned SF mirror (core/automaton);
-    // the other families have no compiled counterpart.
-    if (opt.protocol != "sf") {
-      std::fprintf(stderr, "error: --compiled supports --protocol sf only\n");
-      return 2;
-    }
-    if (opt.engine == "lumped") {
-      std::fprintf(stderr,
-                   "error: --compiled is an agent-engine fast path; "
-                   "--engine lumped already runs O(#states) per round\n");
-      return 2;
-    }
+  // The compiled fast path runs the closed-form SF mirror (core/automaton);
+  // the other families have no compiled counterpart.
+  if (opt.compiled && opt.protocol != "sf") {
+    std::fprintf(stderr, "error: --compiled supports --protocol sf only\n");
+    return 2;
   }
 
   if (opt.engine == "heterogeneous" && opt.burst_rate > 0.0) {

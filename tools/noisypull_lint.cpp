@@ -567,7 +567,7 @@ void rule_threading_header(const FileContext& ctx,
       "src/noisypull/common/cancel.hpp",
       // relaxed fault-stat accumulators read under block parallelism
       "src/noisypull/fault/faulty_engine.hpp",
-      // lazy interning of SF/SSF mirror states from the engines'
+      // lazy interning of SSF mirror states from the engines'
       // block-parallel update phase (one mutex around lookup+insert)
       "src/noisypull/core/automaton/protocol_automata.hpp",
       // reports hardware_concurrency next to its measurements
