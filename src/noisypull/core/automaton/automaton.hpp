@@ -234,6 +234,12 @@ class AgentAutomaton {
   // display_rule(round) must equal display() and depend on the round only
   // through display_signature.
   virtual bool closed_form() const { return false; }
+  // Whether update_rule(·, h) exists: a closed-form automaton may bound the
+  // sample sizes its ids can absorb (SF: its schedule's h).  Agents of a
+  // round sampling more observations run through compile() instead.
+  virtual bool has_update_rule(std::uint64_t /*h*/) const {
+    return closed_form();
+  }
   virtual UpdateRule update_rule(std::uint64_t /*round*/,
                                  std::uint64_t /*h*/) const {
     return {};

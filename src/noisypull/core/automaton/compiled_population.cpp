@@ -119,41 +119,87 @@ void CompiledPopulation::extend_display_table(Group& g, std::uint64_t round,
   }
 }
 
+CompiledPopulation::UpdateTable& CompiledPopulation::select_table(
+    Group& g, std::uint64_t round, std::uint64_t num_outcomes) {
+  const std::uint64_t sig = g.automaton->update_signature(round);
+  UpdateTable& t = g.update_tables[sig];  // node-stable across inserts
+  if (t.num_outcomes == 0) {
+    t.num_outcomes = num_outcomes;
+    if (g.closed_form) {
+      // Binary outcomes: index k is the counts (h − k, k).
+      t.rule = g.automaton->update_rule(round, num_outcomes - 1);
+      NOISYPULL_CHECK(t.rule.kind != UpdateRule::Kind::None,
+                      "closed-form automaton without an update rule");
+      NOISYPULL_CHECK(t.rule.kind == UpdateRule::Kind::Identity ||
+                          t.rule.delta.size() == num_outcomes,
+                      "closed-form rule needs one delta per outcome");
+    } else {
+      t.rows.cover(g.num_states);
+    }
+  }
+  NOISYPULL_CHECK(t.num_outcomes == num_outcomes,
+                  "outcome space changed across rounds sharing an update "
+                  "signature (h and alphabet are fixed per run)");
+  // Row tables are bounded by states × outcomes only while the state set
+  // is fixed; an interning automaton (SsfAutomaton) would grow them with
+  // every fresh state, so it is not compiled.
+  NOISYPULL_CHECK(g.automaton->num_states() == g.num_states,
+                  "compiled automata need a fixed state set");
+  return t;
+}
+
 void CompiledPopulation::begin_update_round(std::uint64_t round,
                                             std::uint64_t num_outcomes,
                                             std::size_t journals) {
   NOISYPULL_CHECK(
       num_outcomes >= 1 && num_outcomes - 1 <= MissJournal::kOutcomeMask,
       "compiled cells need an enumerable outcome space");
+  for (Group& g : groups_) g.active = &select_table(g, round, num_outcomes);
+  update_round_ = round;
+  update_open_ = true;
+  if (journals_.size() < journals) journals_.resize(journals);
+}
+
+void CompiledPopulation::begin_rule_round(std::uint64_t round,
+                                          std::uint64_t h) {
+  NOISYPULL_CHECK(alphabet_ == 2, "rule rounds need the binary alphabet");
+  NOISYPULL_CHECK(h >= 1, "sample size h must be at least 1");
   for (Group& g : groups_) {
-    const std::uint64_t sig = g.automaton->update_signature(round);
-    UpdateTable& t = g.update_tables[sig];  // node-stable across inserts
-    if (t.num_outcomes == 0) {
-      t.num_outcomes = num_outcomes;
-      if (g.closed_form) {
-        // Binary outcomes: index k is the counts (h − k, k).
-        t.rule = g.automaton->update_rule(round, num_outcomes - 1);
-        NOISYPULL_CHECK(t.rule.kind != UpdateRule::Kind::None,
-                        "closed-form automaton without an update rule");
-        NOISYPULL_CHECK(t.rule.kind == UpdateRule::Kind::Identity ||
-                            t.rule.delta.size() == num_outcomes,
-                        "closed-form rule needs one delta per outcome");
-      } else {
-        t.rows.cover(g.num_states);
-      }
-    }
-    NOISYPULL_CHECK(t.num_outcomes == num_outcomes,
-                    "outcome space changed across rounds sharing an update "
-                    "signature (h and alphabet are fixed per run)");
-    // Row tables are bounded by states × outcomes only while the state set
-    // is fixed; an interning automaton (SsfAutomaton) would grow them with
-    // every fresh state, so it is not compiled.
-    NOISYPULL_CHECK(g.automaton->num_states() == g.num_states,
-                    "compiled automata need a fixed state set");
-    g.active = &t;
+    g.active = g.automaton->has_update_rule(h) ? &select_table(g, round, h + 1)
+                                               : nullptr;
   }
   update_round_ = round;
-  if (journals_.size() < journals) journals_.resize(journals);
+  update_open_ = true;
+}
+
+void CompiledPopulation::update_run(std::uint64_t round, std::uint64_t begin,
+                                    std::uint64_t end,
+                                    const ObservationSampler& sampler,
+                                    Rng& rng) {
+  if (!update_open_ || round != update_round_) {
+    PullProtocol::update_run(round, begin, end, sampler, rng);
+    return;
+  }
+  NOISYPULL_CHECK(begin <= end && end <= num_agents_, "agent run out of range");
+  SymbolCounts obs(alphabet_);
+  for (std::uint64_t i = begin; i < end;) {
+    const Group& g = groups_[group_of_[i]];
+    const std::uint64_t run_end = g.agent_end < end ? g.agent_end : end;
+    if (!g.closed_form || g.active == nullptr) {
+      PullProtocol::update_run(round, i, run_end, sampler, rng);
+      i = run_end;
+      continue;
+    }
+    // Full binary samples only: the rule has one delta per count of 1s.
+    NOISYPULL_CHECK(sampler.alphabet_size() == 2 &&
+                        sampler.draws() + 1 == g.active->num_outcomes,
+                    "closed-form rule run needs full binary samples of h");
+    const UpdateRule& rule = g.active->rule;
+    for (; i < run_end; ++i) {
+      sampler.sample(rng, obs);
+      state_[i] = rule.apply(state_[i], obs[1], rng);
+    }
+  }
 }
 
 AutomatonState CompiledPopulation::resolve_miss(
@@ -173,6 +219,8 @@ AutomatonState CompiledPopulation::resolve_miss(
 }
 
 void CompiledPopulation::end_update_round() {
+  if (!update_open_) return;
+  update_open_ = false;
   for (MissJournal& journal : journals_) {
     journal.for_each([&](std::uint64_t key, std::uint32_t entry) {
       const auto gi = static_cast<std::size_t>(
@@ -202,6 +250,7 @@ void CompiledPopulation::end_update_round() {
     journal.clear();
   }
   for (Group& g : groups_) {
+    if (g.active == nullptr) continue;  // update() marks its own changes
     UpdateTable& t = *g.active;
     // An agent can change opinion only along a cell of its group's active
     // table (hits resolve cells merged in earlier rounds of the signature,

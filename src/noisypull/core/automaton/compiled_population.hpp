@@ -304,6 +304,16 @@ class CompiledPopulation final : public PullProtocol {
   std::uint64_t count_opinion(Opinion o) const override;
   std::uint64_t planned_rounds() const override { return planned_rounds_; }
   CompiledAccess compiled_access() override { return {.population = this}; }
+  // Bulk hook (core/protocol.hpp).  While an update phase is open for
+  // `round` (begin_rule_round() or begin_update_round()), each agent of a
+  // closed-form group draws its counts with sample() and moves by its
+  // group's rule with k = counts[1] — the per-agent loop's draws without
+  // its compile(), and the opinion count goes stale only on sign-step
+  // rounds, as under apply_block().  Every other agent, and every agent
+  // when no phase is open for `round`, takes the default loop through
+  // update().  Fault-free runs only: the rules assume full samples.
+  void update_run(std::uint64_t round, std::uint64_t begin, std::uint64_t end,
+                  const ObservationSampler& sampler, Rng& rng) override;
 
   // ---- Display phase (serial: the engine's digest loop) -----------------
   // Calls visit(symbol) for agents 0 .. end − 1 in index order, with the
@@ -346,6 +356,16 @@ class CompiledPopulation final : public PullProtocol {
   // of the round shares it.
   void begin_update_round(std::uint64_t round, std::uint64_t num_outcomes,
                           std::size_t journals);
+
+  // The update phase of a round whose samplers are all Decomposition (no
+  // outcome enumeration, e.g. h = n), for a binary population: selects
+  // each closed-form group's rule for `round` over the h + 1 binary
+  // outcomes, building it on the signature's first round — the same table
+  // an InverseCdf round of the signature uses.  Row-table groups, and
+  // closed-form ones without a rule for h (has_update_rule), get no table
+  // this round; update_run() sends their agents through update().
+  // Serial, before the block-parallel phase; end_update_round() closes it.
+  void begin_rule_round(std::uint64_t round, std::uint64_t h);
 
   // Applies outcome index `outcome` (from sample_index() on `sampler`, the
   // agent's InverseCdf sampler) to one agent: its group's rule, or a row
@@ -489,7 +509,7 @@ class CompiledPopulation final : public PullProtocol {
     // std::map: node stability keeps `active` valid across insertions (and
     // unordered containers are lint-banned on simulation paths).
     std::map<std::uint64_t, UpdateTable> update_tables;
-    UpdateTable* active = nullptr;  // this round's table
+    UpdateTable* active = nullptr;  // this round's table, if it has one
   };
 
   static std::uint64_t journal_key(const Group& g, AutomatonState s,
@@ -508,6 +528,11 @@ class CompiledPopulation final : public PullProtocol {
     if (e != EdgePool::kMissing) return g.active->rows.pool().resolve(e, rng);
     return resolve_miss(misses, journal_key(g, s, outcome), g, sampler, rng);
   }
+
+  // The group's table for `round`'s update signature, built on the
+  // signature's first round.
+  UpdateTable& select_table(Group& g, std::uint64_t round,
+                            std::uint64_t num_outcomes);
 
   // Refreshes each group's display rule or memo when its display signature
   // changes.
@@ -528,6 +553,7 @@ class CompiledPopulation final : public PullProtocol {
   std::uint64_t num_agents_ = 0;
   std::uint64_t planned_rounds_ = 0;
   std::uint64_t update_round_ = 0;  // round of the open update phase
+  bool update_open_ = false;        // between begin_* and end_update_round
   std::uint64_t cells_compiled_ = 0;
   // Cached opinion histogram behind count_opinion().  `stale` is set by
   // virtual update() calls, which run concurrently across lanes (hence

@@ -236,8 +236,7 @@ CompiledEdge SfAutomaton::compile(AutomatonState state, std::uint64_t round,
 
 UpdateRule SfAutomaton::update_rule(std::uint64_t round,
                                     std::uint64_t h) const {
-  // The balance bounds assume at most schedule.h observations a round.
-  NOISYPULL_CHECK(h >= 1 && h <= schedule_.h,
+  NOISYPULL_CHECK(has_update_rule(h),
                   "SF closed-form rule needs 1 <= h <= the schedule's h");
   const Step st = step(round);
   UpdateRule rule;

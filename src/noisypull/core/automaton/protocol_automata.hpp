@@ -149,6 +149,10 @@ class SfAutomaton final : public AgentAutomaton {
   // the boost balance, finish rounds add a sign step, terminated rounds
   // are the identity.
   bool closed_form() const override { return true; }
+  // The balance bounds assume at most the schedule's h observations a round.
+  bool has_update_rule(std::uint64_t h) const override {
+    return h >= 1 && h <= schedule_.h;
+  }
   UpdateRule update_rule(std::uint64_t round, std::uint64_t h) const override;
   DisplayRule display_rule(std::uint64_t round) const override;
 

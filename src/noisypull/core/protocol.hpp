@@ -19,9 +19,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "noisypull/common/symbols.hpp"
 #include "noisypull/common/units.hpp"
+#include "noisypull/rng/observation_cache.hpp"
 #include "noisypull/rng/rng.hpp"
 
 namespace noisypull {
@@ -83,6 +85,40 @@ class PullProtocol {
   // statistics inside update() would need its own synchronization.
   virtual void update(std::uint64_t agent, std::uint64_t round,
                       const SymbolCounts& obs, Rng& rng) = 0;
+
+  // ---- Bulk hooks: one call per round or per agent run ------------------
+  // The engines' round loops call these instead of one virtual display() or
+  // update() per agent, so a protocol whose behaviour depends on the round
+  // only through a few phases (SourceFilter) can decide the phase once.
+  // The defaults are the per-agent loops, so an override must produce the
+  // same displays, the same states and the same draws from `rng`, draw for
+  // draw.  Decorators (the fault proxy, counting wrappers) must NOT forward
+  // them to their inner protocol: they inherit the defaults, whose loops
+  // call the decorator's own display()/update() for every agent.  A
+  // subclass that overrides display() or update() must route the matching
+  // hook back to its per-agent default, or override it too.
+
+  // out[i] = display(i, round) for every agent i < out.size(), which is
+  // num_agents().  Every engine's display phase (Engine::display_histogram).
+  virtual void displays(std::uint64_t round, std::span<Symbol> out) const {
+    for (std::uint64_t i = 0; i < out.size(); ++i) out[i] = display(i, round);
+  }
+
+  // For every agent i in [begin, end), in index order: draw its count
+  // vector from `sampler` on `rng`, then update(i, round, counts, rng).
+  // AggregateEngine calls it for each fault-free run of agents sharing one
+  // channel group, under the same concurrency contract as update(): runs
+  // of different blocks execute concurrently and never overlap.
+  virtual void update_run(std::uint64_t round, std::uint64_t begin,
+                          std::uint64_t end, const ObservationSampler& sampler,
+                          Rng& rng) {
+    SymbolCounts obs(alphabet_size());
+    for (std::uint64_t i = begin; i < end; ++i) {
+      obs.clear();
+      sampler.sample(rng, obs);
+      update(i, round, obs, rng);
+    }
+  }
 
   // The agent's current output opinion Y^(agent).
   virtual Opinion opinion(std::uint64_t agent) const = 0;

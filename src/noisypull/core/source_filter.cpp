@@ -1,5 +1,7 @@
 #include "noisypull/core/source_filter.hpp"
 
+#include <algorithm>
+
 #include "noisypull/common/check.hpp"
 
 namespace noisypull {
@@ -13,18 +15,35 @@ SourceFilter::SourceFilter(const PopulationConfig& pop, SfSchedule schedule)
   pop_.validate();
 }
 
-Symbol SourceFilter::nonsource_listen_display(std::uint64_t /*agent*/,
-                                              std::uint64_t round) const {
+void SourceFilter::nonsource_listen_displays(std::uint64_t round,
+                                             std::uint64_t /*first*/,
+                                             std::span<Symbol> out) const {
   // Phase 0 → display 0; Phase 1 → display 1.
-  return round < schedule_.phase_rounds ? Symbol{0} : Symbol{1};
+  std::fill(out.begin(), out.end(),
+            round < schedule_.phase_rounds ? Symbol{0} : Symbol{1});
 }
 
 Symbol SourceFilter::display(std::uint64_t agent, std::uint64_t round) const {
   if (round < schedule_.boosting_start()) {
     if (pop_.is_source(agent)) return pop_.source_preference(agent);
-    return nonsource_listen_display(agent, round);
+    Symbol s = 0;
+    nonsource_listen_displays(round, agent, std::span<Symbol>(&s, 1));
+    return s;
   }
   return agents_[agent].current;
+}
+
+void SourceFilter::displays(std::uint64_t round, std::span<Symbol> out) const {
+  NOISYPULL_CHECK(out.size() == pop_.n, "one display slot per agent");
+  if (round < schedule_.boosting_start()) {
+    const std::uint64_t sources = pop_.num_sources();
+    for (std::uint64_t i = 0; i < sources; ++i) {
+      out[i] = pop_.source_preference(i);
+    }
+    nonsource_listen_displays(round, sources, out.subspan(sources));
+    return;
+  }
+  for (std::uint64_t i = 0; i < pop_.n; ++i) out[i] = agents_[i].current;
 }
 
 void SourceFilter::finish_listening(AgentState& a, Rng& rng) {
@@ -65,25 +84,45 @@ bool SourceFilter::is_subphase_end(std::uint64_t round) const noexcept {
   return off + 1 == short_span + schedule_.final_rounds;
 }
 
+SourceFilter::RoundStep SourceFilter::round_step(
+    std::uint64_t round) const noexcept {
+  if (round < schedule_.phase_rounds) return RoundStep::CountOnes;
+  if (round < schedule_.boosting_start()) {
+    return round + 1 == schedule_.boosting_start()
+               ? RoundStep::FinishListening
+               : RoundStep::CountZeros;
+  }
+  if (round >= schedule_.total_rounds()) return RoundStep::Terminated;
+  return is_subphase_end(round) ? RoundStep::FinishSubphase : RoundStep::Boost;
+}
+
 void SourceFilter::update(std::uint64_t agent, std::uint64_t round,
                           const SymbolCounts& obs, Rng& rng) {
   NOISYPULL_CHECK(agent < pop_.n, "agent index out of range");
   NOISYPULL_CHECK(obs.size == 2, "SF expects a binary alphabet");
-  AgentState& a = agents_[agent];
+  step(agents_[agent], round_step(round), obs[0], obs[1], rng);
+}
 
-  if (round < schedule_.phase_rounds) {
-    a.counter1 += obs[1];
+void SourceFilter::update_run(std::uint64_t round, std::uint64_t begin,
+                              std::uint64_t end,
+                              const ObservationSampler& sampler, Rng& rng) {
+  NOISYPULL_CHECK(begin <= end && end <= pop_.n, "agent run out of range");
+  NOISYPULL_CHECK(sampler.alphabet_size() == 2, "SF expects a binary alphabet");
+  const RoundStep st = round_step(round);
+  AgentState* const agents = agents_.data();
+  if (sampler.mode() == ObservationSampler::Mode::InverseCdf) {
+    const std::uint64_t h = sampler.draws();
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const std::uint64_t ones = sampler.sample_index(rng);
+      step(agents[i], st, h - ones, ones, rng);
+    }
     return;
   }
-  if (round < schedule_.boosting_start()) {
-    a.counter0 += obs[0];
-    if (round + 1 == schedule_.boosting_start()) finish_listening(a, rng);
-    return;
+  SymbolCounts obs(2);
+  for (std::uint64_t i = begin; i < end; ++i) {
+    sampler.sample(rng, obs);
+    step(agents[i], st, obs[0], obs[1], rng);
   }
-  if (round >= schedule_.total_rounds()) return;  // protocol has terminated
-  a.boost_ones += obs[1];
-  a.boost_total += obs.total();
-  if (is_subphase_end(round)) finish_subphase(a, rng);
 }
 
 Opinion SourceFilter::opinion(std::uint64_t agent) const {

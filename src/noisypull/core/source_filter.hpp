@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "noisypull/core/schedule.hpp"
@@ -40,6 +41,14 @@ class SourceFilter : public PullProtocol {
   Symbol display(std::uint64_t agent, std::uint64_t round) const override;
   void update(std::uint64_t agent, std::uint64_t round,
               const SymbolCounts& obs, Rng& rng) override;
+  // The bulk hooks (core/protocol.hpp) decide the round's phase once.
+  // update_run() runs the same per-agent step as update(), drawing each
+  // agent's counts with sample_index() when the sampler is InverseCdf
+  // (binary outcome k is the counts (h − k, k)) and with sample()
+  // otherwise; both consume the rng exactly as the default loop does.
+  void displays(std::uint64_t round, std::span<Symbol> out) const override;
+  void update_run(std::uint64_t round, std::uint64_t begin, std::uint64_t end,
+                  const ObservationSampler& sampler, Rng& rng) override;
   // Final, so count_opinion() below stays exact for every variant.
   Opinion opinion(std::uint64_t agent) const final;
   // Counts `current` directly: the run loop's per-round convergence check
@@ -65,9 +74,13 @@ class SourceFilter : public PullProtocol {
   bool is_subphase_end(std::uint64_t round) const noexcept;
 
  protected:
-  // Display of a non-source agent; overridden by the ablation variants.
-  virtual Symbol nonsource_listen_display(std::uint64_t agent,
-                                          std::uint64_t round) const;
+  // Listening-round (Phases 0/1) displays of the non-source agents
+  // first, first + 1, ..., first + out.size() − 1, written to out in that
+  // order; overridden by the ablation variants.  display() asks it for one
+  // agent, displays() for all of them at once.
+  virtual void nonsource_listen_displays(std::uint64_t round,
+                                         std::uint64_t first,
+                                         std::span<Symbol> out) const;
 
   const PopulationConfig pop_;
   const SfSchedule schedule_;
@@ -83,8 +96,48 @@ class SourceFilter : public PullProtocol {
   std::vector<AgentState> agents_;
 
  private:
-  void finish_listening(AgentState& a, Rng& rng);
-  void finish_subphase(AgentState& a, Rng& rng);
+  // What an agent does with one round's observations.  A function of the
+  // round alone, so the bulk hook decides it once per round.
+  enum class RoundStep : std::uint8_t {
+    CountOnes,        // Phase 0: Counter1 += ones
+    CountZeros,       // Phase 1: Counter0 += zeros
+    FinishListening,  // Phase 1's last round: count, then the weak opinion
+    Boost,            // boosting: tally the sub-phase
+    FinishSubphase,   // a sub-phase's last round: tally, then adopt majority
+    Terminated,       // past the horizon: nothing
+  };
+  RoundStep round_step(std::uint64_t round) const noexcept;
+
+  // SF's transition: agent `a` receives `zeros` 0s and `ones` 1s in a
+  // round whose step is `st`.  update() and update_run() both run it.
+  static void step(AgentState& a, RoundStep st, std::uint64_t zeros,
+                   std::uint64_t ones, Rng& rng) {
+    switch (st) {
+      case RoundStep::CountOnes:
+        a.counter1 += ones;
+        return;
+      case RoundStep::CountZeros:
+        a.counter0 += zeros;
+        return;
+      case RoundStep::FinishListening:
+        a.counter0 += zeros;
+        finish_listening(a, rng);
+        return;
+      case RoundStep::Boost:
+        a.boost_ones += ones;
+        a.boost_total += zeros + ones;
+        return;
+      case RoundStep::FinishSubphase:
+        a.boost_ones += ones;
+        a.boost_total += zeros + ones;
+        finish_subphase(a, rng);
+        return;
+      case RoundStep::Terminated:
+        return;
+    }
+  }
+  static void finish_listening(AgentState& a, Rng& rng);
+  static void finish_subphase(AgentState& a, Rng& rng);
 };
 
 }  // namespace noisypull

@@ -1,5 +1,7 @@
 #include "noisypull/core/variants.hpp"
 
+#include <algorithm>
+
 #include "noisypull/common/check.hpp"
 
 namespace noisypull {
@@ -10,9 +12,11 @@ EagerSourceFilter::EagerSourceFilter(const PopulationConfig& pop,
   for (auto& v : initial_) v = init_rng.next_bool() ? 1 : 0;
 }
 
-Symbol EagerSourceFilter::nonsource_listen_display(
-    std::uint64_t agent, std::uint64_t /*round*/) const {
-  return initial_[agent];
+void EagerSourceFilter::nonsource_listen_displays(
+    std::uint64_t /*round*/, std::uint64_t first,
+    std::span<Symbol> out) const {
+  std::copy_n(initial_.begin() + static_cast<std::ptrdiff_t>(first),
+              out.size(), out.begin());
 }
 
 AlternatingSourceFilter::AlternatingSourceFilter(const PopulationConfig& pop,
@@ -22,9 +26,11 @@ AlternatingSourceFilter::AlternatingSourceFilter(const PopulationConfig& pop,
   for (auto& v : coin_) v = init_rng.next_bool() ? 1 : 0;
 }
 
-Symbol AlternatingSourceFilter::nonsource_listen_display(
-    std::uint64_t agent, std::uint64_t round) const {
-  return static_cast<Symbol>((round ^ coin_[agent]) & 1);
+void AlternatingSourceFilter::nonsource_listen_displays(
+    std::uint64_t round, std::uint64_t first, std::span<Symbol> out) const {
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = listen_bit(first + j, round);
+  }
 }
 
 void AlternatingSourceFilter::update(std::uint64_t agent, std::uint64_t round,
@@ -34,7 +40,7 @@ void AlternatingSourceFilter::update(std::uint64_t agent, std::uint64_t round,
     // displaying 0 and observed 0s while displaying 1 — the per-agent
     // analogue of SF's phase counters.
     AgentState& a = agents_[agent];
-    if (nonsource_listen_display(agent, round) == 0) {
+    if (listen_bit(agent, round) == 0) {
       a.counter1 += obs[1];
     } else {
       a.counter0 += obs[0];

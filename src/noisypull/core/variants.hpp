@@ -37,8 +37,8 @@ class EagerSourceFilter final : public SourceFilter {
                     Rng& init_rng);
 
  protected:
-  Symbol nonsource_listen_display(std::uint64_t agent,
-                                  std::uint64_t round) const override;
+  void nonsource_listen_displays(std::uint64_t round, std::uint64_t first,
+                                 std::span<Symbol> out) const override;
 
  private:
   std::vector<Opinion> initial_;
@@ -52,12 +52,23 @@ class AlternatingSourceFilter final : public SourceFilter {
 
   void update(std::uint64_t agent, std::uint64_t round,
               const SymbolCounts& obs, Rng& rng) override;
+  // Its listening count is not SF's step, so its runs take the per-agent
+  // default loop through update() above.
+  void update_run(std::uint64_t round, std::uint64_t begin, std::uint64_t end,
+                  const ObservationSampler& sampler, Rng& rng) override {
+    PullProtocol::update_run(round, begin, end, sampler, rng);
+  }
 
  protected:
-  Symbol nonsource_listen_display(std::uint64_t agent,
-                                  std::uint64_t round) const override;
+  void nonsource_listen_displays(std::uint64_t round, std::uint64_t first,
+                                 std::span<Symbol> out) const override;
 
  private:
+  // The bit a non-source displays in listening round `round`.
+  Symbol listen_bit(std::uint64_t agent, std::uint64_t round) const {
+    return static_cast<Symbol>((round ^ coin_[agent]) & 1);
+  }
+
   std::vector<std::uint8_t> coin_;  // first-round display bit per agent
 };
 

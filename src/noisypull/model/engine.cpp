@@ -26,33 +26,19 @@ void Engine::set_threads(unsigned lanes) {
   }
 }
 
-void Engine::for_each_block(std::uint64_t n, std::uint64_t round_key,
-                            const BlockBody& body) {
-  const std::uint64_t blocks = num_blocks(n);
-  const auto run_block = [&](std::uint64_t b) {
-    // Counter substream: a function of (round_key, b) only — never of the
-    // lane that happens to execute the block — so serial and pooled
-    // execution realize identical trajectories.
-    Rng block_rng(round_key, b);
-    const std::uint64_t begin = b * kBlockSize;
-    const std::uint64_t end = std::min(n, begin + kBlockSize);
-    body(begin, end, block_rng);
-  };
-  if (!pool_ || blocks <= 1) {
-    for (std::uint64_t b = 0; b < blocks; ++b) run_block(b);
-    return;
-  }
-  pool_->parallel_for(blocks, run_block);
+void Engine::run_pooled(std::uint64_t jobs,
+                        const std::function<void(std::uint64_t)>& job) {
+  pool_->parallel_for(jobs, job);
 }
 
 std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
     const PullProtocol& protocol, std::uint64_t round) {
   std::array<std::uint64_t, kMaxAlphabet> c{};
-  const std::uint64_t n = protocol.num_agents();
   const std::size_t d = protocol.alphabet_size();
+  displays_.resize(protocol.num_agents());
+  protocol.displays(round, displays_);
   absorb_round(round);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Symbol s = protocol.display(i, round);
+  for (const Symbol s : displays_) {
     NOISYPULL_ASSERT(s < d);
     absorb_display(s);
     ++c[s];
@@ -118,13 +104,7 @@ void ExactEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
   // Snapshot displays: all messages of a round are chosen before any
   // observation of that round is delivered (model step 1 precedes step 4).
   // Serial, in agent-index order — this is the digest-absorbing phase.
-  displays_.resize(n);
-  absorb_round(round);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    displays_[i] = protocol.display(i, round);
-    NOISYPULL_ASSERT(displays_[i] < d);
-    absorb_display(displays_[i]);
-  }
+  display_histogram(protocol, round);
 
   // Sampling + update phase: reads the frozen display snapshot, writes only
   // per-agent protocol state — block-parallel on counter substreams.
@@ -177,12 +157,18 @@ double AggregateEngine::worst_upper_bound() const noexcept {
 
 void AggregateEngine::append_channel(const NoiseMatrix& m) {
   const std::size_t d = m.alphabet_size();
-  Matrix channel = m.matrix();
-  if (artificial_) channel = channel * *artificial_;
-  for (std::size_t from = 0; from < d; ++from) {
-    for (std::size_t to = 0; to < d; ++to) {
-      group_channels_.push_back(channel(from, to));
+  const auto append = [&](const Matrix& channel) {
+    for (std::size_t from = 0; from < d; ++from) {
+      for (std::size_t to = 0; to < d; ++to) {
+        group_channels_.push_back(channel(from, to));
+      }
     }
+  };
+  // Read the matrix in place: a copy would cost a heap allocation per round.
+  if (artificial_) {
+    append(m.matrix() * *artificial_);
+  } else {
+    append(m.matrix());
   }
 }
 
@@ -274,9 +260,11 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
 
   // The table-driven update needs an outcome enumeration; it is a function
   // of (h, d) only, so every InverseCdf sampler of the round shares it.
-  // Groups that fell back to Decomposition (outcome space not enumerable,
-  // or too large for the group under the amortization gate) take the
-  // per-agent virtual path, whose CompiledPopulation::update mirrors the
+  // Without one (every group fell back to Decomposition: the outcome space
+  // is not enumerable, or too large for the group under the amortization
+  // gate), a binary population still runs its closed-form rules, indexed
+  // by the drawn counts (CompiledPopulation::update_run); other agents
+  // take the virtual path, whose CompiledPopulation::update mirrors the
   // production draws exactly.
   CompiledPopulation* pop = nullptr;
   if (access.population != nullptr) {
@@ -287,9 +275,16 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
         break;
       }
     }
+    if (pop == nullptr && d == 2) access.population->begin_rule_round(round, h);
   }
   const bool faults_possible =
       access.force_virtual_updates || access.stalled_until != nullptr;
+  // Fault-free runs off the table path go through the bulk update hook: the
+  // compiled population's own when the engine drives it directly, else the
+  // protocol's (a decorator's inherits the per-agent default, so it still
+  // sees every update).
+  PullProtocol& bulk =
+      access.population != nullptr ? *access.population : protocol;
 
   const std::uint64_t round_key = rng.next();
   for_each_block(
@@ -309,11 +304,15 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
           const bool table =
               pop != nullptr &&
               smp.mode() == ObservationSampler::Mode::InverseCdf;
-          if (table && !faults_possible) {
+          if (!faults_possible) {
             // No fault decorator this round: the run takes the
             // group-hoisted tight loop — the same draws and writes as the
             // per-agent loop below, without its per-agent fault check.
-            pop->apply_block(journal, i, run_end, smp, brng);
+            if (table) {
+              pop->apply_block(journal, i, run_end, smp, brng);
+            } else {
+              bulk.update_run(round, i, run_end, smp, brng);
+            }
             i = run_end;
             continue;
           }
@@ -331,7 +330,7 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
           }
         }
       });
-  if (pop != nullptr) pop->end_update_round();
+  if (access.population != nullptr) access.population->end_update_round();
 }
 
 void SequentialEngine::set_artificial_noise(std::optional<Matrix> p) {

@@ -40,6 +40,7 @@
 // the inner engine noticing.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -119,7 +120,9 @@ class Engine {
 
   // Snapshot display histogram of one round (c[σ] = number of agents
   // displaying σ), folded into the replay digest along the way — the shared
-  // first step of every aggregate-style engine.
+  // first step of every engine.  The protocol's bulk displays() hook fills
+  // displays_ (reused across rounds), which then holds the round's display
+  // vector.
   std::array<std::uint64_t, kMaxAlphabet> display_histogram(
       const PullProtocol& protocol, std::uint64_t round);
 
@@ -145,13 +148,36 @@ class Engine {
   // [0, n), where block b's rng is Rng(round_key, b) — serially when lanes
   // == 1, on the pool otherwise.  The caller draws round_key from the run
   // rng (exactly one draw per round) so the master stream advances the same
-  // way regardless of lane count.
-  using BlockBody =
-      std::function<void(std::uint64_t, std::uint64_t, Rng&)>;
-  void for_each_block(std::uint64_t n, std::uint64_t round_key,
-                      const BlockBody& body);
+  // way regardless of lane count.  A template, so a round allocates nothing:
+  // the pool receives a job that holds one reference, which std::function
+  // stores inline.
+  template <typename Body>
+  void for_each_block(std::uint64_t n, std::uint64_t round_key, Body&& body) {
+    const std::uint64_t blocks = num_blocks(n);
+    const auto run_block = [&](std::uint64_t b) {
+      // Counter substream: a function of (round_key, b) only — never of the
+      // lane that happens to execute the block — so serial and pooled
+      // execution realize identical trajectories.
+      Rng block_rng(round_key, b);
+      const std::uint64_t begin = b * kBlockSize;
+      const std::uint64_t end = std::min(n, begin + kBlockSize);
+      body(begin, end, block_rng);
+    };
+    if (!pool_ || blocks <= 1) {
+      for (std::uint64_t b = 0; b < blocks; ++b) run_block(b);
+      return;
+    }
+    run_pooled(blocks, [&run_block](std::uint64_t b) { run_block(b); });
+  }
+
+  // The round's display vector, filled by display_histogram().
+  std::vector<Symbol> displays_;
 
  private:
+  // parallel_for on the pool (lanes > 1).
+  void run_pooled(std::uint64_t jobs,
+                  const std::function<void(std::uint64_t)>& job);
+
   std::uint64_t digest_ = fnv::kOffsetBasis;
   unsigned lanes_ = 1;
   bool compiled_ = false;
@@ -166,7 +192,6 @@ class ExactEngine final : public Engine {
 
  private:
   std::optional<NoiseMatrix> artificial_;
-  std::vector<Symbol> displays_;  // scratch, reused across rounds
 };
 
 // Agents are partitioned into channel groups, each with its own effective

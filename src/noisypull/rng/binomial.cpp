@@ -25,7 +25,7 @@ double stirling_approx_tail(double k) noexcept {
 
 // Inversion ("BINV"): walk the cdf from 0.  Expected O(n p) iterations.
 // Requires p <= 0.5 and n * p small enough that q^n does not underflow
-// (guaranteed by the caller's cutoff).
+// (guaranteed by the plan's cutoff).
 //
 // Round-off in the running pmf recurrence can push the walk past x = n with
 // residual mass left; the classic remedy restarts the whole inversion with a
@@ -36,72 +36,82 @@ double stirling_approx_tail(double k) noexcept {
 // instead of looping unboundedly.
 constexpr int kBinvMaxRestarts = 64;
 
-std::uint64_t binv(Rng& rng, std::uint64_t n, double p) {
-  const double q = 1.0 - p;
-  const double s = p / q;
-  const double a = static_cast<double>(n + 1) * s;
-  double r = std::pow(q, static_cast<double>(n));
+// BINV below this n·min(p, 1 − p), BTRS from it on.
+constexpr double kBtrsCutoff = 10.0;
+
+}  // namespace
+
+BinomialPlan::BinomialPlan(std::uint64_t n, double p) {
+  NOISYPULL_CHECK(p >= 0.0 && p <= 1.0, "binomial probability outside [0,1]");
+  if (n == 0 || p == 0.0) return;  // Constant 0
+  n_ = n;
+  if (p == 1.0) return;  // Constant n
+  if (p > 0.5) {
+    flip_ = true;
+    p = 1.0 - p;
+  }
+  nd_ = static_cast<double>(n);
+  q_ = 1.0 - p;
+  r_ = p / q_;
+  if (nd_ * p < kBtrsCutoff) {
+    method_ = Method::Binv;
+    binv_a_ = static_cast<double>(n + 1) * r_;
+    binv_start_ = std::pow(q_, nd_);
+    return;
+  }
+  method_ = Method::Btrs;
+  const double np = nd_ * p;
+  const double stddev = std::sqrt(np * q_);
+  b_ = 1.15 + 2.53 * stddev;
+  a_ = -0.0873 + 0.0248 * b_ + 0.01 * p;
+  c_ = np + 0.5;
+  v_r_ = 0.92 - 4.2 / b_;
+  alpha_ = (2.83 + 5.1 / b_) * stddev;
+  m_ = std::floor((nd_ + 1) * p);
+  upper_m_ = (m_ + 0.5) * std::log((m_ + 1) / (r_ * (nd_ - m_ + 1)));
+  tail_m_ = stirling_approx_tail(m_);
+  tail_n_m_ = stirling_approx_tail(nd_ - m_);
+}
+
+std::uint64_t BinomialPlan::binv(Rng& rng) const {
+  double r = binv_start_;
   double u = rng.next_double();
   std::uint64_t x = 0;
   int restarts = 0;
   while (u > r) {
     u -= r;
     ++x;
-    if (x > n) {  // numeric guard against accumulated round-off
-      if (++restarts >= kBinvMaxRestarts) return n;
+    if (x > n_) {  // numeric guard against accumulated round-off
+      if (++restarts >= kBinvMaxRestarts) return n_;
       x = 0;
-      r = std::pow(q, static_cast<double>(n));
+      r = binv_start_;
       u = rng.next_double();
       continue;
     }
-    r *= (a / static_cast<double>(x) - s);
+    r *= (binv_a_ / static_cast<double>(x) - r_);
   }
   return x;
 }
 
 // Hörmann's BTRS transformed-rejection sampler.  Exact; requires p <= 0.5
 // and n * p >= 10.
-std::uint64_t btrs(Rng& rng, std::uint64_t n, double p) {
-  const double nd = static_cast<double>(n);
-  const double np = nd * p;
-  const double q = 1.0 - p;
-  const double stddev = std::sqrt(np * q);
-  const double b = 1.15 + 2.53 * stddev;
-  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
-  const double c = np + 0.5;
-  const double v_r = 0.92 - 4.2 / b;
-  const double r = p / q;
-  const double alpha = (2.83 + 5.1 / b) * stddev;
-  const double m = std::floor((nd + 1) * p);
+std::uint64_t BinomialPlan::btrs(Rng& rng) const {
   for (;;) {
     const double u = rng.next_double() - 0.5;
     double v = rng.next_double();
     const double us = 0.5 - std::fabs(u);
-    const double kf = std::floor((2 * a / us + b) * u + c);
-    if (kf < 0 || kf > nd) continue;
+    const double kf = std::floor((2 * a_ / us + b_) * u + c_);
+    if (kf < 0 || kf > nd_) continue;
     // Fast acceptance region (covers ~86% of draws).
-    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(kf);
+    if (us >= 0.07 && v <= v_r_) return static_cast<std::uint64_t>(kf);
     // Exact acceptance test against the true pmf ratio f(k)/f(m).
-    v = std::log(v * alpha / (a / (us * us) + b));
+    v = std::log(v * alpha_ / (a_ / (us * us) + b_));
     const double upper =
-        (m + 0.5) * std::log((m + 1) / (r * (nd - m + 1))) +
-        (nd + 1) * std::log((nd - m + 1) / (nd - kf + 1)) +
-        (kf + 0.5) * std::log(r * (nd - kf + 1) / (kf + 1)) +
-        stirling_approx_tail(m) + stirling_approx_tail(nd - m) -
-        stirling_approx_tail(kf) - stirling_approx_tail(nd - kf);
+        upper_m_ + (nd_ + 1) * std::log((nd_ - m_ + 1) / (nd_ - kf + 1)) +
+        (kf + 0.5) * std::log(r_ * (nd_ - kf + 1) / (kf + 1)) + tail_m_ +
+        tail_n_m_ - stirling_approx_tail(kf) - stirling_approx_tail(nd_ - kf);
     if (v <= upper) return static_cast<std::uint64_t>(kf);
   }
-}
-
-}  // namespace
-
-std::uint64_t sample_binomial(Rng& rng, std::uint64_t n, double p) {
-  NOISYPULL_CHECK(p >= 0.0 && p <= 1.0, "binomial probability outside [0,1]");
-  if (n == 0 || p == 0.0) return 0;
-  if (p == 1.0) return n;
-  if (p > 0.5) return n - sample_binomial(rng, n, 1.0 - p);
-  if (static_cast<double>(n) * p < 10.0) return binv(rng, n, p);
-  return btrs(rng, n, p);
 }
 
 void sample_multinomial(Rng& rng, std::uint64_t n,

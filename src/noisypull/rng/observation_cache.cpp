@@ -61,6 +61,13 @@ void ObservationSampler::reset(std::uint64_t h, std::span<const double> weights,
     // the cache.
     mode_ = Mode::Decomposition;
     outcome_count_ = 0;
+    if (d == 2) {
+      // sample_multinomial's chain for two symbols: one Binomial(h, w0 / W)
+      // (p clamped to 1) when w1 > 0, else every draw lands on symbol 0.
+      double p = 1.0;
+      if (weights_[1] > 0.0) p = std::min(weights_[0] / total_weight, 1.0);
+      binary_plan_ = BinomialPlan(h, p);
+    }
     record_memo(cache, expected_draws);
     return;
   }
@@ -230,6 +237,11 @@ void ObservationSampler::sample(Rng& rng, SymbolCounts& obs) const {
   NOISYPULL_CHECK(obs.size == d_,
                   "observation buffer does not match the sampler alphabet");
   if (mode_ == Mode::Decomposition) {
+    if (d_ == 2) {
+      obs.c[0] = binary_plan_.sample(rng);
+      obs.c[1] = h_ - obs.c[0];
+      return;
+    }
     sample_multinomial(rng, h_, std::span<const double>(weights_.data(), d_),
                        std::span<std::uint64_t>(obs.c.data(), d_));
     return;

@@ -48,6 +48,7 @@
 
 #include "noisypull/common/check.hpp"
 #include "noisypull/common/symbols.hpp"
+#include "noisypull/rng/binomial.hpp"
 #include "noisypull/rng/rng.hpp"
 
 namespace noisypull {
@@ -91,6 +92,9 @@ class ObservationSampler {
 
   Mode mode() const noexcept { return mode_; }
   bool cached() const noexcept { return !cum_.empty(); }
+  // Draws per count vector (the h of the last reset) and alphabet size d.
+  std::uint64_t draws() const noexcept { return h_; }
+  std::size_t alphabet_size() const noexcept { return d_; }
 
   // Draws one count vector into obs (obs.size must equal d).  Thread-safe:
   // const, touches only the given rng and obs.  InverseCdf mode consumes
@@ -238,6 +242,10 @@ class ObservationSampler {
   std::size_t d_ = 0;
   Mode mode_ = Mode::Decomposition;
   std::array<double, kMaxAlphabet> weights_{};  // decomposition fallback
+  // Binary Decomposition draws: counts[0] ~ Binomial(h, w0 / (w0 + w1)),
+  // the one binomial sample_multinomial would draw, with its constants
+  // built once per reset instead of once per agent.
+  BinomialPlan binary_plan_;
   std::array<double, kMaxAlphabet> logp_{};     // log(w_i / W); 0-weight cells
   std::array<bool, kMaxAlphabet> has_mass_{};   //   flagged instead of -inf
   std::vector<double> log_factorial_;           // lf[k] = log k!, k <= h

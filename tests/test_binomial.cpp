@@ -43,6 +43,126 @@ double binned_binomial_chi_square(std::uint64_t n, double p,
   return chi_square_statistic(observed, expected);
 }
 
+// The sampler as it stood before BinomialPlan: every call works out its
+// constants again.  Kept verbatim as the reference the plan is held to draw
+// for draw.
+namespace reference {
+
+double stirling_approx_tail(double k) noexcept {
+  static constexpr double kTable[] = {
+      0.0810614667953272,  0.0413406959554092,  0.0276779256849983,
+      0.02079067210376509, 0.0166446911898211,  0.0138761288230707,
+      0.0118967099458917,  0.0104112652619720,  0.00925546218271273,
+      0.00833056343336287};
+  if (k <= 9.0) return kTable[static_cast<int>(k)];
+  const double kp1sq = (k + 1.0) * (k + 1.0);
+  return (1.0 / 12 - (1.0 / 360 - 1.0 / 1260 / kp1sq) / kp1sq) / (k + 1.0);
+}
+
+constexpr int kBinvMaxRestarts = 64;
+
+std::uint64_t binv(Rng& rng, std::uint64_t n, double p) {
+  const double q = 1.0 - p;
+  const double s = p / q;
+  const double a = static_cast<double>(n + 1) * s;
+  double r = std::pow(q, static_cast<double>(n));
+  double u = rng.next_double();
+  std::uint64_t x = 0;
+  int restarts = 0;
+  while (u > r) {
+    u -= r;
+    ++x;
+    if (x > n) {
+      if (++restarts >= kBinvMaxRestarts) return n;
+      x = 0;
+      r = std::pow(q, static_cast<double>(n));
+      u = rng.next_double();
+      continue;
+    }
+    r *= (a / static_cast<double>(x) - s);
+  }
+  return x;
+}
+
+std::uint64_t btrs(Rng& rng, std::uint64_t n, double p) {
+  const double nd = static_cast<double>(n);
+  const double np = nd * p;
+  const double q = 1.0 - p;
+  const double stddev = std::sqrt(np * q);
+  const double b = 1.15 + 2.53 * stddev;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = np + 0.5;
+  const double v_r = 0.92 - 4.2 / b;
+  const double r = p / q;
+  const double alpha = (2.83 + 5.1 / b) * stddev;
+  const double m = std::floor((nd + 1) * p);
+  for (;;) {
+    const double u = rng.next_double() - 0.5;
+    double v = rng.next_double();
+    const double us = 0.5 - std::fabs(u);
+    const double kf = std::floor((2 * a / us + b) * u + c);
+    if (kf < 0 || kf > nd) continue;
+    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(kf);
+    v = std::log(v * alpha / (a / (us * us) + b));
+    const double upper =
+        (m + 0.5) * std::log((m + 1) / (r * (nd - m + 1))) +
+        (nd + 1) * std::log((nd - m + 1) / (nd - kf + 1)) +
+        (kf + 0.5) * std::log(r * (nd - kf + 1) / (kf + 1)) +
+        stirling_approx_tail(m) + stirling_approx_tail(nd - m) -
+        stirling_approx_tail(kf) - stirling_approx_tail(nd - kf);
+    if (v <= upper) return static_cast<std::uint64_t>(kf);
+  }
+}
+
+std::uint64_t sample_binomial(Rng& rng, std::uint64_t n, double p) {
+  if (n == 0 || p == 0.0) return 0;
+  if (p == 1.0) return n;
+  if (p > 0.5) return n - reference::sample_binomial(rng, n, 1.0 - p);
+  if (static_cast<double>(n) * p < 10.0) return binv(rng, n, p);
+  return btrs(rng, n, p);
+}
+
+}  // namespace reference
+
+// One plan drawn from many times, and sample_binomial's plan-per-call,
+// against the reference: the same values and the same rng position, over
+// p on both sides of 1/2, n·p on both sides of the BINV/BTRS cutoff of 10,
+// p ∈ {0, 1}, n = 0, and n = 19, p = 1/2 — the deepest BINV walk, where
+// the restart guard is live.
+TEST(BinomialPlan, DrawsMatchThePerCallSamplerDrawForDraw) {
+  const std::uint64_t ns[] = {0, 1, 2, 7, 19, 20, 50, 99, 100, 1000, 16000,
+                              1'000'000};
+  const double ps[] = {0.0,  1e-9, 0.001, 0.0099, 0.01, 0.19, 0.21, 0.3,
+                       0.49, 0.5,  0.501, 0.79,   0.81, 0.99, 0.999, 1.0};
+  int cases = 0;
+  for (const std::uint64_t n : ns) {
+    for (const double p : ps) {
+      const BinomialPlan plan(n, p);
+      Rng by_plan(300 + n), by_call(300 + n), by_reference(300 + n);
+      for (int i = 0; i < 300; ++i) {
+        const std::uint64_t want = reference::sample_binomial(by_reference, n, p);
+        ASSERT_EQ(plan.sample(by_plan), want)
+            << "n " << n << ", p " << p << ", draw " << i;
+        ASSERT_EQ(sample_binomial(by_call, n, p), want)
+            << "n " << n << ", p " << p << ", draw " << i;
+      }
+      const std::uint64_t next = by_reference.next();
+      EXPECT_EQ(by_plan.next(), next) << "n " << n << ", p " << p;
+      EXPECT_EQ(by_call.next(), next) << "n " << n << ", p " << p;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 12 * 16);
+}
+
+TEST(BinomialPlan, RejectsProbabilitiesOutsideTheUnitInterval) {
+  EXPECT_THROW(BinomialPlan(10, -0.1), std::invalid_argument);
+  EXPECT_THROW(BinomialPlan(10, 1.5), std::invalid_argument);
+  Rng rng(3);
+  EXPECT_EQ(BinomialPlan().sample(rng), 0u);
+  EXPECT_EQ(BinomialPlan(9, 1.0).sample(rng), 9u);
+}
+
 TEST(Binomial, EdgeCases) {
   Rng rng(1);
   EXPECT_EQ(sample_binomial(rng, 0, 0.5), 0u);

@@ -817,11 +817,11 @@ TEST(CompiledPathCount, CountStaysExactAcrossTableRestarts) {
   }
 }
 
-// A round whose sampler falls back to Decomposition takes the virtual
-// update() path for every agent and never opens an update phase.  Here it
-// is the SF round ending listening, where opinions change — and the only
-// round of its signature, so no table ever holds its cells: update() alone
-// must invalidate the cached count.
+// A Decomposition round whose h exceeds the schedule's has no closed-form
+// rule (has_update_rule), so it takes the virtual update() path for every
+// agent.  Here it is the SF round ending listening, where opinions change —
+// and the only round of its signature, so no table ever holds its cells:
+// update() alone must invalidate the cached count.
 TEST(CompiledPathCount, DecompositionRoundInvalidatesTheCount) {
   const SfSchedule schedule =
       make_sf_schedule(kPop, Holdings{16}, Delta{kDelta});
@@ -843,6 +843,58 @@ TEST(CompiledPathCount, DecompositionRoundInvalidatesTheCount) {
       EXPECT_NE(pop->count_opinion(1), before)
           << "the listening end moved no opinion: the check has no teeth";
     }
+  }
+}
+
+// h = n: n + 1 outcomes over n draws fail the amortization gate, so every
+// round's sampler is Decomposition and no round takes the table path.
+// The closed-form rules still run, indexed by the drawn counts
+// (CompiledPopulation::update_run): no virtual update, the digest and the
+// opinions of SourceFilter, and the count recounts only after the rounds
+// whose rule is a sign step (the listening finish and sub-phase ends).
+constexpr SfSchedule kBigHnSchedule{.h = kBigN,
+                                    .m = 8,
+                                    .phase_rounds = 4,
+                                    .w = 8,
+                                    .subphase_rounds = 3,
+                                    .num_subphases = 4,
+                                    .final_rounds = 4};
+
+TEST(CompiledPathEdge, DecompositionRoundsMakeNoVirtualUpdates) {
+  const ProtoParams pp{
+      .d = 2, .h = kBigN, .rounds = kBigHnSchedule.total_rounds() + 2};
+  SourceFilter production(kBigPop, kBigHnSchedule);
+  AggregateEngine production_engine;
+  const RunOut reference = run(production, production_engine, pp, 43);
+  const SfAutomaton probe(kBigHnSchedule, /*is_source=*/false, Opinion{0});
+  const auto noise = NoiseMatrix::uniform(pp.d, kDelta);
+  for (const unsigned lanes : {1u, 4u}) {
+    const auto pop = make_compiled_sf(kBigPop, kBigHnSchedule);
+    CountingProtocol counted(*pop);
+    AggregateEngine engine;
+    engine.set_compiled(true);
+    engine.set_threads(lanes);
+    Rng rng(43);
+    std::uint64_t sign_steps = 0;
+    for (std::uint64_t r = 0; r < pp.rounds; ++r) {
+      engine.step(counted, noise, Holdings{pp.h}, r, rng);
+      const std::uint64_t sig = probe.update_signature(r);
+      if (sig == 2 || sig == 4) ++sign_steps;
+      const std::string at =
+          "round " + std::to_string(r) + ", " + std::to_string(lanes) + " lanes";
+      expect_counts_exact(*pop, at);
+      // The first count, then one per sign-step round.
+      EXPECT_EQ(pop->opinion_recounts(), 1 + sign_steps) << at;
+    }
+    EXPECT_GT(sign_steps, 1u);
+    EXPECT_EQ(counted.virtual_updates(), 0u) << lanes << " lanes";
+    EXPECT_EQ(pop->cells_compiled(), 0u);
+    RunOut got;
+    got.digest = engine.replay_digest();
+    for (std::uint64_t i = 0; i < kBigPop.n; ++i) {
+      got.opinions.push_back(pop->opinion(i));
+    }
+    EXPECT_EQ(got, reference) << lanes << " lanes";
   }
 }
 

@@ -1,6 +1,8 @@
-// Golden replay-digest regression tests: four pinned (engine, seed,
-// FaultPlan) tuples whose full-run replay digests are committed under
-// tests/golden/ and re-verified by ctest.
+// Golden replay-digest regression tests: six pinned (engine, seed,
+// FaultPlan, h) tuples whose full-run replay digests are committed under
+// tests/golden/ and re-verified by ctest.  Four sample h = 16 of n = 48
+// agents (the InverseCdf sampler); two sample h = n, where the outcome
+// space outgrows the draws and every round runs the Decomposition sampler.
 //
 // Purpose: catch *semantic* drift.  Any change to engine sampling, runner
 // sequencing, or fault realization that alters trajectories for identical
@@ -49,14 +51,15 @@ constexpr double kDelta = 0.2;
 // Same full-horizon construction as test_replay_digest.cpp: only a full run
 // makes the display trajectory — and hence the digest — depend on the
 // sampling randomness.
-std::uint64_t digest_of_run(Engine& engine, std::uint64_t seed) {
+std::uint64_t digest_of_run(Engine& engine, std::uint64_t seed,
+                            std::uint64_t h) {
   const PopulationConfig pop{.n = kN, .s1 = 1, .s0 = 0};
-  SourceFilter protocol(pop, Holdings{kH}, Delta{kDelta}, C1{2.0});
+  SourceFilter protocol(pop, Holdings{h}, Delta{kDelta}, C1{2.0});
   const auto noise = NoiseMatrix::uniform(2, kDelta);
   Rng rng(seed);
   const std::uint64_t rounds = protocol.planned_rounds() + 4;
   for (std::uint64_t r = 0; r < rounds; ++r) {
-    engine.step(protocol, noise, Holdings{kH}, r, rng);
+    engine.step(protocol, noise, Holdings{h}, r, rng);
   }
   return engine.replay_digest();
 }
@@ -73,6 +76,7 @@ struct GoldenTuple {
   std::uint64_t seed;
   bool faulted;
   FaultPlan plan;
+  std::uint64_t h = kH;
 };
 
 FaultPlan byz_drop_plan() {
@@ -118,6 +122,9 @@ const std::vector<GoldenTuple>& tuples() {
        stall_burst_plan()},
       {"peragent-seed19-byz-drop", EngineKind::PerAgent, 19, true,
        light_byz_drop_plan()},
+      {"aggregate-seed23-hn-clean", EngineKind::Aggregate, 23, false, {}, kN},
+      {"peragent-seed29-hn-byz-drop", EngineKind::PerAgent, 29, true,
+       light_byz_drop_plan(), kN},
   };
   return kTuples;
 }
@@ -146,9 +153,9 @@ std::unique_ptr<Engine> make_engine(EngineKind kind) {
 
 std::uint64_t compute(const GoldenTuple& t) {
   const std::unique_ptr<Engine> inner = make_engine(t.engine);
-  if (!t.faulted) return digest_of_run(*inner, t.seed);
+  if (!t.faulted) return digest_of_run(*inner, t.seed, t.h);
   FaultyEngine faulty(*inner, t.plan);
-  return digest_of_run(faulty, t.seed);
+  return digest_of_run(faulty, t.seed, t.h);
 }
 
 std::string golden_path() {
@@ -231,14 +238,19 @@ TEST(GoldenDigest, TuplesAreMutuallyDistinct) {
   EXPECT_NE(current.at("exact-seed11-byz-drop"),
             current.at("peragent-seed19-byz-drop"));
   EXPECT_NE(current.at("calibration"), current.at("aggregate-seed7-clean"));
+  EXPECT_NE(current.at("aggregate-seed23-hn-clean"),
+            current.at("aggregate-seed7-clean"));
+  EXPECT_NE(current.at("aggregate-seed23-hn-clean"),
+            current.at("peragent-seed29-hn-byz-drop"));
 }
 
 TEST(GoldenDigest, ByzDropTuplesDependOnTheSeed) {
   // A pinned digest that every seed reproduces pins no sampling randomness;
   // re-running a Byzantine tuple under a neighbouring seed must move it.
-  // The exact tuple's neighbour is seed 12, the per-agent tuple's seed 20.
-  for (const char* name :
-       {"exact-seed11-byz-drop", "peragent-seed19-byz-drop"}) {
+  // The exact tuple's neighbour is seed 12, the per-agent tuples' seeds 20
+  // and 30.
+  for (const char* name : {"exact-seed11-byz-drop", "peragent-seed19-byz-drop",
+                           "peragent-seed29-hn-byz-drop"}) {
     const auto it = std::find_if(
         tuples().begin(), tuples().end(),
         [&](const GoldenTuple& t) { return std::string(t.name) == name; });

@@ -261,6 +261,33 @@ TEST(ObservationSampler, DecompositionFallbackMatchesMultinomialSampler) {
   }
 }
 
+TEST(ObservationSampler, BinaryDecompositionMatchesMultinomialSampler) {
+  // The binary Decomposition mode draws from a BinomialPlan built at reset
+  // instead of calling sample_multinomial per draw: same rng consumption,
+  // same counts, for both binomial methods, a reflected p, the p = 1 clamp
+  // (w1 = 0) and p = 0 (w0 = 0).
+  const std::vector<std::vector<double>> laws = {
+      {0.3, 0.7}, {0.9, 0.1}, {0.5, 0.5}, {1.0, 0.0}, {0.0, 2.0},
+      {3.0, 1e-9}};
+  for (const std::uint64_t h : {std::uint64_t{5}, std::uint64_t{40},
+                                std::uint64_t{20000}}) {
+    for (const std::vector<double>& q : laws) {
+      ObservationSampler s;
+      s.reset(h, q, /*cache=*/true, /*expected_draws=*/1);
+      ASSERT_EQ(s.mode(), ObservationSampler::Mode::Decomposition);
+      Rng rng_a(21), rng_b(21);
+      for (int i = 0; i < 200; ++i) {
+        const auto a = draw(s, rng_a, 2);
+        std::uint64_t expect[2];
+        sample_multinomial(rng_b, h, q, expect);
+        ASSERT_EQ(a[0], expect[0]) << "h " << h << ", draw " << i;
+        ASSERT_EQ(a[1], expect[1]) << "h " << h << ", draw " << i;
+      }
+      EXPECT_EQ(rng_a.next(), rng_b.next()) << "h " << h;
+    }
+  }
+}
+
 // Chi-square goodness of fit of the binary inverse-CDF path against the
 // exact Binomial(h, p) law — identical harness to test_binomial.cpp: bin
 // the support, accumulate exact binned probabilities from the log pmf,

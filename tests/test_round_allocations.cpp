@@ -1,0 +1,142 @@
+// A steady-state AggregateEngine round allocates nothing.
+//
+// Its own binary: it replaces the global operator new with a counting one.
+// Every buffer a round needs (the display vector, the samplers' tables, the
+// channel groups, the compiled population's rules) is sized on its first
+// use and reused, and neither the block loop nor the pool hand-off
+// type-erases anything that would not fit inline.  After a warm-up that
+// reaches every SF phase (and, compiled, every update signature of the
+// measured window), 1000 further rounds must count zero allocations — at
+// one lane and at four, interpreted and compiled, under an InverseCdf and
+// a Decomposition sampler.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+
+#include "noisypull/core/automaton/compiled_population.hpp"
+#include "noisypull/core/schedule.hpp"
+#include "noisypull/core/source_filter.hpp"
+#include "noisypull/model/engine.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc needs a size that is a multiple of the alignment.
+  const std::size_t rounded = (size + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace noisypull {
+namespace {
+
+// Two full engine blocks and a ragged third, so four lanes share work.
+constexpr std::uint64_t kN = 2 * 4096 + 100;
+constexpr PopulationConfig kPop{.n = kN, .s1 = 60, .s0 = 0};
+constexpr double kDelta = 0.2;
+constexpr std::uint64_t kMeasuredRounds = 1000;
+
+// 200 listening rounds, twenty 50-round sub-phases and a 50-round final
+// one: the warm-up (listening and the first sub-phase) reaches every update
+// signature the measured window [250, 1250) uses.
+SfSchedule schedule_for(std::uint64_t h) {
+  return {.h = h,
+          .m = 100 * h,
+          .phase_rounds = 100,
+          .w = 50 * h,
+          .subphase_rounds = 50,
+          .num_subphases = 20,
+          .final_rounds = 50};
+}
+constexpr std::uint64_t kWarmupRounds = 250;
+
+// Allocations during kMeasuredRounds rounds after the warm-up.
+std::uint64_t steady_state_allocations(PullProtocol& protocol, bool compiled,
+                                       std::uint64_t h, unsigned lanes) {
+  AggregateEngine engine;
+  engine.set_compiled(compiled);
+  engine.set_threads(lanes);
+  const auto noise = NoiseMatrix::uniform(2, kDelta);
+  Rng rng(17);
+  std::uint64_t r = 0;
+  for (; r < kWarmupRounds; ++r) {
+    engine.step(protocol, noise, Holdings{h}, r, rng);
+  }
+  const std::uint64_t before = g_allocations.load();
+  for (; r < kWarmupRounds + kMeasuredRounds; ++r) {
+    engine.step(protocol, noise, Holdings{h}, r, rng);
+  }
+  return g_allocations.load() - before;
+}
+
+TEST(RoundAllocations, SteadyStateRoundsAllocateNothing) {
+  // h = 16 keeps the inverse-CDF table; h = n falls back to Decomposition.
+  for (const std::uint64_t h : {std::uint64_t{16}, kN}) {
+    const SfSchedule schedule = schedule_for(h);
+    ASSERT_GE(schedule.total_rounds(), kWarmupRounds + kMeasuredRounds);
+    for (const unsigned lanes : {1u, 4u}) {
+      for (const bool compiled : {false, true}) {
+        const std::string label = "h = " + std::to_string(h) + ", " +
+                                  std::to_string(lanes) + " lanes, " +
+                                  (compiled ? "compiled" : "interpreted");
+        std::unique_ptr<PullProtocol> protocol;
+        if (compiled) {
+          protocol = make_compiled_sf(kPop, schedule);
+        } else {
+          protocol = std::make_unique<SourceFilter>(kPop, schedule);
+        }
+        EXPECT_EQ(steady_state_allocations(*protocol, compiled, h, lanes), 0u)
+            << label;
+      }
+    }
+  }
+}
+
+// The counter works: a round that must allocate is seen.
+TEST(RoundAllocations, TheCounterSeesAnAllocation) {
+  const std::uint64_t before = g_allocations.load();
+  auto p = std::make_unique<std::uint64_t>(7);
+  EXPECT_GT(g_allocations.load(), before);
+  EXPECT_EQ(*p, 7u);
+}
+
+}  // namespace
+}  // namespace noisypull

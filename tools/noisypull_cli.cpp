@@ -99,10 +99,10 @@ struct CliOptions {
                   fast path (sf only, aggregate/heterogeneous engines;
                   bit-identical to the interpreted run; SF's rounds are
                   closed-form shifts of its state ids, no tables;
-                  2.1-2.6x the interpreted speed on the SF rows of
-                  BENCH_compiled_path.json, 1.8-2.4x over the THM4 grid's
-                  s1 = 1 horizons, about 1x at h = n, where the sampler
-                  falls back per agent — see DESIGN.md s13)
+                  1.4-1.8x the interpreted speed on the SF rows of
+                  BENCH_compiled_path.json, 1.3-1.7x over the THM4 grid's
+                  s1 = 1 horizons, about 1x at h = n, where both paths
+                  spend the round drawing binomials — see DESIGN.md s13)
   --order O       random | ascending | descending      (sequential engine)
   --trajectory    print per-round correct counts of repetition 0
   --verify-replay run the whole configuration twice with identical seeds and
