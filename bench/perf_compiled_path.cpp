@@ -1,23 +1,21 @@
 // PERF — machine-readable benchmark of the compiled-automaton fast path
 // (DESIGN.md §13) against the interpreted cached aggregate path.
 //
-// For each (protocol, n, h) configuration this times, on AggregateEngine
-// with one lane:
+// For each SF (n, h) configuration this times, on AggregateEngine with one
+// lane:
 //   * interpreted_cached — the production protocol object (SourceFilter)
-//     through the virtual display()/update() path, i.e. the pre-compiled
-//     production round loop.  Table automata have no production class:
-//     their interpreted row is a CompiledPopulation through the same
-//     virtual path;
+//     through its bulk display/update hooks, i.e. the pre-compiled
+//     production round loop;
 //   * compiled — the mirrored CompiledPopulation with set_compiled(true):
-//     memoized display table, compile-on-miss (state id → outcome row)
-//     transition tables, no virtual dispatch in the hot loop.
+//     closed-form display and update rules over state ids, no virtual
+//     dispatch in the hot loop.
 //
-// Most rows time calibrated slices of rounds from round 1.  The
+// The sf rows time calibrated slices of rounds from round 1.  The
 // full-horizon rows time one whole run() — planned horizon, opinions
 // counted every round: sf_full at perfbench's sf_h64_compiled
 // configuration, where boosting dominates and the first rounds say
 // little, and sf_grid at a THM4-N grid cell (s1 = 1), whose long
-// listening phase keeps compiling new cells.
+// listening phase spreads the balances over many states.
 //
 // Before any timing, the harness replays every smoke-sized configuration
 // through BOTH paths (plus the compiled population's own virtual fallback)
@@ -54,8 +52,8 @@ double seconds_since(Clock::time_point start) {
 }
 
 struct Config {
-  const char* row;       // CI floor key: "table" | "sf" | "sf_full" | "sf_grid"
-  const char* protocol;  // "table" | "sf"
+  const char* row;       // CI floor key: "sf" | "sf_full" | "sf_grid"
+  const char* protocol;  // "sf"
   std::uint64_t n;
   std::uint64_t h;
   std::uint64_t s1 = 1;
@@ -64,24 +62,9 @@ struct Config {
   bool full_horizon = false;
 };
 
-// SF and Table run the binary channel at δ = 0.2 (the perf_round_kernel
-// operating point and the THM4-N grid's noise level).
+// SF runs the binary channel at δ = 0.2 (the perf_round_kernel operating
+// point and the THM4-N grid's noise level).
 constexpr double kSfDelta = 0.2;
-
-// A 2-state follow-the-majority table automaton (ties flip a fair coin via
-// the inverse-CDF default of TableAutomaton::compile): the minimal
-// round-homogeneous Table protocol, so the Table row isolates pure
-// dispatch + table-lookup cost with no schedule machinery on top.
-std::shared_ptr<const TableAutomaton> make_majority_automaton() {
-  std::vector<TableState> states(2);
-  states[0] = TableState{.show = 0, .watch_a = 0, .watch_b = 1,
-                         .if_greater = 0, .if_less = 1, .tie_a = 0,
-                         .tie_b = 1};
-  states[1] = TableState{.show = 1, .watch_a = 0, .watch_b = 1,
-                         .if_greater = 0, .if_less = 1, .tie_a = 1,
-                         .tie_b = 0};
-  return std::make_shared<TableAutomaton>(2, std::move(states));
-}
 
 // Interpreted production protocol + its compiled mirror, built with the
 // same agent layout so trajectories are comparable draw for draw.
@@ -89,32 +72,22 @@ struct Setup {
   std::unique_ptr<PullProtocol> interpreted;
   std::unique_ptr<CompiledPopulation> compiled;
   NoiseMatrix noise;
-  std::uint64_t horizon;  // 0: no intrinsic schedule, rounds just count up
+  std::uint64_t horizon;  // the planned SF horizon
 };
 
 Setup make_setup(const Config& cfg) {
-  if (std::strcmp(cfg.protocol, "sf") == 0) {
-    const PopulationConfig pop{.n = cfg.n, .s1 = cfg.s1, .s0 = 0};
-    // Full-horizon rows use the default c1 of the CLI and perfbench.
-    const SfSchedule schedule =
-        cfg.full_horizon
-            ? make_sf_schedule(pop, Holdings{cfg.h}, Delta{kSfDelta})
-            : make_sf_schedule(pop, Holdings{cfg.h}, Delta{kSfDelta}, C1{2.0});
-    return Setup{.interpreted = std::make_unique<SourceFilter>(pop, schedule),
-                 .compiled = make_compiled_sf(pop, schedule),
-                 .noise = NoiseMatrix::uniform(2, kSfDelta),
-                 .horizon = schedule.total_rounds()};
-  }
-  NOISYPULL_CHECK(std::strcmp(cfg.protocol, "table") == 0,
+  NOISYPULL_CHECK(std::strcmp(cfg.protocol, "sf") == 0,
                   "unknown bench protocol");
-  auto automaton = make_majority_automaton();
-  const std::uint64_t minority = cfg.n / 16;
-  const std::vector<CompiledGroup> groups{{cfg.n - minority, automaton, 0},
-                                          {minority, automaton, 1}};
-  return Setup{.interpreted = std::make_unique<CompiledPopulation>(groups, 0),
-               .compiled = std::make_unique<CompiledPopulation>(groups, 0),
+  const PopulationConfig pop{.n = cfg.n, .s1 = cfg.s1, .s0 = 0};
+  // Full-horizon rows use the default c1 of the CLI and perfbench.
+  const SfSchedule schedule =
+      cfg.full_horizon
+          ? make_sf_schedule(pop, Holdings{cfg.h}, Delta{kSfDelta})
+          : make_sf_schedule(pop, Holdings{cfg.h}, Delta{kSfDelta}, C1{2.0});
+  return Setup{.interpreted = std::make_unique<SourceFilter>(pop, schedule),
+               .compiled = make_compiled_sf(pop, schedule),
                .noise = NoiseMatrix::uniform(2, kSfDelta),
-               .horizon = 0};
+               .horizon = schedule.total_rounds()};
 }
 
 // All timing runs share one named seed: throughput, not the stream
@@ -138,9 +111,7 @@ double time_rounds(const Config& cfg, Path path, std::uint64_t rounds) {
   engine.set_compiled(path == Path::Compiled);
   Rng rng(kTimingSeed);
   const std::uint64_t horizon = s.horizon;
-  const auto round_at = [horizon](std::uint64_t r) {
-    return horizon > 0 ? r % horizon : r;
-  };
+  const auto round_at = [horizon](std::uint64_t r) { return r % horizon; };
   engine.step(protocol, s.noise, Holdings{cfg.h}, round_at(0), rng);  // warm-up
   const auto start = Clock::now();
   for (std::uint64_t r = 0; r < rounds; ++r) {
@@ -163,8 +134,7 @@ RunOut replay(const Config& cfg, Path path, std::uint64_t rounds) {
   engine.set_compiled(path == Path::Compiled);
   Rng rng(kTimingSeed);
   for (std::uint64_t r = 0; r < rounds; ++r) {
-    const std::uint64_t round = s.horizon > 0 ? r % s.horizon : r;
-    engine.step(protocol, s.noise, Holdings{cfg.h}, round, rng);
+    engine.step(protocol, s.noise, Holdings{cfg.h}, r % s.horizon, rng);
   }
   RunOut out{.digest = engine.replay_digest(), .opinions = {}};
   out.opinions.reserve(protocol.num_agents());
@@ -333,7 +303,6 @@ int main(int argc, char** argv) {
 
   // Identity gate at smoke sizes, in every mode (cheap: a few seconds).
   const Config identity_configs[] = {
-      {.row = "table", .protocol = "table", .n = 20000, .h = 8},
       {.row = "sf", .protocol = "sf", .n = 20000, .h = 4},
   };
   // perfbench's sf_h64_compiled configuration, over its whole horizon
@@ -346,7 +315,7 @@ int main(int argc, char** argv) {
   // compiled path keeps missing there.  Its ratio is the grid's.
   const Config grid_sf{.row = "sf_grid", .protocol = "sf", .n = 4000,
                        .h = 63, .s1 = 1, .full_horizon = true};
-  std::printf("perf_compiled_path: identity gate (2 protocols x 3 paths)\n");
+  std::printf("perf_compiled_path: identity gate (SF x 3 paths)\n");
   if (!check_identity(identity_configs, /*rounds=*/48)) {
     std::fprintf(stderr, "perf_compiled_path: identity gate FAILED\n");
     return 1;
@@ -361,8 +330,6 @@ int main(int argc, char** argv) {
         Config{.row = "sf", .protocol = "sf", .n = 1000000, .h = 4});
     configs.push_back(
         Config{.row = "sf", .protocol = "sf", .n = 100000, .h = 16});
-    configs.push_back(
-        Config{.row = "table", .protocol = "table", .n = 1000000, .h = 8});
   }
   configs.push_back(full_sf);
   configs.push_back(grid_sf);

@@ -5,9 +5,8 @@
 // This module promotes that interface from oracle mirror to production
 // citizen (DESIGN.md §13): the same state machines now also drive the
 // engines' compiled fast path, where per-agent protocol state is one flat
-// vector of state ids and the round kernel runs table lookups or
-// closed-form rules (UpdateRule) instead of virtual display()/update()
-// calls.
+// vector of state ids and the round kernel runs closed-form rules
+// (UpdateRule) instead of virtual display()/update() calls.
 //
 // Two complementary views of one automaton:
 //
@@ -27,13 +26,6 @@
 //    class; the oracle tests hold it to the exact chain).  Only the SF
 //    mirror overrides it: SSF is not compiled (DESIGN.md §13), so its
 //    mirror keeps the default and does not reproduce SSF's draws.
-//
-// The signature hooks bound memoization: two rounds with equal
-// update_signature() must have identical transition/compile behavior, and
-// two rounds with equal display_signature() identical display behavior.
-// The defaults return the round number — always correct, never reusing a
-// table across rounds; protocol mirrors override them with their small
-// phase alphabet so memo tables persist across the whole run.
 #pragma once
 
 #include <array>
@@ -50,8 +42,9 @@ namespace noisypull {
 // need equality and ordering.
 using AutomatonState = std::uint32_t;
 
-// Every automaton's ids stay below this bound, so a compiled entry can hold
-// a successor id inline (EdgePool::kEdgeTag in compiled_population.hpp).
+// Every automaton's ids stay below this bound.  A closed-form rule never
+// moves an id by more than the id span, so its slope and offset fit
+// UpdateRule's int32 fields.
 inline constexpr std::uint64_t kMaxStateIds = std::uint64_t{1} << 31;
 
 struct WeightedState {
@@ -111,31 +104,32 @@ struct CompiledEdge {
   }
 };
 
-// Closed-form update rule of one update signature, for automata whose ids
-// are arithmetic (AgentAutomaton::closed_form()): id = 2·position + opinion
-// bit, with a balance that moves by a per-outcome amount.  Binary alphabet
-// only: outcome index k stands for the counts (h − k, k), as the sampler's
-// canonical enumeration has it.
+// Closed-form update rule of one round, for automata whose ids are
+// arithmetic (AgentAutomaton::closed_form()): id = 2·position + opinion
+// bit, with a balance that moves by an amount affine in the outcome.
+// Binary alphabet only: outcome index k stands for the counts (h − k, k),
+// as the sampler's canonical enumeration has it.
 //
 //   Identity — the id stays.
 //   Shift    — an id below `floor` first re-bases to `rebase` + (id & 1);
-//              then id += delta[k].  No draw.
+//              then id += slope·k + offset.  No draw.
 //   SignStep — the shift, then the shifted id x is compared with `zero` on
 //              its even part (x & ~1): above → `up`, below → `down`, equal →
 //              one next_bool(), heads → `up` (the protocols'
 //              `rng.next_bool() ? 1 : 0` tie break).
 //
 // apply() is the reference semantics; CompiledPopulation runs the same
-// arithmetic in loops specialized per kind.  Every delta is even, so a
-// Shift keeps the opinion bit and only a SignStep can change an opinion.
+// arithmetic in loops specialized per kind.  Slope and offset are even, so
+// a Shift keeps the opinion bit and only a SignStep can change an opinion.
 struct UpdateRule {
   enum class Kind : std::uint8_t { None, Identity, Shift, SignStep };
 
   Kind kind = Kind::None;
   AutomatonState floor = 0;
   AutomatonState rebase = 0;
-  std::vector<std::int32_t> delta;  // Shift / SignStep, one per outcome
-  AutomatonState zero = 0;          // SignStep only
+  std::int32_t slope = 0;   // Shift / SignStep: the move is slope·k + offset
+  std::int32_t offset = 0;
+  AutomatonState zero = 0;  // SignStep only
   AutomatonState up = 0;
   AutomatonState down = 0;
 
@@ -144,7 +138,7 @@ struct UpdateRule {
     if (kind == Kind::None || kind == Kind::Identity) return s;
     const auto x = static_cast<AutomatonState>(
         static_cast<std::int64_t>(s < floor ? rebase + (s & 1) : s) +
-        delta[k]);
+        std::int64_t{slope} * static_cast<std::int64_t>(k) + offset);
     if (kind == Kind::Shift) return x;
     const AutomatonState even = x & ~AutomatonState{1};
     if (even != zero) return even > zero ? up : down;
@@ -152,7 +146,7 @@ struct UpdateRule {
   }
 };
 
-// Closed-form display rule of one display signature: every state shows
+// Closed-form display rule of one round: every state shows
 // `symbol`, or every state shows its opinion bit (id & 1).
 struct DisplayRule {
   enum class Kind : std::uint8_t { None, Constant, OpinionBit };
@@ -216,23 +210,13 @@ class AgentAutomaton {
     return e;
   }
 
-  // Memoization keys: equal signatures promise equal behavior (header
-  // comment).  Defaults never reuse anything across rounds.
-  virtual std::uint64_t update_signature(std::uint64_t round) const {
-    return round;
-  }
-  virtual std::uint64_t display_signature(std::uint64_t round) const {
-    return round;
-  }
-
   // Closed-form automata (DESIGN.md §13) promise: opinion(s) == s & 1 for
   // every id, update_rule() is never None and display_rule() never None.
-  // CompiledPopulation then runs their rules instead of compiling cells,
-  // and keeps no per-id storage for them.  update_rule(round, h) must
-  // equal compile() for every state and every full sample of h
-  // observations, and depend on the round only through update_signature;
-  // display_rule(round) must equal display() and depend on the round only
-  // through display_signature.
+  // CompiledPopulation then runs their rules instead of compile(), and
+  // keeps no per-id storage for them.  update_rule(round, h) must equal
+  // compile() for every state and every full sample of h observations,
+  // and display_rule(round) must equal display().  Both are asked every
+  // round, so they should be O(1) to build.
   virtual bool closed_form() const { return false; }
   // Whether update_rule(·, h) exists: a closed-form automaton may bound the
   // sample sizes its ids can absorb (SF: its schedule's h).  Agents of a

@@ -141,24 +141,6 @@ SfAutomaton::Step SfAutomaton::step(std::uint64_t round) const noexcept {
   return {Step::Kind::Boost, 1, 1, is_subphase_end(round)};
 }
 
-std::uint64_t SfAutomaton::update_signature(std::uint64_t round) const {
-  const Step st = step(round);
-  switch (st.kind) {
-    case Step::Kind::Listen:
-      return st.sign ? 2 : (st.ones != 0 ? 0 : 1);
-    case Step::Kind::Boost:
-      return st.sign ? 4 : 3;
-    case Step::Kind::Identity:
-      break;
-  }
-  return 5;
-}
-
-std::uint64_t SfAutomaton::display_signature(std::uint64_t round) const {
-  if (round < schedule_.phase_rounds) return 0;
-  return round < schedule_.boosting_start() ? 1 : 2;
-}
-
 DisplayRule SfAutomaton::display_rule(std::uint64_t round) const {
   if (round >= schedule_.boosting_start()) {
     return {.kind = DisplayRule::Kind::OpinionBit};
@@ -249,12 +231,10 @@ UpdateRule SfAutomaton::update_rule(std::uint64_t round,
     rule.floor = boost_base_;  // listening ids re-base to boost balance 0
     rule.rebase = boost_id(0, 0);
   }
-  rule.delta.resize(h + 1);
-  for (std::uint64_t k = 0; k <= h; ++k) {
-    rule.delta[k] = static_cast<std::int32_t>(
-        2 * (st.ones * static_cast<std::int64_t>(k) -
-             st.zeros * static_cast<std::int64_t>(h - k)));
-  }
+  // The balance moves by ones·k − zeros·(h − k), two id steps per unit.
+  rule.slope = static_cast<std::int32_t>(2 * (st.ones + st.zeros));
+  rule.offset = static_cast<std::int32_t>(-2 * st.zeros *
+                                          static_cast<std::int64_t>(h));
   if (st.sign) {
     rule.zero = st.kind == Step::Kind::Listen ? listen_id(0, 0) : boost_id(0, 0);
     rule.down = boost_id(0, 0);

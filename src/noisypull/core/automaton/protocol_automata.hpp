@@ -84,14 +84,6 @@ class TableAutomaton final : public AgentAutomaton {
   // uniform unconditionally: table automata have no production class, and
   // the oracle tests pin this draw law against the exact chain.
 
-  // Tables are round-homogeneous: one signature for the whole run.
-  std::uint64_t update_signature(std::uint64_t /*round*/) const override {
-    return 0;
-  }
-  std::uint64_t display_signature(std::uint64_t /*round*/) const override {
-    return 0;
-  }
-
  private:
   std::size_t alphabet_;
   std::vector<TableState> states_;
@@ -137,12 +129,6 @@ class SfAutomaton final : public AgentAutomaton {
   // SourceFilter::finish_listening / finish_subphase draw them.
   CompiledEdge compile(AutomatonState state, std::uint64_t round,
                        const SymbolCounts& obs) const override;
-
-  // Phase alphabet of the update rule: {phase-0, phase-1 middle, listening
-  // finish, boosting middle, sub-phase end, terminated}; displays only
-  // distinguish {phase-0, phase-1, boosting}.
-  std::uint64_t update_signature(std::uint64_t round) const override;
-  std::uint64_t display_signature(std::uint64_t round) const override;
 
   // Listening rounds shift the listen balance, boosting rounds re-base a
   // listening id (stalled through the finish) to boost balance 0 and shift
@@ -205,14 +191,6 @@ class SsfAutomaton final : public AgentAutomaton {
                                         std::uint64_t round,
                                         const SymbolCounts& obs) const override;
   Opinion opinion(AutomatonState state) const override;
-
-  // SSF has no clock: one signature for displays and updates alike.
-  std::uint64_t update_signature(std::uint64_t /*round*/) const override {
-    return 0;
-  }
-  std::uint64_t display_signature(std::uint64_t /*round*/) const override {
-    return 0;
-  }
 
  private:
   struct Concrete {

@@ -48,7 +48,8 @@ class CompiledPopulation;  // core/automaton/compiled_population.hpp
 //     sampling draw either way,
 //   * force_virtual_updates routes EVERY update through the virtual path —
 //     set when a decorator rewrites observation counts (message drops), so
-//     per-(state, outcome-index) tables no longer describe what agents see.
+//     closed-form rules, which assume full samples, no longer describe what
+//     agents see.
 struct CompiledAccess {
   CompiledPopulation* population = nullptr;
   std::uint64_t forged_begin = ~static_cast<std::uint64_t>(0);

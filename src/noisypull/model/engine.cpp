@@ -32,41 +32,37 @@ void Engine::run_pooled(std::uint64_t jobs,
 }
 
 std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
-    const PullProtocol& protocol, std::uint64_t round) {
-  std::array<std::uint64_t, kMaxAlphabet> c{};
-  const std::size_t d = protocol.alphabet_size();
-  displays_.resize(protocol.num_agents());
-  protocol.displays(round, displays_);
-  absorb_round(round);
-  for (const Symbol s : displays_) {
-    NOISYPULL_ASSERT(s < d);
-    absorb_display(s);
-    ++c[s];
-  }
-  return c;
-}
-
-std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
-    PullProtocol& protocol, const CompiledAccess& access, std::uint64_t round) {
-  NOISYPULL_ASSERT(access.population != nullptr);
-  CompiledPopulation& pop = *access.population;
+    const PullProtocol& protocol, std::uint64_t round,
+    const CompiledAccess& access) {
   std::array<std::uint64_t, kMaxAlphabet> c{};
   const std::uint64_t n = protocol.num_agents();
   const std::size_t d = protocol.alphabet_size();
-  const auto absorb = [&](Symbol s) {
+  displays_.resize(n);
+  if (access.population != nullptr) {
+    // Forged agents (Byzantine decorators, a suffix of the index range)
+    // display through the decorator, not through their automaton state.
+    const std::uint64_t honest_end = std::min(n, access.forged_begin);
+    access.population->displays(
+        round, std::span<Symbol>(displays_).first(honest_end));
+    for (std::uint64_t i = honest_end; i < n; ++i) {
+      displays_[i] = protocol.display(i, round);
+    }
+  } else {
+    protocol.displays(round, displays_);
+  }
+  absorb_round(round);
+  // Two histograms over alternate agents: in a converging population most
+  // agents show one symbol, and a single histogram would chain every
+  // increment through that counter's store, a longer loop-carried chain
+  // than the digest's.
+  std::array<std::array<std::uint64_t, kMaxAlphabet>, 2> half{};
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const Symbol s = displays_[i];
     NOISYPULL_ASSERT(s < d);
     absorb_display(s);
-    ++c[s];
-  };
-  absorb_round(round);
-  // Forged agents (Byzantine decorators, a suffix of the index range)
-  // display through the virtual path — the decorator, not the automaton
-  // state, decides what they show.
-  const std::uint64_t honest_end = std::min(n, access.forged_begin);
-  pop.for_each_display(round, honest_end, absorb);
-  for (std::uint64_t i = honest_end; i < n; ++i) {
-    absorb(protocol.display(i, round));
+    ++half[i & 1][s];
   }
+  for (std::size_t s = 0; s < d; ++s) c[s] = half[0][s] + half[1][s];
   return c;
 }
 
@@ -222,9 +218,7 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
   CompiledAccess access{};
   if (compiled()) access = protocol.compiled_access();
 
-  const auto c = access.population != nullptr
-                     ? display_histogram(protocol, access, round)
-                     : display_histogram(protocol, round);
+  const auto c = display_histogram(protocol, round, access);
 
   if (per_agent_.empty()) {
     // One group whose channel is this step's matrix: a fault decorator's
@@ -258,38 +252,23 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
                        /*cache=*/true, group_sizes_[g]);
   }
 
-  // The table-driven update needs an outcome enumeration; it is a function
-  // of (h, d) only, so every InverseCdf sampler of the round shares it.
-  // Without one (every group fell back to Decomposition: the outcome space
-  // is not enumerable, or too large for the group under the amortization
-  // gate), a binary population still runs its closed-form rules, indexed
-  // by the drawn counts (CompiledPopulation::update_run); other agents
-  // take the virtual path, whose CompiledPopulation::update mirrors the
-  // production draws exactly.
-  CompiledPopulation* pop = nullptr;
-  if (access.population != nullptr) {
-    for (const ObservationSampler& s : samplers_) {
-      if (s.mode() == ObservationSampler::Mode::InverseCdf) {
-        pop = access.population;
-        pop->begin_update_round(round, s.num_outcomes(), num_blocks(n));
-        break;
-      }
-    }
-    if (pop == nullptr && d == 2) access.population->begin_rule_round(round, h);
-  }
+  // The compiled population decides the round's rules once: closed-form
+  // groups move by arithmetic on their ids, every other agent runs its
+  // automaton's compile() through CompiledPopulation::update, which
+  // mirrors the production draws exactly.
+  CompiledPopulation* const pop = access.population;
+  if (pop != nullptr) pop->begin_update_round(round, h);
   const bool faults_possible =
       access.force_virtual_updates || access.stalled_until != nullptr;
-  // Fault-free runs off the table path go through the bulk update hook: the
-  // compiled population's own when the engine drives it directly, else the
+  // Fault-free runs go through the bulk update hook: the compiled
+  // population's own when the engine drives it directly, else the
   // protocol's (a decorator's inherits the per-agent default, so it still
   // sees every update).
-  PullProtocol& bulk =
-      access.population != nullptr ? *access.population : protocol;
+  PullProtocol& bulk = pop != nullptr ? *pop : protocol;
 
   const std::uint64_t round_key = rng.next();
   for_each_block(
       n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
-        const std::size_t journal = block_of(begin);
         SymbolCounts obs(d);
         // Walk maximal runs of agents in one channel group: the whole block
         // with a single group.
@@ -301,18 +280,11 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
             ++run_end;
           }
           const ObservationSampler& smp = samplers_[g];
-          const bool table =
-              pop != nullptr &&
-              smp.mode() == ObservationSampler::Mode::InverseCdf;
           if (!faults_possible) {
-            // No fault decorator this round: the run takes the
-            // group-hoisted tight loop — the same draws and writes as the
-            // per-agent loop below, without its per-agent fault check.
-            if (table) {
-              pop->apply_block(journal, i, run_end, smp, brng);
-            } else {
-              bulk.update_run(round, i, run_end, smp, brng);
-            }
+            // No fault decorator this round: the run takes the bulk hook —
+            // the same draws and writes as the per-agent loop below,
+            // without its per-agent fault check.
+            bulk.update_run(round, i, run_end, smp, brng);
             i = run_end;
             continue;
           }
@@ -320,17 +292,17 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
           // identical draws (sample() and sample_index() share one uniform
           // and one stopping rule).
           for (; i < run_end; ++i) {
-            if (table && !needs_virtual_update(access, i, round)) {
-              pop->apply(journal, i, smp, smp.sample_index(brng), brng);
-            } else {
-              obs.clear();
-              smp.sample(brng, obs);
-              protocol.update(i, round, obs, brng);
+            if (pop != nullptr && !needs_virtual_update(access, i, round) &&
+                pop->apply(i, smp, brng)) {
+              continue;
             }
+            obs.clear();
+            smp.sample(brng, obs);
+            protocol.update(i, round, obs, brng);
           }
         }
       });
-  if (access.population != nullptr) access.population->end_update_round();
+  if (pop != nullptr) pop->end_update_round();
 }
 
 void SequentialEngine::set_artificial_noise(std::optional<Matrix> p) {

@@ -84,7 +84,7 @@ class Engine {
   // Toggles the compiled fast path (DESIGN.md §13): when enabled AND the
   // protocol exposes a CompiledPopulation (core/protocol.hpp,
   // compiled_access()), AggregateEngine replaces the per-agent virtual
-  // display()/update() calls with table lookups or closed-form rules over
+  // display()/update() calls with the population's closed-form rules over
   // automaton state ids.  Trajectory-invariant by construction — same draws from the
   // same substreams, identical replay digest — so it is excluded from
   // experiment cache keys (tests/test_compiled_path.cpp pins the
@@ -122,26 +122,17 @@ class Engine {
   // displaying σ), folded into the replay digest along the way — the shared
   // first step of every engine.  The protocol's bulk displays() hook fills
   // displays_ (reused across rounds), which then holds the round's display
-  // vector.
+  // vector.  With a compiled population in `access`, the population's
+  // hook fills the honest prefix and the protocol's display() the agents
+  // at index >= access.forged_begin, whose displays a fault decorator
+  // forges.
   std::array<std::uint64_t, kMaxAlphabet> display_histogram(
-      const PullProtocol& protocol, std::uint64_t round);
+      const PullProtocol& protocol, std::uint64_t round,
+      const CompiledAccess& access = {});
 
-  // Compiled-path variant: per-agent symbols come from the population's
-  // display memo table (one array lookup per agent) except for agents at
-  // index >= access.forged_begin, whose displays a fault decorator forges
-  // and which therefore go through the virtual path.  Digest absorption is
-  // identical to the virtual variant, byte for byte.  Requires
-  // access.population != nullptr.
-  std::array<std::uint64_t, kMaxAlphabet> display_histogram(
-      PullProtocol& protocol, const CompiledAccess& access,
-      std::uint64_t round);
-
-  // Number of blocks of [0, n), and the block holding agent `begin`.
+  // Number of blocks of [0, n).
   static std::size_t num_blocks(std::uint64_t n) noexcept {
     return static_cast<std::size_t>((n + kBlockSize - 1) / kBlockSize);
-  }
-  static std::size_t block_of(std::uint64_t agent) noexcept {
-    return static_cast<std::size_t>(agent / kBlockSize);
   }
 
   // Runs body(begin, end, block_rng) for every block [begin, end) of

@@ -98,11 +98,12 @@ struct CliOptions {
   --compiled      run the protocol as a CompiledPopulation on the engines'
                   fast path (sf only, aggregate/heterogeneous engines;
                   bit-identical to the interpreted run; SF's rounds are
-                  closed-form shifts of its state ids, no tables;
-                  1.4-1.8x the interpreted speed on the SF rows of
-                  BENCH_compiled_path.json, 1.3-1.7x over the THM4 grid's
-                  s1 = 1 horizons, about 1x at h = n, where both paths
-                  spend the round drawing binomials — see DESIGN.md s13)
+                  closed-form shifts of its state ids (slope * k + offset),
+                  no tables; 1.2-1.5x the interpreted speed on the SF rows
+                  of BENCH_compiled_path.json, the THM4 grid's s1 = 1
+                  cell included, about 1x at h = n, where both paths
+                  spend the round drawing binomials, in a third of the
+                  interpreted memory — see DESIGN.md s13)
   --order O       random | ascending | descending      (sequential engine)
   --trajectory    print per-round correct counts of repetition 0
   --verify-replay run the whole configuration twice with identical seeds and
