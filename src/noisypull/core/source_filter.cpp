@@ -101,6 +101,7 @@ void SourceFilter::update(std::uint64_t agent, std::uint64_t round,
   NOISYPULL_CHECK(agent < pop_.n, "agent index out of range");
   NOISYPULL_CHECK(obs.size == 2, "SF expects a binary alphabet");
   step(agents_[agent], round_step(round), obs[0], obs[1], rng);
+  mark_opinions_stale();
 }
 
 void SourceFilter::update_run(std::uint64_t round, std::uint64_t begin,
@@ -109,6 +110,10 @@ void SourceFilter::update_run(std::uint64_t round, std::uint64_t begin,
   NOISYPULL_CHECK(begin <= end && end <= pop_.n, "agent run out of range");
   NOISYPULL_CHECK(sampler.alphabet_size() == 2, "SF expects a binary alphabet");
   const RoundStep st = round_step(round);
+  // Only a phase's last round moves `current`.
+  if (st == RoundStep::FinishListening || st == RoundStep::FinishSubphase) {
+    mark_opinions_stale();
+  }
   AgentState* const agents = agents_.data();
   if (sampler.mode() == ObservationSampler::Mode::InverseCdf) {
     const std::uint64_t h = sampler.draws();
@@ -131,9 +136,14 @@ Opinion SourceFilter::opinion(std::uint64_t agent) const {
 }
 
 std::uint64_t SourceFilter::count_opinion(Opinion o) const {
-  std::uint64_t count = 0;
-  for (const AgentState& a : agents_) count += a.current == o ? 1 : 0;
-  return count;
+  if (opinion_counts_stale_.load(std::memory_order_relaxed)) {
+    std::uint64_t ones = 0;
+    for (const AgentState& a : agents_) ones += a.current;  // 0 or 1
+    opinion_counts_ = {pop_.n - ones, ones};
+    ++opinion_recounts_;
+    opinion_counts_stale_.store(false, std::memory_order_relaxed);
+  }
+  return o < opinion_counts_.size() ? opinion_counts_[o] : 0;
 }
 
 Opinion SourceFilter::weak_opinion(std::uint64_t agent) const {

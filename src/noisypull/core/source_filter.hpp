@@ -18,6 +18,9 @@
 // consensus (Lemmas 31–35).
 #pragma once
 
+#include <array>
+// nplint: allow-next-line(threading-header) -- relaxed flag set in update_run()
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -51,9 +54,16 @@ class SourceFilter : public PullProtocol {
                   const ObservationSampler& sampler, Rng& rng) override;
   // Final, so count_opinion() below stays exact for every variant.
   Opinion opinion(std::uint64_t agent) const final;
-  // Counts `current` directly: the run loop's per-round convergence check
-  // without one virtual opinion() call per agent.
+  // Answers the run loop's per-round convergence check from a cached
+  // count of `current`, recounted (O(n)) only when a round since the last
+  // recount could have changed an opinion: a per-agent update(), or an
+  // update_run() on a FinishListening or FinishSubphase round.  Not safe
+  // to call concurrently with itself or with a round; the run loop calls
+  // it between rounds.
   std::uint64_t count_opinion(Opinion o) const override;
+  // Times count_opinion() recounted instead of answering from its cache.
+  // A function of the trajectory, so it does not depend on lanes.
+  std::uint64_t opinion_recounts() const noexcept { return opinion_recounts_; }
   std::uint64_t planned_rounds() const override {
     return schedule_.total_rounds();
   }
@@ -96,6 +106,21 @@ class SourceFilter : public PullProtocol {
   std::vector<AgentState> agents_;
 
  private:
+  // Marks the cached opinion count stale.  Runs concurrently across lanes
+  // (update() and update_run() of different blocks), hence the atomic;
+  // relaxed suffices, the round's barrier orders it before the next count.
+  void mark_opinions_stale() noexcept {
+    // Load first: once the flag is set, concurrent lanes only read its line.
+    if (!opinion_counts_stale_.load(std::memory_order_relaxed)) {
+      opinion_counts_stale_.store(true, std::memory_order_relaxed);
+    }
+  }
+
+  mutable std::atomic<bool> opinion_counts_stale_{true};
+  // Agents whose `current` is 0 and 1, the only opinions SF holds.
+  mutable std::array<std::uint64_t, 2> opinion_counts_{};
+  mutable std::uint64_t opinion_recounts_ = 0;
+
   // What an agent does with one round's observations.  A function of the
   // round alone, so the bulk hook decides it once per round.
   enum class RoundStep : std::uint8_t {

@@ -70,6 +70,9 @@ class FaultyEngine final : public Engine {
   std::uint64_t replay_digest() const noexcept override {
     return inner_.replay_digest();
   }
+  DisplayFoldStats display_fold_stats() const noexcept override {
+    return inner_.display_fold_stats();
+  }
 
   const FaultPlan& plan() const noexcept { return plan_; }
   const FaultStats& stats() const noexcept { return stats_; }

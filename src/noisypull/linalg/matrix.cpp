@@ -37,18 +37,29 @@ double Matrix::at(std::size_t i, std::size_t j) const {
 }
 
 Matrix Matrix::operator*(const Matrix& rhs) const {
-  NOISYPULL_CHECK(cols_ == rhs.rows_, "matrix product shape mismatch");
-  Matrix out(rows_, rhs.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = (*this)(i, k);
+  Matrix out;
+  out.assign_product(*this, rhs);
+  return out;
+}
+
+void Matrix::assign_product(const Matrix& a, const Matrix& b) {
+  NOISYPULL_CHECK(a.cols_ == b.rows_, "matrix product shape mismatch");
+  NOISYPULL_CHECK(a.rows_ > 0 && b.cols_ > 0,
+                  "matrix dimensions must be positive");
+  NOISYPULL_CHECK(this != &a && this != &b,
+                  "matrix product cannot overwrite an operand");
+  rows_ = a.rows_;
+  cols_ = b.cols_;
+  data_.assign(rows_ * cols_, 0.0);
+  for (std::size_t i = 0; i < a.rows_; ++i) {
+    for (std::size_t k = 0; k < a.cols_; ++k) {
+      const double aik = a(i, k);
       if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < rhs.cols_; ++j) {
-        out(i, j) += aik * rhs(k, j);
+      for (std::size_t j = 0; j < b.cols_; ++j) {
+        (*this)(i, j) += aik * b(k, j);
       }
     }
   }
-  return out;
 }
 
 Matrix Matrix::operator+(const Matrix& rhs) const {

@@ -43,6 +43,9 @@ class Matrix {
   double at(std::size_t i, std::size_t j) const;
 
   Matrix operator*(const Matrix& rhs) const;
+  // *this = a · b, reusing this matrix's storage: no allocation once it has
+  // held a product as large.  Neither operand may be *this.
+  void assign_product(const Matrix& a, const Matrix& b);
   Matrix operator+(const Matrix& rhs) const;
   Matrix operator-(const Matrix& rhs) const;
   Matrix operator*(double scalar) const;

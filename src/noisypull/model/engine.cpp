@@ -34,23 +34,44 @@ void Engine::run_pooled(std::uint64_t jobs,
 std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
     const PullProtocol& protocol, std::uint64_t round,
     const CompiledAccess& access) {
-  std::array<std::uint64_t, kMaxAlphabet> c{};
   const std::uint64_t n = protocol.num_agents();
   const std::size_t d = protocol.alphabet_size();
-  displays_.resize(n);
+  if (next_displays_.size() != n) {
+    // Both buffers at once, so no later round allocates.
+    displays_.assign(n, Symbol{0});
+    next_displays_.assign(n, Symbol{0});
+    previous_alphabet_ = 0;
+  }
+  const std::span<Symbol> next(next_displays_);
   if (access.population != nullptr) {
     // Forged agents (Byzantine decorators, a suffix of the index range)
     // display through the decorator, not through their automaton state.
     const std::uint64_t honest_end = std::min(n, access.forged_begin);
-    access.population->displays(
-        round, std::span<Symbol>(displays_).first(honest_end));
+    access.population->displays(round, next.first(honest_end));
     for (std::uint64_t i = honest_end; i < n; ++i) {
-      displays_[i] = protocol.display(i, round);
+      next[i] = protocol.display(i, round);
     }
   } else {
-    protocol.displays(round, displays_);
+    protocol.displays(round, next);
   }
   absorb_round(round);
+  const std::uint64_t header = digest_;
+  if (d == previous_alphabet_ &&
+      std::equal(next.begin(), next.end(), displays_.begin())) {
+    // Last round's display vector again: same histogram, symbols already
+    // checked, and the digest folds in O(1) once the memo knows the
+    // header's low byte (DESIGN.md §8.3).
+    ++fold_stats_.repeats;
+    if (fold_memo_.fold(header, digest_)) {
+      ++fold_stats_.memo_hits;
+    } else {
+      digest_ = fnv::hash_bytes(header, displays_);
+      fold_memo_.record(header, digest_);
+    }
+    return histogram_;
+  }
+  displays_.swap(next_displays_);
+  previous_alphabet_ = d;
   // Two histograms over alternate agents: in a converging population most
   // agents show one symbol, and a single histogram would chain every
   // increment through that counter's store, a longer loop-carried chain
@@ -62,8 +83,11 @@ std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
     absorb_display(s);
     ++half[i & 1][s];
   }
-  for (std::size_t s = 0; s < d; ++s) c[s] = half[0][s] + half[1][s];
-  return c;
+  histogram_.fill(0);
+  for (std::size_t s = 0; s < d; ++s) histogram_[s] = half[0][s] + half[1][s];
+  fold_memo_.reset(n);
+  fold_memo_.record(header, digest_);
+  return histogram_;
 }
 
 namespace {
@@ -160,9 +184,11 @@ void AggregateEngine::append_channel(const NoiseMatrix& m) {
       }
     }
   };
-  // Read the matrix in place: a copy would cost a heap allocation per round.
+  // Read the matrix in place and form the product in a reused buffer: a
+  // copy or a fresh product would cost a heap allocation per round.
   if (artificial_) {
-    append(m.matrix() * *artificial_);
+    product_.assign_product(m.matrix(), *artificial_);
+    append(product_);
   } else {
     append(m.matrix());
   }
@@ -320,8 +346,13 @@ void SequentialEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
 
   auto c = display_histogram(protocol, round);
 
-  Matrix channel = noise.matrix();
-  if (artificial_) channel = channel * *artificial_;
+  // Into the reused member: a fresh Matrix would allocate every round.
+  if (artificial_) {
+    channel_.assign_product(noise.matrix(), *artificial_);
+  } else {
+    channel_ = noise.matrix();
+  }
+  const Matrix& channel = channel_;
 
   perm_.resize(n);
   for (std::uint64_t i = 0; i < n; ++i) perm_[i] = i;

@@ -99,8 +99,23 @@ class Engine {
   // static determinism lints (tools/noisypull_lint.cpp); exercised by the
   // CLI's --verify-replay mode and tests/test_replay_digest.cpp.  Decorators
   // (FaultyEngine) report their inner engine's digest, which observes the
-  // decorated displays.
+  // decorated displays.  Every round is folded byte for byte by definition;
+  // a round that repeats the previous round's display vector gets the same
+  // value in O(1) from fnv::FoldMemo (DESIGN.md §8.3).
   virtual std::uint64_t replay_digest() const noexcept { return digest_; }
+
+  // How the display phase went so far.  Deterministic: a function of the
+  // trajectory (and the digest), equal at every lane count.
+  struct DisplayFoldStats {
+    std::uint64_t repeats = 0;    // rounds whose display vector equaled the
+                                  // previous round's: histogram reused
+    std::uint64_t memo_hits = 0;  // of those, rounds whose digest fold came
+                                  // from the memo in O(1)
+  };
+  // Decorators report their inner engine's, like replay_digest().
+  virtual DisplayFoldStats display_fold_stats() const noexcept {
+    return fold_stats_;
+  }
 
  protected:
   // Agents per RNG block.  Fixed — NOT derived from the thread count — so the
@@ -121,11 +136,13 @@ class Engine {
   // Snapshot display histogram of one round (c[σ] = number of agents
   // displaying σ), folded into the replay digest along the way — the shared
   // first step of every engine.  The protocol's bulk displays() hook fills
-  // displays_ (reused across rounds), which then holds the round's display
-  // vector.  With a compiled population in `access`, the population's
-  // hook fills the honest prefix and the protocol's display() the agents
-  // at index >= access.forged_begin, whose displays a fault decorator
-  // forges.
+  // a second buffer, which is compared with the previous round's vector:
+  // on a repeat the stored histogram is returned and the digest folded
+  // through the memo; otherwise the buffers swap and both are recomputed.
+  // Either way displays_ then holds the round's display vector.  With a
+  // compiled population in `access`, the population's hook fills the
+  // honest prefix and the protocol's display() the agents at index >=
+  // access.forged_begin, whose displays a fault decorator forges.
   std::array<std::uint64_t, kMaxAlphabet> display_histogram(
       const PullProtocol& protocol, std::uint64_t round,
       const CompiledAccess& access = {});
@@ -170,6 +187,15 @@ class Engine {
                   const std::function<void(std::uint64_t)>& job);
 
   std::uint64_t digest_ = fnv::kOffsetBasis;
+  // The display phase's repeat detection: the buffer the next round fills
+  // (both sized on first use), the alphabet under which the previous
+  // round's displays_ were checked (0: no previous round), that round's
+  // histogram, and the digest memo for its display vector.
+  std::vector<Symbol> next_displays_;
+  std::size_t previous_alphabet_ = 0;
+  std::array<std::uint64_t, kMaxAlphabet> histogram_{};
+  fnv::FoldMemo fold_memo_;
+  DisplayFoldStats fold_stats_;
   unsigned lanes_ = 1;
   bool compiled_ = false;
   std::unique_ptr<ThreadPool> pool_;  // null when lanes_ == 1
@@ -235,6 +261,7 @@ class AggregateEngine final : public Engine {
   // empty), whose effective channel is group_channels_[g·d² .. (g+1)·d²).
   std::vector<std::uint32_t> group_of_;
   std::vector<double> group_channels_;
+  Matrix product_;  // scratch: a channel times the artificial noise
   std::vector<std::uint64_t> group_sizes_;  // agents per group: the draw
                                             // count its sampler amortizes over
   std::vector<ObservationSampler> samplers_;  // one per group, reset per round
@@ -268,6 +295,7 @@ class SequentialEngine final : public Engine {
  private:
   Order order_;
   std::optional<Matrix> artificial_;
+  Matrix channel_;                   // scratch: the round's channel
   std::vector<std::uint64_t> perm_;  // scratch
 };
 

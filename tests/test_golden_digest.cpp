@@ -28,11 +28,13 @@
 #include <iomanip>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "noisypull/common/atomic_io.hpp"
+#include "noisypull/core/automaton/compiled_population.hpp"
 #include "noisypull/core/source_filter.hpp"
 #include "noisypull/fault/faulty_engine.hpp"
 #include "noisypull/model/engine.hpp"
@@ -220,6 +222,80 @@ TEST(GoldenDigest, PinnedTuplesMatchCommittedDigests) {
         << "replay digest drifted for pinned tuple '" << t.name
         << "' — trajectory semantics changed; if intentional, bump "
            "kCellCacheSchemaVersion and regenerate the goldens";
+  }
+}
+
+// Runs whose display vector repeats in nearly every round, the display
+// memo's hit-heavy case (DESIGN.md §8.3): SF at n = 250, h = 1 over its
+// full 47,529-round horizon (the thm4_sweep benchmark's longest cell) and
+// SF at perfbench's sf_h64_compiled configuration.  Their digests were
+// captured before the engines detected repeated rounds, when every round
+// was folded byte by byte.  Gated by the same calibration tuple.
+TEST(GoldenDigest, RepeatHeavyRunsKeepTheirDigests) {
+  const auto payload = io::read_file(golden_path());
+  ASSERT_TRUE(payload.has_value()) << "missing golden file " << golden_path();
+  const auto committed = parse(*payload);
+  ASSERT_TRUE(committed.count("calibration") != 0);
+  if (committed.at("calibration") != compute(tuples().front())) {
+    GTEST_SKIP() << "this toolchain produces different trajectories than the "
+                    "one that wrote the goldens; not enforced here";
+  }
+  enum class Kind { Aggregate, Compiled, Exact, ByzCompiled };
+  struct RepeatRun {
+    const char* name;
+    Kind kind;
+    PopulationConfig pop;
+    std::uint64_t h;
+    unsigned lanes;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  constexpr PopulationConfig kSmall{.n = 250, .s1 = 1, .s0 = 0};
+  constexpr PopulationConfig kH64{.n = 10'000, .s1 = 100, .s0 = 0};
+  const RepeatRun runs[] = {
+      {"sf-n250-h1", Kind::Aggregate, kSmall, 1, 1, 41, 0xd1f98e2f8e044bf3ULL},
+      {"exact-sf-n250-h1", Kind::Exact, kSmall, 1, 1, 41,
+       0x5feb454165c9f57fULL},
+      {"compiled-sf-h64", Kind::Compiled, kH64, 64, 1, 43,
+       0x4a16f32cf76a4cd1ULL},
+      {"interpreted-sf-h64-4-lanes", Kind::Aggregate, kH64, 64, 4, 43,
+       0x4a16f32cf76a4cd1ULL},
+      {"compiled-sf-h64-byz-4-lanes", Kind::ByzCompiled, kH64, 64, 4, 43,
+       0xa9e60d4e09cc68a0ULL},
+  };
+  for (const RepeatRun& run : runs) {
+    const SfSchedule schedule =
+        make_sf_schedule(run.pop, Holdings{run.h}, Delta{kDelta});
+    const bool compiled =
+        run.kind == Kind::Compiled || run.kind == Kind::ByzCompiled;
+    std::unique_ptr<PullProtocol> protocol;
+    if (compiled) {
+      protocol = make_compiled_sf(run.pop, schedule);
+    } else {
+      protocol = std::make_unique<SourceFilter>(run.pop, schedule);
+    }
+    std::unique_ptr<Engine> inner;
+    if (run.kind == Kind::Exact) {
+      inner = std::make_unique<ExactEngine>();
+    } else {
+      inner = std::make_unique<AggregateEngine>();
+    }
+    inner->set_compiled(compiled);
+    inner->set_threads(run.lanes);
+    // Byzantine agents only: light_byz_drop_plan() without its drops.
+    std::optional<FaultyEngine> faulty;
+    if (run.kind == Kind::ByzCompiled) {
+      FaultPlan plan = light_byz_drop_plan();
+      plan.drop.p = 0.0;
+      faulty.emplace(*inner, plan);
+    }
+    Engine& engine = faulty ? static_cast<Engine&>(*faulty) : *inner;
+    const auto noise = NoiseMatrix::uniform(2, kDelta);
+    Rng rng(run.seed);
+    for (std::uint64_t r = 0; r < protocol->planned_rounds(); ++r) {
+      engine.step(*protocol, noise, Holdings{run.h}, r, rng);
+    }
+    EXPECT_EQ(engine.replay_digest(), run.digest) << run.name;
   }
 }
 

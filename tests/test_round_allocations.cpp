@@ -1,16 +1,19 @@
-// A steady-state AggregateEngine round allocates nothing.
+// A steady-state engine round allocates nothing.
 //
 // Its own binary: it replaces the global operator new with a counting one.
-// Every buffer a round needs (the display vector, the samplers' tables, the
-// channel groups, the compiled population's rules) is sized on its first
-// use and reused, and neither the block loop nor the pool hand-off
-// type-erases anything that would not fit inline.  After a warm-up, 1000
-// further rounds must count zero allocations — at one lane and at four,
-// interpreted and compiled, under an InverseCdf and a Decomposition
-// sampler.  The interpreted warm-up reaches every SF phase; the compiled
-// one is a single listening round, so the window crosses every phase
-// change: the population asks for each round's rule afresh and must not
-// allocate for it.
+// Every buffer a round needs (both display buffers, the samplers' tables,
+// the channel groups and channel products, the compiled population's
+// rules) is sized on its first use and reused, and neither the block loop
+// nor the pool hand-off type-erases anything that would not fit inline.
+// After a warm-up, 1000 further rounds must count zero allocations — for
+// AggregateEngine at one lane and at four, interpreted and compiled, under
+// an InverseCdf and a Decomposition sampler; for ExactEngine at one lane
+// and at four; for SequentialEngine; and for each of them at one lane
+// under artificial noise.  The interpreted warm-up reaches every SF phase; the compiled one
+// is a single listening round, so the window crosses every phase change:
+// the population asks for each round's rule afresh and must not allocate
+// for it, and the display phase fills its second buffer for the first
+// time.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -92,14 +95,9 @@ SfSchedule schedule_for(std::uint64_t h) {
 constexpr std::uint64_t kWarmupRounds = 250;
 constexpr std::uint64_t kCompiledWarmupRounds = 1;
 
-// Allocations during kMeasuredRounds rounds after the warm-up.
-std::uint64_t steady_state_allocations(PullProtocol& protocol, bool compiled,
-                                       std::uint64_t h, unsigned lanes) {
-  const std::uint64_t warmup =
-      compiled ? kCompiledWarmupRounds : kWarmupRounds;
-  AggregateEngine engine;
-  engine.set_compiled(compiled);
-  engine.set_threads(lanes);
+// Allocations during kMeasuredRounds rounds of `engine` after `warmup`.
+std::uint64_t steady_state_allocations(PullProtocol& protocol, Engine& engine,
+                                       std::uint64_t h, std::uint64_t warmup) {
   const auto noise = NoiseMatrix::uniform(2, kDelta);
   Rng rng(17);
   std::uint64_t r = 0;
@@ -129,9 +127,47 @@ TEST(RoundAllocations, SteadyStateRoundsAllocateNothing) {
         } else {
           protocol = std::make_unique<SourceFilter>(kPop, schedule);
         }
-        EXPECT_EQ(steady_state_allocations(*protocol, compiled, h, lanes), 0u)
+        AggregateEngine engine;
+        engine.set_compiled(compiled);
+        engine.set_threads(lanes);
+        EXPECT_EQ(steady_state_allocations(
+                      *protocol, engine, h,
+                      compiled ? kCompiledWarmupRounds : kWarmupRounds),
+                  0u)
             << label;
       }
+    }
+  }
+  // The exact and sequential engines at h = 16 (the exact engine draws n·h
+  // messages a round), and every agent engine under artificial noise,
+  // whose channel product is formed in a reused buffer.
+  const SfSchedule schedule = schedule_for(16);
+  const Matrix artificial = NoiseMatrix::uniform(2, 0.1).matrix();
+  for (const bool with_artificial : {false, true}) {
+    const std::string suffix = with_artificial ? ", artificial noise" : "";
+    for (const unsigned lanes : {1u, 4u}) {
+      if (with_artificial && lanes > 1) continue;
+      SourceFilter protocol(kPop, schedule);
+      ExactEngine engine;
+      engine.set_threads(lanes);
+      if (with_artificial) engine.set_artificial_noise(artificial);
+      EXPECT_EQ(steady_state_allocations(protocol, engine, 16, kWarmupRounds),
+                0u)
+          << "exact, " << lanes << " lanes" << suffix;
+    }
+    SourceFilter protocol(kPop, schedule);
+    SequentialEngine sequential;
+    if (with_artificial) sequential.set_artificial_noise(artificial);
+    EXPECT_EQ(
+        steady_state_allocations(protocol, sequential, 16, kWarmupRounds), 0u)
+        << "sequential" << suffix;
+    if (with_artificial) {
+      SourceFilter aggregated(kPop, schedule);
+      AggregateEngine engine;
+      engine.set_artificial_noise(artificial);
+      EXPECT_EQ(
+          steady_state_allocations(aggregated, engine, 16, kWarmupRounds), 0u)
+          << "aggregate" << suffix;
     }
   }
 }

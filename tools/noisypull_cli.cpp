@@ -99,7 +99,7 @@ struct CliOptions {
                   fast path (sf only, aggregate/heterogeneous engines;
                   bit-identical to the interpreted run; SF's rounds are
                   closed-form shifts of its state ids (slope * k + offset),
-                  no tables; 1.2-1.5x the interpreted speed on the SF rows
+                  no tables; 1.05-1.3x the interpreted speed on the SF rows
                   of BENCH_compiled_path.json, the THM4 grid's s1 = 1
                   cell included, about 1x at h = n, where both paths
                   spend the round drawing binomials, in a third of the
