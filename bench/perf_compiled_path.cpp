@@ -6,22 +6,27 @@
 //   * interpreted_cached — the production protocol object (SourceFilter)
 //     through its bulk display/update hooks, i.e. the pre-compiled
 //     production round loop;
-//   * compiled — the mirrored CompiledPopulation with set_compiled(true):
+//   * compiled — the mirrored CompiledPopulation through its bulk hooks:
 //     closed-form display and update rules over state ids, no virtual
-//     dispatch in the hot loop.
+//     dispatch in the hot loop.  The engine's compiled toggle is left off:
+//     a bare population runs its rules either way.
 //
 // The sf rows time calibrated slices of rounds from round 1.  The
 // full-horizon rows time one whole run() — planned horizon, opinions
 // counted every round: sf_full at perfbench's sf_h64_compiled
 // configuration, where boosting dominates and the first rounds say
 // little, and sf_grid at a THM4-N grid cell (s1 = 1), whose long
-// listening phase spreads the balances over many states.
+// listening phase spreads the balances over many states.  Every row is
+// timed over kWindows windows, each one interpreted and one compiled
+// measurement in alternating order, and reports the median of each path's
+// rounds/s and the median of the per-window ratios: one window of a
+// fraction of a second swings by tens of percent on a shared host.
 //
 // Before any timing, the harness replays every smoke-sized configuration
-// through BOTH paths (plus the compiled population's own virtual fallback)
-// and requires identical replay digests and final opinions — the in-binary
-// half of the bit-identity contract that tests/test_compiled_path.cpp pins
-// under ctest.  A mismatch fails the run before a single number is printed.
+// through BOTH paths and requires identical replay digests and final
+// opinions — the in-binary half of the bit-identity contract that
+// tests/test_compiled_path.cpp pins under ctest.  A mismatch fails the run
+// before a single number is printed.
 //
 // Output is JSON (schema documented in EXPERIMENTS.md) written to --out
 // (default BENCH_compiled_path.json).  `--smoke` shrinks sizes for the CI
@@ -29,6 +34,8 @@
 // throughput ratios against the committed full-run JSON.  hardware_threads
 // is recorded for honest reporting; all rows here are single-lane, so the
 // ratios are core-count-independent by construction.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -95,10 +102,12 @@ Setup make_setup(const Config& cfg) {
 constexpr std::uint64_t kTimingSeed = 1;
 
 enum class Path {
-  Interpreted,      // production protocol, virtual dispatch, cache on
-  CompiledVirtual,  // CompiledPopulation through the virtual path
-  Compiled,         // CompiledPopulation with set_compiled(true)
+  Interpreted,  // production protocol (SourceFilter) through its hooks
+  Compiled,     // CompiledPopulation: closed-form rules
 };
+
+// Interleaved timing windows per row; the committed figures are medians.
+constexpr std::size_t kWindows = 5;
 
 PullProtocol& pick_protocol(Setup& s, Path path) {
   return path == Path::Interpreted ? *s.interpreted : *s.compiled;
@@ -108,7 +117,6 @@ double time_rounds(const Config& cfg, Path path, std::uint64_t rounds) {
   Setup s = make_setup(cfg);
   PullProtocol& protocol = pick_protocol(s, path);
   AggregateEngine engine;
-  engine.set_compiled(path == Path::Compiled);
   Rng rng(kTimingSeed);
   const std::uint64_t horizon = s.horizon;
   const auto round_at = [horizon](std::uint64_t r) { return r % horizon; };
@@ -131,7 +139,6 @@ RunOut replay(const Config& cfg, Path path, std::uint64_t rounds) {
   Setup s = make_setup(cfg);
   PullProtocol& protocol = pick_protocol(s, path);
   AggregateEngine engine;
-  engine.set_compiled(path == Path::Compiled);
   Rng rng(kTimingSeed);
   for (std::uint64_t r = 0; r < rounds; ++r) {
     engine.step(protocol, s.noise, Holdings{cfg.h}, r % s.horizon, rng);
@@ -144,38 +151,41 @@ RunOut replay(const Config& cfg, Path path, std::uint64_t rounds) {
   return out;
 }
 
-// The in-binary bit-identity gate: production interpreted, compiled-virtual
-// fallback, and compiled fast path must agree on replay digest AND final
+// The in-binary bit-identity gate: the production interpreted protocol
+// and the compiled population must agree on replay digest AND final
 // opinions for every configuration given.  Runs before any timing so a
 // broken fast path can never publish throughput numbers.
 bool check_identity(std::span<const Config> configs, std::uint64_t rounds) {
   bool ok = true;
   for (const Config& cfg : configs) {
     const RunOut reference = replay(cfg, Path::Interpreted, rounds);
-    for (const Path path : {Path::CompiledVirtual, Path::Compiled}) {
-      const RunOut got = replay(cfg, path, rounds);
-      if (got == reference) continue;
-      ok = false;
-      std::fprintf(stderr,
-                   "identity violation: protocol=%s n=%llu h=%llu path=%s "
-                   "(digest %016llx vs %016llx, opinions %s)\n",
-                   cfg.protocol, static_cast<unsigned long long>(cfg.n),
-                   static_cast<unsigned long long>(cfg.h),
-                   path == Path::Compiled ? "compiled" : "compiled-virtual",
-                   static_cast<unsigned long long>(got.digest),
-                   static_cast<unsigned long long>(reference.digest),
-                   got.opinions == reference.opinions ? "equal" : "DIFFER");
-    }
+    const RunOut got = replay(cfg, Path::Compiled, rounds);
+    if (got == reference) continue;
+    ok = false;
+    std::fprintf(stderr,
+                 "identity violation: protocol=%s n=%llu h=%llu "
+                 "(digest %016llx vs %016llx, opinions %s)\n",
+                 cfg.protocol, static_cast<unsigned long long>(cfg.n),
+                 static_cast<unsigned long long>(cfg.h),
+                 static_cast<unsigned long long>(got.digest),
+                 static_cast<unsigned long long>(reference.digest),
+                 got.opinions == reference.opinions ? "equal" : "DIFFER");
   }
   return ok;
 }
 
 struct ConfigResult {
   Config config;
-  std::uint64_t rounds_timed;
-  double interpreted_rounds_per_sec;
-  double compiled_rounds_per_sec;
+  std::uint64_t rounds_timed;  // per window and path
+  double interpreted_rounds_per_sec;  // median over the windows
+  double compiled_rounds_per_sec;     // median over the windows
+  double speedup;  // median of the windows' compiled/interpreted ratios
 };
+
+double median(std::array<double, kWindows> v) {
+  std::sort(v.begin(), v.end());
+  return v[kWindows / 2];
+}
 
 struct FullRun {
   double rounds_per_sec = 0.0;
@@ -193,9 +203,7 @@ FullRun full_run(const Config& cfg, Path path) {
   const auto start = Clock::now();
   FullRun out;
   out.result = run(protocol, engine, s.noise, Opinion{1},
-                   RunConfig{.h = cfg.h,
-                             .max_rounds = s.horizon,
-                             .compiled = path == Path::Compiled},
+                   RunConfig{.h = cfg.h, .max_rounds = s.horizon},
                    rng);
   const double elapsed = seconds_since(start);
   out.rounds_per_sec =
@@ -204,27 +212,31 @@ FullRun full_run(const Config& cfg, Path path) {
   return out;
 }
 
+// One window of one path: rounds/s of a full run or of a slice.
+double time_window(const Config& cfg, Path path, std::uint64_t rounds,
+                   const FullRun& reference) {
+  if (!cfg.full_horizon) return time_rounds(cfg, path, rounds);
+  // The row gates its own identity: every run has the same seed and
+  // horizon and must agree with the first before its time means anything.
+  const FullRun got = full_run(cfg, path);
+  NOISYPULL_CHECK(got.digest == reference.digest &&
+                      got.result.correct_at_end ==
+                          reference.result.correct_at_end &&
+                      got.result.first_all_correct ==
+                          reference.result.first_all_correct,
+                  "full-horizon row: compiled run differs from interpreted");
+  return got.rounds_per_sec;
+}
+
 ConfigResult run_config(const Config& cfg, bool smoke) {
-  if (cfg.full_horizon) {
-    // The row gates its own identity: both paths run the same seed over
-    // the same horizon and must agree before the ratio means anything.
-    const FullRun interp = full_run(cfg, Path::Interpreted);
-    const FullRun comp = full_run(cfg, Path::Compiled);
-    NOISYPULL_CHECK(interp.digest == comp.digest &&
-                        interp.result.correct_at_end ==
-                            comp.result.correct_at_end &&
-                        interp.result.first_all_correct ==
-                            comp.result.first_all_correct,
-                    "full-horizon row: compiled run differs from interpreted");
-    return ConfigResult{.config = cfg,
-                        .rounds_timed = make_setup(cfg).horizon,
-                        .interpreted_rounds_per_sec = interp.rounds_per_sec,
-                        .compiled_rounds_per_sec = comp.rounds_per_sec};
-  }
-  // Calibrate the repetition count off one interpreted round so both paths
-  // of a config are timed over the same number of rounds.
+  FullRun reference;
   std::uint64_t rounds = 3;
-  if (!smoke) {
+  if (cfg.full_horizon) {
+    reference = full_run(cfg, Path::Interpreted);  // also the warm-up
+    rounds = make_setup(cfg).horizon;
+  } else if (!smoke) {
+    // Calibrate the repetition count off one interpreted round so both
+    // paths of a config are timed over the same number of rounds.
     const double probe = time_rounds(cfg, Path::Interpreted, 1);
     const double per_round = 1.0 / probe;
     const double target_seconds = 0.5;
@@ -233,11 +245,26 @@ ConfigResult run_config(const Config& cfg, bool smoke) {
     if (r > 200.0) r = 200.0;
     rounds = static_cast<std::uint64_t>(r);
   }
-  return ConfigResult{
-      .config = cfg,
-      .rounds_timed = rounds,
-      .interpreted_rounds_per_sec = time_rounds(cfg, Path::Interpreted, rounds),
-      .compiled_rounds_per_sec = time_rounds(cfg, Path::Compiled, rounds)};
+  std::array<double, kWindows> interpreted{};
+  std::array<double, kWindows> compiled{};
+  std::array<double, kWindows> ratio{};
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    // Alternate which path goes first, so neither always inherits the
+    // other's cache and frequency state.
+    if (w % 2 == 0) {
+      interpreted[w] = time_window(cfg, Path::Interpreted, rounds, reference);
+      compiled[w] = time_window(cfg, Path::Compiled, rounds, reference);
+    } else {
+      compiled[w] = time_window(cfg, Path::Compiled, rounds, reference);
+      interpreted[w] = time_window(cfg, Path::Interpreted, rounds, reference);
+    }
+    ratio[w] = compiled[w] / interpreted[w];
+  }
+  return ConfigResult{.config = cfg,
+                      .rounds_timed = rounds,
+                      .interpreted_rounds_per_sec = median(interpreted),
+                      .compiled_rounds_per_sec = median(compiled),
+                      .speedup = median(ratio)};
 }
 
 void emit_json(std::FILE* out, bool smoke,
@@ -245,13 +272,14 @@ void emit_json(std::FILE* out, bool smoke,
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"compiled_path\",\n");
-  std::fprintf(out, "  \"schema_version\": 2,\n");
+  std::fprintf(out, "  \"schema_version\": 3,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"hardware_threads\": %u,\n", hw);
   // All rows are single-lane AggregateEngine, so the compiled/interpreted
   // ratio does not depend on the core count; the field is recorded anyway
   // for honest provenance of the absolute numbers.
   std::fprintf(out, "  \"threads_per_row\": 1,\n");
+  std::fprintf(out, "  \"windows_per_row\": %zu,\n", kWindows);
   std::fprintf(out, "  \"identity_checked\": true,\n");
   std::fprintf(out, "  \"configs\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -276,7 +304,7 @@ void emit_json(std::FILE* out, bool smoke,
     std::fprintf(out, "      \"compiled\": { \"rounds_per_sec\": %.4f },\n",
                  r.compiled_rounds_per_sec);
     std::fprintf(out, "      \"speedup_compiled_vs_interpreted\": %.4f\n",
-                 r.compiled_rounds_per_sec / r.interpreted_rounds_per_sec);
+                 r.speedup);
     std::fprintf(out, "    }%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n");
@@ -315,7 +343,7 @@ int main(int argc, char** argv) {
   // compiled path keeps missing there.  Its ratio is the grid's.
   const Config grid_sf{.row = "sf_grid", .protocol = "sf", .n = 4000,
                        .h = 63, .s1 = 1, .full_horizon = true};
-  std::printf("perf_compiled_path: identity gate (SF x 3 paths)\n");
+  std::printf("perf_compiled_path: identity gate (SF x 2 paths)\n");
   if (!check_identity(identity_configs, /*rounds=*/48)) {
     std::fprintf(stderr, "perf_compiled_path: identity gate FAILED\n");
     return 1;
@@ -341,11 +369,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(cfg.h));
     results.push_back(run_config(cfg, smoke));
     const auto& r = results.back();
-    std::printf("  interpreted cached: %.2f rounds/s\n",
-                r.interpreted_rounds_per_sec);
-    std::printf("  compiled:           %.2f rounds/s (%.2fx)\n",
-                r.compiled_rounds_per_sec,
-                r.compiled_rounds_per_sec / r.interpreted_rounds_per_sec);
+    std::printf("  interpreted cached: %.2f rounds/s (median of %zu)\n",
+                r.interpreted_rounds_per_sec, kWindows);
+    std::printf("  compiled:           %.2f rounds/s (median ratio %.2fx)\n",
+                r.compiled_rounds_per_sec, r.speedup);
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");

@@ -45,10 +45,25 @@ constexpr std::uint64_t prime_power(std::uint64_t k) noexcept {
   return result;
 }
 
-// Folds the bytes of `bytes` into `digest`, one hash_byte each.
+// Folds the bytes of `bytes` into `digest`, one hash_byte each.  Eight
+// bytes per loop trip: the fold is one serial xor-multiply chain either way,
+// but a one-byte loop's speed depends on where the linker places it
+// (EXPERIMENTS.md PERF-FOLD).
 inline std::uint64_t hash_bytes(std::uint64_t digest,
                                 std::span<const std::uint8_t> bytes) noexcept {
-  for (const std::uint8_t b : bytes) digest = hash_byte(digest, b);
+  const std::uint8_t* p = bytes.data();
+  const std::uint8_t* const end = p + bytes.size();
+  for (; end - p >= 8; p += 8) {
+    digest = hash_byte(digest, p[0]);
+    digest = hash_byte(digest, p[1]);
+    digest = hash_byte(digest, p[2]);
+    digest = hash_byte(digest, p[3]);
+    digest = hash_byte(digest, p[4]);
+    digest = hash_byte(digest, p[5]);
+    digest = hash_byte(digest, p[6]);
+    digest = hash_byte(digest, p[7]);
+  }
+  for (; p != end; ++p) digest = hash_byte(digest, *p);
   return digest;
 }
 

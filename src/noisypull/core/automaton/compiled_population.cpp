@@ -47,10 +47,7 @@ void CompiledPopulation::update(std::uint64_t agent, std::uint64_t round,
   // mirrored production protocol would — see AgentAutomaton::compile.
   const CompiledEdge e = g.automaton->compile(state_[agent], round, obs);
   state_[agent] = e.resolve(rng);
-  // Load first: once the flag is set, concurrent lanes only read its line.
-  if (!opinion_counts_stale_.load(std::memory_order_relaxed)) {
-    opinion_counts_stale_.store(true, std::memory_order_relaxed);
-  }
+  mark_opinions_stale();
 }
 
 Opinion CompiledPopulation::opinion(std::uint64_t agent) const {
@@ -75,15 +72,14 @@ std::uint64_t CompiledPopulation::count_opinion(Opinion o) const {
 
 void CompiledPopulation::displays(std::uint64_t round,
                                   std::span<Symbol> out) const {
-  NOISYPULL_CHECK(out.size() <= num_agents_,
-                  "display span exceeds the population");
+  NOISYPULL_CHECK(out.size() == num_agents_,
+                  "display span must cover the population");
   // Plain pointers: a Symbol store may alias anything, so member loads in
   // the loops would be repeated after every store.
   Symbol* const dst = out.data();
   const AutomatonState* const ids = state_.data();
   for (const Group& g : groups_) {
-    const std::uint64_t stop = std::min<std::uint64_t>(g.agent_end, out.size());
-    if (g.agent_begin >= stop) break;
+    const std::uint64_t stop = g.agent_end;
     const DisplayRule rule =
         g.closed_form ? g.automaton->display_rule(round) : DisplayRule{};
     NOISYPULL_CHECK(!g.closed_form || rule.kind != DisplayRule::Kind::None,
@@ -104,22 +100,6 @@ void CompiledPopulation::displays(std::uint64_t round,
         break;
     }
   }
-}
-
-void CompiledPopulation::begin_update_round(std::uint64_t round,
-                                            std::uint64_t h) {
-  NOISYPULL_CHECK(h >= 1, "sample size h must be at least 1");
-  for (Group& g : groups_) {
-    g.rule = g.closed_form && g.automaton->has_update_rule(h)
-                 ? g.automaton->update_rule(round, h)
-                 : UpdateRule{};
-    NOISYPULL_CHECK(!g.closed_form || !g.automaton->has_update_rule(h) ||
-                        g.rule.kind != UpdateRule::Kind::None,
-                    "closed-form automaton without an update rule");
-  }
-  update_round_ = round;
-  update_h_ = h;
-  update_open_ = true;
 }
 
 template <typename Draw>
@@ -160,11 +140,11 @@ void CompiledPopulation::update_run(std::uint64_t round, std::uint64_t begin,
                                     std::uint64_t end,
                                     const ObservationSampler& sampler,
                                     Rng& rng) {
-  if (!update_open_ || round != update_round_ || begin >= end) {
-    PullProtocol::update_run(round, begin, end, sampler, rng);
-    return;
-  }
   NOISYPULL_CHECK(end <= num_agents_, "agent run out of range");
+  if (begin >= end) return;
+  NOISYPULL_CHECK(sampler.alphabet_size() == alphabet_,
+                  "sampler alphabet does not match the population");
+  const std::uint64_t h = sampler.draws();
   const bool by_index =
       sampler.mode() == ObservationSampler::Mode::InverseCdf;
   SymbolCounts obs(alphabet_);
@@ -176,48 +156,25 @@ void CompiledPopulation::update_run(std::uint64_t round, std::uint64_t begin,
   for (std::uint32_t gi = group_of_[begin]; begin < end; ++gi) {
     const Group& g = groups_[gi];
     const std::uint64_t run_end = std::min(g.agent_end, end);
-    if (g.rule.kind == UpdateRule::Kind::None) {
+    // Built per call, in O(1), from the round and the sampler's h: lanes
+    // run concurrently, so there is no shared per-round rule to cache.
+    const bool ruled = g.closed_form && g.automaton->has_update_rule(h);
+    const UpdateRule rule =
+        ruled ? g.automaton->update_rule(round, h) : UpdateRule{};
+    NOISYPULL_CHECK(!ruled || rule.kind != UpdateRule::Kind::None,
+                    "closed-form automaton without an update rule");
+    if (rule.kind == UpdateRule::Kind::None) {
       PullProtocol::update_run(round, begin, run_end, sampler, rng);
     } else {
-      // Full binary samples only: the rule reads k as the count of 1s.
-      NOISYPULL_CHECK(
-          sampler.alphabet_size() == 2 && sampler.draws() == update_h_,
-          "closed-form rule run needs full binary samples of h");
+      // A sign step may change opinions; shifts keep the opinion bit.
+      if (rule.kind == UpdateRule::Kind::SignStep) mark_opinions_stale();
       if (by_index) {
-        apply_rule(g.rule, begin, run_end, index, rng);
+        apply_rule(rule, begin, run_end, index, rng);
       } else {
-        apply_rule(g.rule, begin, run_end, ones, rng);
+        apply_rule(rule, begin, run_end, ones, rng);
       }
     }
     begin = run_end;
-  }
-}
-
-bool CompiledPopulation::apply(std::uint64_t agent,
-                               const ObservationSampler& sampler, Rng& rng) {
-  const Group& g = group_of(agent);
-  if (!update_open_ || g.rule.kind == UpdateRule::Kind::None) return false;
-  NOISYPULL_CHECK(sampler.alphabet_size() == 2 && sampler.draws() == update_h_,
-                  "closed-form rule needs full binary samples of h");
-  std::uint64_t k = 0;
-  if (sampler.mode() == ObservationSampler::Mode::InverseCdf) {
-    k = sampler.sample_index(rng);
-  } else {
-    SymbolCounts obs(2);
-    sampler.sample(rng, obs);
-    k = obs[1];
-  }
-  state_[agent] = g.rule.apply(state_[agent], k, rng);
-  return true;
-}
-
-void CompiledPopulation::end_update_round() {
-  if (!update_open_) return;
-  update_open_ = false;
-  for (const Group& g : groups_) {
-    if (g.rule.kind == UpdateRule::Kind::SignStep) {
-      opinion_counts_stale_.store(true, std::memory_order_relaxed);
-    }
   }
 }
 

@@ -1,34 +1,36 @@
 // CompiledPopulation — the production-scale adapter from automata to the
-// engines' compiled fast path (DESIGN.md §13).
+// engines' bulk hooks (DESIGN.md §13).
 //
 // Per-agent protocol state is ONE flat std::vector<std::uint32_t> of
 // automaton state ids (SoA, cache-linear, no per-agent objects), each
 // group's agents in one contiguous index run.  The engines drive it
-// through two phases per round:
+// through the two bulk hooks of core/protocol.hpp:
 //
-//   display phase   displays() (the bulk PullProtocol hook): one dispatch
-//                   per group run.  A closed-form group shows its
-//                   DisplayRule (one symbol, or the id's opinion bit); any
-//                   other group asks its automaton's display() per agent.
+//   displays()      one dispatch per group run.  A closed-form group shows
+//                   its DisplayRule (one symbol, or the id's opinion bit);
+//                   any other group asks its automaton's display() per
+//                   agent.
 //
-//   update phase    begin_update_round() + update_run()/apply() +
-//                   end_update_round().  A closed-form group applies the
-//                   round's UpdateRule (shift, sign step or identity:
-//                   arithmetic on the id, no memory per state), with the
-//                   outcome k from sample_index() under an InverseCdf
-//                   sampler and from the drawn counts otherwise.  Any other
-//                   group, and a closed-form one without a rule for the
-//                   round's h, runs each agent through update(): its
-//                   automaton's compile() + resolve().
+//   update_run()    per group run, the group's UpdateRule for (round, the
+//                   sampler's h), built in O(1) on every call: shift, sign
+//                   step or identity, arithmetic on the id with no memory
+//                   per state, the outcome k drawn by sample_index() under
+//                   an InverseCdf sampler and from the drawn counts
+//                   otherwise.  Any other group, and a closed-form one
+//                   without a rule for h, runs each agent through
+//                   update(): its automaton's compile() + resolve().
 //
-// Bit-identity contract: under an engine running the fast path, the replay
-// digest and final opinions are identical to the same CompiledPopulation
-// run through the virtual PullProtocol path, which in turn mirrors the
-// production protocol (SourceFilter) draw for draw — see compile() in
+// A fault decorator (fault/faulty_engine.cpp) forwards to these hooks the
+// agents it does not touch and calls update() for those whose observations
+// it rewrites, so the population itself knows nothing of faults.
+//
+// Bit-identity contract: the rules realize the same trajectory as
+// update() per agent, which in turn mirrors the production protocol
+// (SourceFilter) draw for draw — see compile() in
 // core/automaton/automaton.hpp and tests/test_compiled_path.cpp.  Table
-// automata have no production class: the virtual path is their reference.
-// SSF is not compiled: its memory histograms are fresh nearly every round
-// (DESIGN.md §13).
+// automata have no production class: their per-agent update() is their
+// reference.  SSF is not compiled: its memory histograms are fresh nearly
+// every round (DESIGN.md §13).
 #pragma once
 
 #include <array>
@@ -64,60 +66,34 @@ class CompiledPopulation final : public PullProtocol {
   CompiledPopulation(std::vector<CompiledGroup> groups,
                      std::uint64_t planned_rounds);
 
-  // ---- PullProtocol (the interpreted / fallback path) -------------------
+  // ---- PullProtocol, per agent ------------------------------------------
   std::size_t alphabet_size() const override { return alphabet_; }
   std::uint64_t num_agents() const override { return num_agents_; }
   Symbol display(std::uint64_t agent, std::uint64_t round) const override;
   // One compile() + resolve(): consumes the agent's rng exactly like the
   // mirrored production protocol, for ANY observation total — the path of
-  // faulted agents and of every agent without a closed-form rule.
+  // agents whose counts a fault decorator rewrites and of every agent
+  // without a closed-form rule.
   void update(std::uint64_t agent, std::uint64_t round,
               const SymbolCounts& obs, Rng& rng) override;
   Opinion opinion(std::uint64_t agent) const override;
   // Answers from a cached opinion histogram, recounted (O(n): the id's
   // low bit in closed-form groups, the automaton's opinion() elsewhere)
   // only when a round since the last recount could have changed an
-  // opinion: a virtual update(), or a closed-form sign step — see
-  // end_update_round().  Not safe to call concurrently with itself or
-  // with a round; the run loop calls it between rounds.
+  // opinion: a per-agent update(), or an update_run() over a closed-form
+  // sign step.  Not safe to call concurrently with itself or with a round;
+  // the run loop calls it between rounds.
   std::uint64_t count_opinion(Opinion o) const override;
   std::uint64_t planned_rounds() const override { return planned_rounds_; }
   CompiledAccess compiled_access() override { return {.population = this}; }
 
-  // Bulk hooks (core/protocol.hpp).  displays() fills out[i] for every
-  // agent i < out.size() (at most num_agents(): the engine passes the
-  // honest prefix when a fault decorator forges the suffix), one dispatch
-  // per group run.
+  // Bulk hooks (core/protocol.hpp), one dispatch per group run; see the
+  // header comment.  displays() fills the whole population.  update_run()
+  // reads k as the count of 1s, so a closed-form rule needs full samples:
+  // a decorator that thins observations calls update() instead.
   void displays(std::uint64_t round, std::span<Symbol> out) const override;
-  // While an update phase is open for `round` (begin_update_round()), each
-  // agent of a group with a rule draws its outcome k — sample_index()
-  // under an InverseCdf sampler, counts[1] of sample() otherwise — and
-  // moves by the rule, the group's floor, rebase, slope and offset hoisted
-  // and its kind dispatched once per run.  Every other agent, and every
-  // agent when no phase is open for `round`, takes the default loop
-  // through update().  Fault-free runs only: the rules assume full samples.
   void update_run(std::uint64_t round, std::uint64_t begin, std::uint64_t end,
                   const ObservationSampler& sampler, Rng& rng) override;
-
-  // ---- Update phase -----------------------------------------------------
-  // Asks each closed-form group with a rule for h (has_update_rule) for
-  // update_rule(round, h); other groups get none this round.  Serial,
-  // before the block-parallel phase.
-  void begin_update_round(std::uint64_t round, std::uint64_t h);
-
-  // One agent of a faulted run that its fault decorator need not see:
-  // draws its outcome from `sampler` (as update_run() does) and applies
-  // its group's rule.  Returns false, drawing nothing, when the group has
-  // no rule this round; the caller then samples and calls update().
-  // Thread-safe across distinct agents: rules are read-only during the
-  // phase, state_[agent] is owner-written.
-  bool apply(std::uint64_t agent, const ObservationSampler& sampler,
-             Rng& rng);
-
-  // Closes the phase.  Serial, after the block-parallel phase.  A round
-  // whose rule in any group is a sign step invalidates the cached opinion
-  // histogram (shifts keep the opinion bit; update() marks its own).
-  void end_update_round();
 
   // Times count_opinion() recounted the population instead of answering
   // from its cached histogram.  The invalidating rounds are a function of
@@ -139,9 +115,15 @@ class CompiledPopulation final : public PullProtocol {
     // the constructor lays groups out back to back.
     std::uint64_t agent_begin = 0;
     std::uint64_t agent_end = 0;
-    // The open update phase's rule; kind None: per-agent update().
-    UpdateRule rule;
   };
+
+  // Marks the cached opinion count stale.  Load first: once the flag is
+  // set, concurrent lanes only read its line.
+  void mark_opinions_stale() noexcept {
+    if (!opinion_counts_stale_.load(std::memory_order_relaxed)) {
+      opinion_counts_stale_.store(true, std::memory_order_relaxed);
+    }
+  }
 
   // The group holding `agent`.
   const Group& group_of(std::uint64_t agent) const {
@@ -158,13 +140,10 @@ class CompiledPopulation final : public PullProtocol {
   std::size_t alphabet_ = 0;
   std::uint64_t num_agents_ = 0;
   std::uint64_t planned_rounds_ = 0;
-  std::uint64_t update_round_ = 0;  // round of the open update phase
-  std::uint64_t update_h_ = 0;      // its sample size
-  bool update_open_ = false;        // between begin_ and end_update_round
   // Cached opinion histogram behind count_opinion().  `stale` is set by
-  // virtual update() calls, which run concurrently across lanes (hence
-  // atomic; relaxed suffices, the round's barrier orders it before the
-  // next count), and by end_update_round().
+  // update() and by update_run() over a sign step, which run concurrently
+  // across lanes (hence atomic; relaxed suffices, the round's barrier
+  // orders it before the next count).
   mutable std::atomic<bool> opinion_counts_stale_{true};
   mutable std::array<std::uint64_t,
                      std::size_t{std::numeric_limits<Opinion>::max()} + 1>

@@ -30,32 +30,14 @@ namespace noisypull {
 
 class CompiledPopulation;  // core/automaton/compiled_population.hpp
 
-// Handle the block-parallel engines use to run a protocol through the
-// compiled fast path (DESIGN.md §13).  A null population means "no compiled
-// representation — run the virtual path"; that is the default for every
-// protocol.  CompiledPopulation returns itself, and fault decorators
-// (fault/faulty_engine.hpp) pass their inner protocol's access through with
-// the fault fields filled in so the engine can route exactly the faulted
-// agents onto the per-agent interpreted fallback:
-//
-//   * agents at index >= forged_begin display through the virtual path (a
-//     Byzantine decorator forges what they show; their own state still
-//     updates through the fast path),
-//   * stalled_until (when non-null) is the per-agent stall horizon: agent i
-//     with i >= stall_first_eligible and round < stalled_until[i] must have
-//     its update delivered through the virtual path so the decorator can
-//     swallow it (and count it) — the engine still burns the agent's
-//     sampling draw either way,
-//   * force_virtual_updates routes EVERY update through the virtual path —
-//     set when a decorator rewrites observation counts (message drops), so
-//     closed-form rules, which assume full samples, no longer describe what
-//     agents see.
+// Handle through which AggregateEngine reaches a compiled population behind
+// a forwarding decorator (DESIGN.md §13).  A null population means "no
+// compiled representation", the default for every protocol.
+// CompiledPopulation returns itself; a decorator that passes every display
+// and update through unchanged may return its inner protocol's handle, and
+// one that changes any (the fault proxy, fault/faulty_engine.cpp) must not.
 struct CompiledAccess {
   CompiledPopulation* population = nullptr;
-  std::uint64_t forged_begin = ~static_cast<std::uint64_t>(0);
-  const std::uint64_t* stalled_until = nullptr;
-  std::uint64_t stall_first_eligible = 0;
-  bool force_virtual_updates = false;
 };
 
 class PullProtocol {
@@ -93,11 +75,13 @@ class PullProtocol {
   // only through a few phases (SourceFilter) can decide the phase once.
   // The defaults are the per-agent loops, so an override must produce the
   // same displays, the same states and the same draws from `rng`, draw for
-  // draw.  Decorators (the fault proxy, counting wrappers) must NOT forward
-  // them to their inner protocol: they inherit the defaults, whose loops
-  // call the decorator's own display()/update() for every agent.  A
-  // subclass that overrides display() or update() must route the matching
-  // hook back to its per-agent default, or override it too.
+  // draw.  A decorator may forward a hook to its inner protocol only over
+  // agents it passes through unchanged: the fault proxy forwards the honest
+  // displays and the runs of live agents, and takes the per-agent default
+  // wherever it rewrites what an agent sees; a counting wrapper forwards
+  // none, so its own update() sees every agent.  A subclass that overrides
+  // display() or update() must route the matching hook back to its
+  // per-agent default, or override it too.
 
   // out[i] = display(i, round) for every agent i < out.size(), which is
   // num_agents().  Every engine's display phase (Engine::display_histogram).
@@ -107,9 +91,9 @@ class PullProtocol {
 
   // For every agent i in [begin, end), in index order: draw its count
   // vector from `sampler` on `rng`, then update(i, round, counts, rng).
-  // AggregateEngine calls it for each fault-free run of agents sharing one
-  // channel group, under the same concurrency contract as update(): runs
-  // of different blocks execute concurrently and never overlap.
+  // AggregateEngine calls it for each run of agents sharing one channel
+  // group, under the same concurrency contract as update(): runs of
+  // different blocks execute concurrently and never overlap.
   virtual void update_run(std::uint64_t round, std::uint64_t begin,
                           std::uint64_t end, const ObservationSampler& sampler,
                           Rng& rng) {
@@ -141,9 +125,7 @@ class PullProtocol {
   // intrinsic horizon (self-stabilizing and baseline protocols).
   virtual std::uint64_t planned_rounds() const { return 0; }
 
-  // Compiled fast-path handle (see CompiledAccess).  The default — no
-  // compiled representation — keeps every existing protocol on the virtual
-  // path; only CompiledPopulation and the fault decorators override this.
+  // Compiled-population handle (see CompiledAccess).  The default: none.
   virtual CompiledAccess compiled_access() { return {}; }
 };
 

@@ -1,6 +1,8 @@
 #include "noisypull/fault/faulty_engine.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <span>
 
 #include "noisypull/common/check.hpp"
 #include "noisypull/rng/binomial.hpp"
@@ -17,7 +19,10 @@ constexpr std::uint64_t kDropSalt = 0x94d049bb133111ebULL;
 
 // The protocol proxy handed to the wrapped engine: forges Byzantine
 // displays, swallows updates of stalled agents, and binomially thins
-// observation counts for drop faults.  Everything else forwards.
+// observation counts for drop faults.  Everything else forwards, the bulk
+// hooks included over the agents the proxy leaves alone (core/protocol.hpp),
+// so the inner protocol's fast paths serve the untouched majority and no
+// engine or population below needs to know the fault plan.
 class FaultedProtocolView final : public PullProtocol {
  public:
   FaultedProtocolView(FaultyEngine& eng, PullProtocol& base)
@@ -37,6 +42,49 @@ class FaultedProtocolView final : public PullProtocol {
     return base_.display(agent, round);
   }
 
+  // The inner protocol's displays, then the Byzantine suffix forged.
+  void displays(std::uint64_t round, std::span<Symbol> out) const override {
+    base_.displays(round, out);
+    std::fill(out.end() - static_cast<std::ptrdiff_t>(eng_.byz_count_),
+              out.end(), eng_.byzantine_display(round));
+  }
+
+  // Each maximal run of live agents goes to the inner protocol's hook; a
+  // stalled agent between them burns its draw and is swallowed, as
+  // update() below does.  Drops rewrite every agent's counts, so a drop
+  // plan takes the per-agent default loop.  Same concurrency contract as
+  // update().
+  void update_run(std::uint64_t round, std::uint64_t begin, std::uint64_t end,
+                  const ObservationSampler& sampler, Rng& rng) override {
+    if (eng_.plan_.drop.p > 0.0) {
+      PullProtocol::update_run(round, begin, end, sampler, rng);
+      return;
+    }
+    const StallFault& stall = eng_.plan_.stall;
+    if (stall.crash_rate <= 0.0 && stall.blackout_fraction <= 0.0) {
+      base_.update_run(round, begin, end, sampler, rng);
+      return;
+    }
+    const std::uint64_t* const until = eng_.stalled_until_.data();
+    SymbolCounts obs(sampler.alphabet_size());
+    std::uint64_t live = begin;
+    std::uint64_t stalled = 0;
+    for (std::uint64_t i = std::max(begin, eng_.plan_.first_eligible); i < end;
+         ++i) {
+      if (round >= until[i]) continue;
+      if (live < i) base_.update_run(round, live, i, sampler, rng);
+      obs.clear();
+      sampler.sample(rng, obs);
+      ++stalled;
+      live = i + 1;
+    }
+    if (live < end) base_.update_run(round, live, end, sampler, rng);
+    if (stalled > 0) {
+      eng_.stalled_updates_accum_.fetch_add(stalled,
+                                            std::memory_order_relaxed);
+    }
+  }
+
   // May run concurrently for different agents (the inner engine's
   // block-parallel update phase), so shared counters are relaxed atomics;
   // everything else touched here is per-(round, agent).
@@ -44,7 +92,7 @@ class FaultedProtocolView final : public PullProtocol {
               const SymbolCounts& obs, Rng& rng) override {
     if (agent >= eng_.plan_.first_eligible &&
         round < eng_.stalled_until_[agent]) {
-      // Crashed: no sampling, no update.
+      // Crashed: the engine's draw is burnt, the update swallowed.
       eng_.stalled_updates_accum_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -69,27 +117,6 @@ class FaultedProtocolView final : public PullProtocol {
       eng_.dropped_accum_.fetch_add(lost_total, std::memory_order_relaxed);
     }
     base_.update(agent, round, thinned, rng);
-  }
-
-  // Passes the inner protocol's compiled handle through with the fault
-  // fields filled in, so the engine's fast path routes exactly the faulted
-  // agents onto this proxy's virtual display()/update() (core/protocol.hpp
-  // documents each field).  Called by the inner engine after
-  // bind_population/advance_stall_schedule, so the fault sets are current
-  // for the round and stalled_until_'s storage is stable for the step.
-  CompiledAccess compiled_access() override {
-    CompiledAccess access = base_.compiled_access();
-    if (access.population == nullptr) return access;
-    if (eng_.byz_count_ > 0) {
-      access.forged_begin = eng_.n_ - eng_.byz_count_;
-    }
-    if (eng_.plan_.stall.crash_rate > 0.0 ||
-        eng_.plan_.stall.blackout_fraction > 0.0) {
-      access.stalled_until = eng_.stalled_until_.data();
-      access.stall_first_eligible = eng_.plan_.first_eligible;
-    }
-    if (eng_.plan_.drop.p > 0.0) access.force_virtual_updates = true;
-    return access;
   }
 
  private:

@@ -3,10 +3,16 @@
 // Wraps any existing engine (Exact, Aggregate, Sequential)
 // and realizes a FaultPlan per round without the inner engine knowing:
 //
-//   * Byzantine displays and crash stalls are applied through a PullProtocol
-//     proxy handed to the inner engine — display() is forged for Byzantine
-//     agents and update() is swallowed for stalled agents / binomially
-//     thinned for drops, so every engine's sampling logic works unchanged,
+//   * Byzantine displays, crash stalls and drops are applied through a
+//     PullProtocol proxy handed to the inner engine — display() is forged
+//     for Byzantine agents and update() is swallowed for stalled agents /
+//     binomially thinned for drops, so every engine's sampling logic works
+//     unchanged.  The proxy also forwards the bulk hooks (core/protocol.hpp)
+//     over the agents it leaves alone: displays() forges only the Byzantine
+//     suffix, update_run() hands each run of live agents to the inner
+//     protocol (a drop plan, which rewrites everyone's counts, takes the
+//     per-agent loop).  Fault knowledge stays here: the engines and the
+//     compiled population below see an ordinary protocol,
 //   * noise bursts swap the channel matrix passed down for the burst rounds
 //     (an AggregateEngine with per-agent channels ignores that matrix, so
 //     bursts do not reach it).
@@ -57,8 +63,9 @@ class FaultyEngine final : public Engine {
             std::uint64_t round, Rng& rng) override;
   void set_artificial_noise(std::optional<Matrix> p) override;
 
-  // The decorator never steps agents itself: thread-count and compiled-path
-  // settings belong to the inner engine doing the work.
+  // The decorator never steps agents itself: thread-count and compiled
+  // toggles belong to the inner engine doing the work.  The proxy offers no
+  // compiled_access(), so the toggle never lets the inner engine bypass it.
   void set_threads(unsigned lanes) override { inner_.set_threads(lanes); }
   unsigned threads() const noexcept override { return inner_.threads(); }
   void set_compiled(bool enabled) override { inner_.set_compiled(enabled); }

@@ -32,8 +32,7 @@ void Engine::run_pooled(std::uint64_t jobs,
 }
 
 std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
-    const PullProtocol& protocol, std::uint64_t round,
-    const CompiledAccess& access) {
+    const PullProtocol& protocol, std::uint64_t round) {
   const std::uint64_t n = protocol.num_agents();
   const std::size_t d = protocol.alphabet_size();
   if (next_displays_.size() != n) {
@@ -43,17 +42,7 @@ std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
     previous_alphabet_ = 0;
   }
   const std::span<Symbol> next(next_displays_);
-  if (access.population != nullptr) {
-    // Forged agents (Byzantine decorators, a suffix of the index range)
-    // display through the decorator, not through their automaton state.
-    const std::uint64_t honest_end = std::min(n, access.forged_begin);
-    access.population->displays(round, next.first(honest_end));
-    for (std::uint64_t i = honest_end; i < n; ++i) {
-      next[i] = protocol.display(i, round);
-    }
-  } else {
-    protocol.displays(round, next);
-  }
+  protocol.displays(round, next);
   absorb_round(round);
   const std::uint64_t header = digest_;
   if (d == previous_alphabet_ &&
@@ -89,20 +78,6 @@ std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
   fold_memo_.record(header, digest_);
   return histogram_;
 }
-
-namespace {
-
-// True when the fault decorator must see agent i's update through the
-// virtual path this round: drops rewrite the observation counts for
-// everyone, stalls swallow (and count) the update for the stalled agent.
-inline bool needs_virtual_update(const CompiledAccess& access, std::uint64_t i,
-                                 std::uint64_t round) {
-  if (access.force_virtual_updates) return true;
-  return access.stalled_until != nullptr &&
-         i >= access.stall_first_eligible && round < access.stalled_until[i];
-}
-
-}  // namespace
 
 void ExactEngine::set_artificial_noise(std::optional<Matrix> p) {
   if (p) {
@@ -237,14 +212,18 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
                     "per-agent noise alphabet does not match protocol");
   }
 
-  // Compiled fast path (DESIGN.md §13): only when the toggle is on AND the
-  // protocol stack exposes a CompiledPopulation.  Trajectory-invariant —
-  // the virtual and compiled branches below absorb the same displays and
-  // draw the same values from the same substreams.
-  CompiledAccess access{};
-  if (compiled()) access = protocol.compiled_access();
+  // The protocol's bulk hooks run the round, or, with the compiled toggle
+  // on, those of a CompiledPopulation a forwarding decorator passes
+  // through (core/protocol.hpp).  Trajectory-invariant: both realize the
+  // same displays and the same draws from the same substreams.
+  PullProtocol* target = &protocol;
+  if (compiled()) {
+    if (CompiledPopulation* pop = protocol.compiled_access().population) {
+      target = pop;
+    }
+  }
 
-  const auto c = display_histogram(protocol, round, access);
+  const auto c = display_histogram(*target, round);
 
   if (per_agent_.empty()) {
     // One group whose channel is this step's matrix: a fault decorator's
@@ -278,26 +257,11 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
                        /*cache=*/true, group_sizes_[g]);
   }
 
-  // The compiled population decides the round's rules once: closed-form
-  // groups move by arithmetic on their ids, every other agent runs its
-  // automaton's compile() through CompiledPopulation::update, which
-  // mirrors the production draws exactly.
-  CompiledPopulation* const pop = access.population;
-  if (pop != nullptr) pop->begin_update_round(round, h);
-  const bool faults_possible =
-      access.force_virtual_updates || access.stalled_until != nullptr;
-  // Fault-free runs go through the bulk update hook: the compiled
-  // population's own when the engine drives it directly, else the
-  // protocol's (a decorator's inherits the per-agent default, so it still
-  // sees every update).
-  PullProtocol& bulk = pop != nullptr ? *pop : protocol;
-
   const std::uint64_t round_key = rng.next();
   for_each_block(
       n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
-        SymbolCounts obs(d);
-        // Walk maximal runs of agents in one channel group: the whole block
-        // with a single group.
+        // One bulk call per maximal run of agents in one channel group: the
+        // whole block with a single group.
         for (std::uint64_t i = begin; i < end;) {
           const std::size_t g =
               group_of_.empty() ? 0 : static_cast<std::size_t>(group_of_[i]);
@@ -305,30 +269,10 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
           while (run_end < end && group_of_[run_end] == group_of_[i]) {
             ++run_end;
           }
-          const ObservationSampler& smp = samplers_[g];
-          if (!faults_possible) {
-            // No fault decorator this round: the run takes the bulk hook —
-            // the same draws and writes as the per-agent loop below,
-            // without its per-agent fault check.
-            bulk.update_run(round, i, run_end, smp, brng);
-            i = run_end;
-            continue;
-          }
-          // Faulted agents take the virtual path, which consumes the
-          // identical draws (sample() and sample_index() share one uniform
-          // and one stopping rule).
-          for (; i < run_end; ++i) {
-            if (pop != nullptr && !needs_virtual_update(access, i, round) &&
-                pop->apply(i, smp, brng)) {
-              continue;
-            }
-            obs.clear();
-            smp.sample(brng, obs);
-            protocol.update(i, round, obs, brng);
-          }
+          target->update_run(round, i, run_end, samplers_[g], brng);
+          i = run_end;
         }
       });
-  if (pop != nullptr) pop->end_update_round();
 }
 
 void SequentialEngine::set_artificial_noise(std::optional<Matrix> p) {

@@ -81,15 +81,16 @@ class Engine {
   virtual void set_threads(unsigned lanes);
   virtual unsigned threads() const noexcept { return lanes_; }
 
-  // Toggles the compiled fast path (DESIGN.md §13): when enabled AND the
-  // protocol exposes a CompiledPopulation (core/protocol.hpp,
-  // compiled_access()), AggregateEngine replaces the per-agent virtual
-  // display()/update() calls with the population's closed-form rules over
-  // automaton state ids.  Trajectory-invariant by construction — same draws from the
-  // same substreams, identical replay digest — so it is excluded from
+  // Lets AggregateEngine reach a CompiledPopulation behind a forwarding
+  // decorator (core/protocol.hpp, compiled_access()) and drive its bulk
+  // hooks directly instead of the decorator's.  A bare CompiledPopulation
+  // runs its closed-form rules either way (DESIGN.md §13), so the toggle
+  // only skips a decorator that passes everything through.
+  // Trajectory-invariant by construction — same draws from the same
+  // substreams, identical replay digest — so it is excluded from
   // experiment cache keys (tests/test_compiled_path.cpp pins the
-  // bit-identity).  Off by default; engines without a compiled path accept
-  // and ignore the setting.
+  // bit-identity).  Off by default; the other engines accept and ignore
+  // the setting.
   virtual void set_compiled(bool enabled) { compiled_ = enabled; }
   virtual bool compiled() const noexcept { return compiled_; }
 
@@ -139,13 +140,9 @@ class Engine {
   // a second buffer, which is compared with the previous round's vector:
   // on a repeat the stored histogram is returned and the digest folded
   // through the memo; otherwise the buffers swap and both are recomputed.
-  // Either way displays_ then holds the round's display vector.  With a
-  // compiled population in `access`, the population's hook fills the
-  // honest prefix and the protocol's display() the agents at index >=
-  // access.forged_begin, whose displays a fault decorator forges.
+  // Either way displays_ then holds the round's display vector.
   std::array<std::uint64_t, kMaxAlphabet> display_histogram(
-      const PullProtocol& protocol, std::uint64_t round,
-      const CompiledAccess& access = {});
+      const PullProtocol& protocol, std::uint64_t round);
 
   // Number of blocks of [0, n).
   static std::size_t num_blocks(std::uint64_t n) noexcept {

@@ -11,16 +11,17 @@
 //   * ObservationSampler::sample_index consumes the rng exactly like
 //     sample() and returns that outcome's enumeration index (cached and
 //     uncached, binary and k-ary);
-//   * compiled == interpreted on the same CompiledPopulation, across lanes
-//     {1, 4}, engines {Aggregate, Heterogeneous};
+//   * compiled == interpreted on the same CompiledPopulation (its rules
+//     against every agent's compile() through a view that forwards no
+//     bulk hook), across lanes {1, 4}, engines {Aggregate, Heterogeneous};
 //   * CompiledPopulation == the production protocol it mirrors
 //     (SourceFilter; for table automata the interpreted run is the
 //     reference);
 //   * the same under FaultyEngine with zero and nonzero FaultPlans — the
-//     forged/stalled/drop fallbacks route exactly the faulted agents through
-//     the virtual path and nobody else's draws move;
+//     fault proxy forges, swallows and thins exactly the faulted agents and
+//     nobody else's draws move;
 //   * heterogeneous channel groups too small to amortize the inverse-CDF
-//     table fall back per agent without disturbing the fast-path agents;
+//     table draw counts instead of indices without disturbing the others;
 //   * no fault-free round of closed-form SF reaches the virtual update(),
 //     while Table agents run their automaton's compile() every round, and
 //     several engine blocks leave digests independent of the lane count;
@@ -48,6 +49,7 @@
 #include <utility>
 #include <vector>
 
+#include "compile_counter.hpp"
 #include "noisypull/common/fnv.hpp"
 #include "noisypull/core/automaton/compiled_population.hpp"
 #include "noisypull/core/automaton/protocol_automata.hpp"
@@ -242,6 +244,41 @@ RunOut run(PullProtocol& protocol, Engine& engine, const ProtoParams& pp,
   return out;
 }
 
+// Forwards the per-agent interface only: no bulk hooks, no
+// compiled_access().  An engine driving it runs the default per-agent
+// loops, so every agent of a CompiledPopulation behind it runs update() —
+// its automaton's compile() + resolve() — and no closed-form rule: the
+// interpreted reference the rules are held to.
+class PerAgentView final : public PullProtocol {
+ public:
+  explicit PerAgentView(PullProtocol& inner) : inner_(inner) {}
+  std::size_t alphabet_size() const override { return inner_.alphabet_size(); }
+  std::uint64_t num_agents() const override { return inner_.num_agents(); }
+  Symbol display(std::uint64_t agent, std::uint64_t round) const override {
+    return inner_.display(agent, round);
+  }
+  void update(std::uint64_t agent, std::uint64_t round,
+              const SymbolCounts& obs, Rng& rng) override {
+    inner_.update(agent, round, obs, rng);
+  }
+  Opinion opinion(std::uint64_t agent) const override {
+    return inner_.opinion(agent);
+  }
+  std::uint64_t planned_rounds() const override {
+    return inner_.planned_rounds();
+  }
+
+ private:
+  PullProtocol& inner_;
+};
+
+// run() of `protocol` through a PerAgentView.
+RunOut run_per_agent(PullProtocol& protocol, Engine& engine,
+                     const ProtoParams& pp, std::uint64_t seed) {
+  PerAgentView view(protocol);
+  return run(view, engine, pp, seed);
+}
+
 FaultPlan nonzero_plan(bool with_drop) {
   FaultPlan plan = FaultPlan::for_binary(/*correct=*/1);
   plan.seed = 99;
@@ -342,7 +379,7 @@ TEST_P(CompiledPath, CompiledMatchesInterpretedAcrossLanesAndCache) {
 
   const auto ref_protocol = make_compiled(proto);
   const auto ref_engine = make_engine(eng, pp.d);
-  const RunOut reference = run(*ref_protocol, *ref_engine, pp, 7);
+  const RunOut reference = run_per_agent(*ref_protocol, *ref_engine, pp, 7);
   ASSERT_NE(reference.digest, fnv::kOffsetBasis) << "digest absorbed nothing";
 
   for (unsigned lanes : {1u, 4u}) {
@@ -374,9 +411,10 @@ TEST_P(CompiledPath, FaultPlanMatrixPreservesBitIdentity) {
   const ProtoParams pp = params_of(proto);
 
   // Zero plan: FaultyEngine is a transparent pass-through and the fast path
-  // must stay engaged through it.  Nonzero plans route forged / stalled /
-  // dropped agents through the per-agent virtual fallback; the drop-free
-  // variant keeps the fast path live for the honest majority.
+  // must stay engaged through it.  Nonzero plans forge, swallow and thin
+  // through the fault proxy, which forwards the live agents' runs to the
+  // population; the drop-free variant keeps the rules for all of them.
+  // The reference runs every agent's compile() through PerAgentView.
   struct PlanCase {
     const char* name;
     FaultPlan plan;
@@ -391,7 +429,7 @@ TEST_P(CompiledPath, FaultPlanMatrixPreservesBitIdentity) {
     const auto ref_protocol = make_compiled(proto);
     const auto ref_inner = make_engine(eng, pp.d);
     FaultyEngine ref_engine(*ref_inner, pc.plan);
-    const RunOut reference = run(*ref_protocol, ref_engine, pp, 7);
+    const RunOut reference = run_per_agent(*ref_protocol, ref_engine, pp, 7);
 
     for (unsigned lanes : {1u, 4u}) {
       const auto protocol = make_compiled(proto);
@@ -424,12 +462,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Channel groups below the amortization gate fall back per agent.
+// Channel groups below the amortization gate draw counts, not indices.
 
 TEST(CompiledPathEdge, UndersizedHeterogeneousGroupFallsBackPerAgent) {
   // 44 + 4 split at h = 16, d = 2: the big tier's 17-outcome space passes
   // the gate (17 <= 44), the small tier's does not (17 > 4), so its four
-  // agents run the virtual fallback while the rest stay compiled.
+  // agents draw from a Decomposition sampler and their rule reads k from
+  // the drawn counts, while the rest draw outcome indices.
   const ProtoParams pp = params_of(Proto::Sf);
   const auto make_split_engine = [&] {
     std::vector<NoiseMatrix> per_agent;
@@ -440,9 +479,9 @@ TEST(CompiledPathEdge, UndersizedHeterogeneousGroupFallsBackPerAgent) {
     return std::make_unique<AggregateEngine>(std::move(per_agent));
   };
 
-  const auto ref_protocol = make_compiled(Proto::Sf);
+  const auto production = make_production(Proto::Sf);
   const auto ref_engine = make_split_engine();
-  const RunOut reference = run(*ref_protocol, *ref_engine, pp, 11);
+  const RunOut reference = run(*production, *ref_engine, pp, 11);
 
   const auto protocol = make_compiled(Proto::Sf);
   const auto engine = make_split_engine();
@@ -489,58 +528,14 @@ class CountingProtocol final : public PullProtocol {
   std::atomic<std::uint64_t> updates_{0};
 };
 
-// An automaton that counts its compile() calls and forwards everything
-// else, closed form included.
-class CompileCounter final : public AgentAutomaton {
- public:
-  explicit CompileCounter(std::shared_ptr<const AgentAutomaton> inner)
-      : inner_(std::move(inner)) {}
-  std::size_t alphabet_size() const override { return inner_->alphabet_size(); }
-  std::size_t num_states() const override { return inner_->num_states(); }
-  AutomatonState initial_state() const override {
-    return inner_->initial_state();
-  }
-  Symbol display(AutomatonState s, std::uint64_t round) const override {
-    return inner_->display(s, round);
-  }
-  std::vector<WeightedState> transition(
-      AutomatonState s, std::uint64_t round,
-      const SymbolCounts& obs) const override {
-    return inner_->transition(s, round, obs);
-  }
-  Opinion opinion(AutomatonState s) const override {
-    return inner_->opinion(s);
-  }
-  CompiledEdge compile(AutomatonState s, std::uint64_t round,
-                       const SymbolCounts& obs) const override {
-    compiles_.fetch_add(1, std::memory_order_relaxed);
-    return inner_->compile(s, round, obs);
-  }
-  bool closed_form() const override { return inner_->closed_form(); }
-  bool has_update_rule(std::uint64_t h) const override {
-    return inner_->has_update_rule(h);
-  }
-  UpdateRule update_rule(std::uint64_t round, std::uint64_t h) const override {
-    return inner_->update_rule(round, h);
-  }
-  DisplayRule display_rule(std::uint64_t round) const override {
-    return inner_->display_rule(round);
-  }
-  std::uint64_t compiles() const {
-    return compiles_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::shared_ptr<const AgentAutomaton> inner_;
-  mutable std::atomic<std::uint64_t> compiles_{0};
-};
+using test_support::CompileCounter;
 
 TEST(CompiledPathEdge, InverseCdfRoundsMakeNoVirtualUpdates) {
   for (Proto proto : {Proto::Table, Proto::Sf}) {
     const ProtoParams pp = params_of(proto);
-    const auto reference_pop = make_compiled(proto);
+    const auto production = make_production(proto);
     AggregateEngine reference_engine;
-    const RunOut reference = run(*reference_pop, reference_engine, pp, 41);
+    const RunOut reference = run(*production, reference_engine, pp, 41);
 
     // make_compiled's layout, each group's automaton behind a counter.
     std::vector<std::shared_ptr<const CompileCounter>> counters;
@@ -567,7 +562,7 @@ TEST(CompiledPathEdge, InverseCdfRoundsMakeNoVirtualUpdates) {
         add(count, std::move(sf), fresh);
       }
     }
-    CompiledPopulation pop(std::move(groups), reference_pop->planned_rounds());
+    CompiledPopulation pop(std::move(groups), production->planned_rounds());
     CountingProtocol counted(pop);
     AggregateEngine engine;
     engine.set_compiled(true);
@@ -588,7 +583,7 @@ TEST(CompiledPathEdge, InverseCdfRoundsMakeNoVirtualUpdates) {
 // ---------------------------------------------------------------------------
 // Several engine blocks update concurrently.  Digests and opinions must
 // not depend on the lane count or on a pass-through FaultyEngine, and
-// stall/drop plans must keep identity with the interpreted run.
+// stall/drop plans must keep identity with SourceFilter.
 
 constexpr std::uint64_t kBigN = 3 * 4096 + 517;  // four blocks, one ragged
 constexpr PopulationConfig kBigPop{.n = kBigN, .s1 = 40, .s0 = 12};
@@ -622,8 +617,13 @@ FaultPlan big_plan(bool with_drop) {
   return plan;
 }
 
+// `compiled`: the CompiledPopulation with the toggle on; otherwise
+// SourceFilter, the production protocol it mirrors.
 RunOut run_big(bool compiled, unsigned lanes, const FaultPlan* plan) {
   BigCase c = make_big_sf();
+  SourceFilter production(kBigPop, kBigSchedule);
+  PullProtocol& protocol =
+      compiled ? static_cast<PullProtocol&>(*c.pop) : production;
   AggregateEngine inner;
   std::unique_ptr<FaultyEngine> faulty;
   Engine* engine = &inner;
@@ -633,7 +633,7 @@ RunOut run_big(bool compiled, unsigned lanes, const FaultPlan* plan) {
   }
   engine->set_compiled(compiled);
   engine->set_threads(lanes);
-  return run(*c.pop, *engine, c.pp, 77);
+  return run(protocol, *engine, c.pp, 77);
 }
 
 TEST(CompiledPathEdge, ConcurrentMissesKeepIdentityAcrossLanes) {
@@ -659,16 +659,16 @@ TEST(CompiledPathEdge, ConcurrentMissesKeepIdentityAcrossLanes) {
 // SF's listening phase at s1 = 1, δ = 0.2 is long, and its balances keep
 // spreading: agents keep reaching states no earlier round realized.  The
 // closed-form rules store nothing per state, and the run over the whole
-// horizon stays bit-identical to the interpreted one.
+// horizon stays bit-identical to SourceFilter's.
 constexpr PopulationConfig kGridPop{.n = 500, .s1 = 1, .s0 = 0};
 
 TEST(CompiledPathEdge, FreshStateTablesStayBounded) {
   const SfSchedule schedule =
       make_sf_schedule(kGridPop, Holdings{64}, Delta{kDelta});
   const ProtoParams pp{.d = 2, .h = 64, .rounds = schedule.total_rounds()};
-  const auto ref_protocol = make_compiled_sf(kGridPop, schedule);
+  SourceFilter production(kGridPop, schedule);
   AggregateEngine ref_engine;
-  const RunOut reference = run(*ref_protocol, ref_engine, pp, 13);
+  const RunOut reference = run(production, ref_engine, pp, 13);
 
   const auto pop = make_compiled_sf(kGridPop, schedule);
   AggregateEngine engine;
@@ -1296,7 +1296,7 @@ TEST(SfClosedForm, IdentityRunsKeepLaterGroupsDraws) {
                        .rounds = kBigSchedule.total_rounds()};
   const auto interpreted = make_pop();
   AggregateEngine reference_engine;
-  const RunOut reference = run(*interpreted, reference_engine, pp, 19);
+  const RunOut reference = run_per_agent(*interpreted, reference_engine, pp, 19);
   const auto compiled = make_pop();
   AggregateEngine engine;
   engine.set_compiled(true);

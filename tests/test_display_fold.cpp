@@ -1,8 +1,9 @@
 // The display phase's repeat detection (DESIGN.md §8.3) and SourceFilter's
 // cached opinion count.
 //
-//   FoldMemo.*       fnv::FoldMemo's O(1) fold against the byte loop, over
-//                    random byte vectors and digests sharing a low byte.
+//   FoldMemo.*       fnv::FoldMemo's O(1) fold and fnv::hash_bytes against
+//                    the byte loop, over random byte vectors (the fold's
+//                    with digests sharing a low byte).
 //   DisplayFold*     every engine's replay digest, after every round, against
 //                    the chained fold recomputed from displays read outside
 //                    the engine; the repeat and memo-hit counters, equal at
@@ -44,6 +45,19 @@ TEST(FoldMemo, PrimePowerMatchesRepeatedMultiplication) {
   for (std::uint64_t k = 0; k <= 300; ++k) {
     EXPECT_EQ(fnv::prime_power(k), power) << k;
     power *= fnv::kPrime;
+  }
+}
+
+TEST(FoldMemo, HashBytesMatchesTheByteLoop) {
+  Rng rng(0xb17e);
+  // Every length up to 40 (each remainder of the eight-byte trips), then
+  // longer random vectors.
+  for (std::uint64_t n = 0; n < 60; ++n) {
+    const std::uint64_t len = n <= 40 ? n : rng.next_below(5001);
+    std::vector<std::uint8_t> d(len);
+    for (std::uint8_t& b : d) b = static_cast<std::uint8_t>(rng.next_below(256));
+    const std::uint64_t x = rng.next();
+    ASSERT_EQ(fnv::hash_bytes(x, d), byte_loop(x, d)) << "length " << len;
   }
 }
 

@@ -12,12 +12,16 @@
 // Toolchain calibration: the display trajectory depends on floating-point
 // code generation (-ffp-contract, libm), so a digest pinned by one
 // compiler need not reproduce under another.  Each golden file therefore
-// carries an extra, *calibration* tuple: when the current build reproduces
-// the calibration digest, it is trajectory-compatible with the build that
-// wrote the goldens and the pinned tuples are enforced bit-for-bit;
-// when it does not, the pinned comparisons are skipped with a diagnostic
-// (the within-binary determinism contract is still covered by
-// test_replay_digest.cpp and --verify-replay).
+// carries an extra, *calibration* tuple and the writing toolchain's
+// fingerprint (compiler id and version, glibc version, target arch).
+// When the current build reproduces the calibration digest, it is
+// trajectory-compatible with the build that wrote the goldens and the
+// pinned tuples are enforced bit-for-bit.  When it does not and the
+// fingerprint differs too, the pinned comparisons are skipped with a
+// diagnostic (the within-binary determinism contract is still covered by
+// test_replay_digest.cpp and --verify-replay).  Under the writing
+// toolchain a moved calibration digest fails: a change that moves every
+// digest moves that one too, and must not pass as a toolchain change.
 //
 // Regenerate after an intentional semantics change:
 //   NOISYPULL_UPDATE_GOLDEN=1 ./noisypull_tests --gtest_filter='GoldenDigest.*'
@@ -38,6 +42,10 @@
 #include "noisypull/core/source_filter.hpp"
 #include "noisypull/fault/faulty_engine.hpp"
 #include "noisypull/model/engine.hpp"
+
+#ifdef __GLIBC__
+#include <gnu/libc-version.h>
+#endif
 
 #ifndef NOISYPULL_GOLDEN_DIR
 #error "NOISYPULL_GOLDEN_DIR must point at tests/golden (set in CMakeLists)"
@@ -164,12 +172,45 @@ std::string golden_path() {
   return std::string(NOISYPULL_GOLDEN_DIR) + "/replay_digests.txt";
 }
 
+// The build's toolchain: compiler id and version, the glibc it runs
+// against (libm's results are part of the trajectory), target arch.
+std::string toolchain_fingerprint() {
+  std::ostringstream os;
+#if defined(__clang__)
+  os << "clang-" << __clang_major__ << "." << __clang_minor__ << "."
+     << __clang_patchlevel__;
+#elif defined(__GNUC__)
+  os << "gcc-" << __GNUC__ << "." << __GNUC_MINOR__ << "."
+     << __GNUC_PATCHLEVEL__;
+#else
+  os << "unknown-compiler";
+#endif
+#ifdef __GLIBC__
+  os << " glibc-" << gnu_get_libc_version();
+#else
+  os << " no-glibc";
+#endif
+#if defined(__x86_64__)
+  os << " x86_64";
+#elif defined(__aarch64__)
+  os << " aarch64";
+#else
+  os << " other-arch";
+#endif
+  return os.str();
+}
+
+constexpr const char* kToolchainKey = "toolchain ";
+
 std::string render(const std::map<std::string, std::uint64_t>& digests) {
   std::ostringstream os;
   os << "# Golden replay digests (test_golden_digest.cpp).  Regenerate with\n"
      << "# NOISYPULL_UPDATE_GOLDEN=1 after an intentional trajectory-\n"
      << "# semantics change; the calibration line gates enforcement to\n"
-     << "# builds that reproduce the writing toolchain's trajectories.\n";
+     << "# builds that reproduce the writing toolchain's trajectories, and\n"
+     << "# the toolchain line names that toolchain: under it, a moved\n"
+     << "# calibration digest fails instead of skipping.\n"
+     << kToolchainKey << toolchain_fingerprint() << "\n";
   for (const GoldenTuple& t : tuples()) {
     os << t.name << " " << std::hex << std::setfill('0') << std::setw(16)
        << digests.at(t.name) << std::dec << "\n";
@@ -177,18 +218,49 @@ std::string render(const std::map<std::string, std::uint64_t>& digests) {
   return os.str();
 }
 
+// The committed file's toolchain line, without its key ("" if absent).
+std::string committed_toolchain(const std::string& text) {
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.starts_with(kToolchainKey)) {
+      return line.substr(std::string(kToolchainKey).size());
+    }
+  }
+  return "";
+}
+
 std::map<std::string, std::uint64_t> parse(const std::string& text) {
   std::map<std::string, std::uint64_t> digests;
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
+    if (line.empty() || line[0] == '#' || line.starts_with(kToolchainKey)) {
+      continue;
+    }
     std::istringstream fields(line);
     std::string name;
     std::uint64_t digest = 0;
     if (fields >> name >> std::hex >> digest) digests[name] = digest;
   }
   return digests;
+}
+
+// Whether the committed digests bind this build: true when it reproduces
+// the calibration digest.  When it does not, a build of the writing
+// toolchain fails here (every digest moved, the calibration one
+// included); any other build returns false, and the caller skips.
+bool calibration_holds(const std::string& payload, std::uint64_t current) {
+  const std::uint64_t committed = parse(payload).at("calibration");
+  if (committed == current) return true;
+  const std::string written_by = committed_toolchain(payload);
+  EXPECT_NE(written_by, toolchain_fingerprint())
+      << "the calibration digest moved (" << std::hex << committed << " -> "
+      << current << std::dec << ") under the toolchain that wrote the "
+      << "goldens, so trajectory semantics changed, not code generation; if "
+         "intentional, bump kCellCacheSchemaVersion and regenerate the "
+         "goldens";
+  return false;
 }
 
 TEST(GoldenDigest, PinnedTuplesMatchCommittedDigests) {
@@ -210,12 +282,13 @@ TEST(GoldenDigest, PinnedTuplesMatchCommittedDigests) {
         << "golden file lacks tuple " << t.name;
   }
 
-  if (committed.at("calibration") != current.at("calibration")) {
-    GTEST_SKIP() << "this toolchain produces different trajectories than the "
-                    "one that wrote the goldens (floating-point code "
-                    "generation); pinned digests not enforced here — "
-                    "regenerate with NOISYPULL_UPDATE_GOLDEN=1 to pin this "
-                    "toolchain instead";
+  if (!calibration_holds(*payload, current.at("calibration"))) {
+    if (HasFailure()) return;
+    GTEST_SKIP() << "this toolchain (" << toolchain_fingerprint()
+                 << ") produces different trajectories than the one that "
+                    "wrote the goldens (floating-point code generation); "
+                    "pinned digests not enforced here — regenerate with "
+                    "NOISYPULL_UPDATE_GOLDEN=1 to pin this toolchain instead";
   }
   for (const GoldenTuple& t : tuples()) {
     EXPECT_EQ(current.at(t.name), committed.at(t.name))
@@ -230,13 +303,15 @@ TEST(GoldenDigest, PinnedTuplesMatchCommittedDigests) {
 // full 47,529-round horizon (the thm4_sweep benchmark's longest cell) and
 // SF at perfbench's sf_h64_compiled configuration.  Their digests were
 // captured before the engines detected repeated rounds, when every round
-// was folded byte by byte.  Gated by the same calibration tuple.
+// was folded byte by byte.  Gated by the same calibration tuple and
+// toolchain line.
 TEST(GoldenDigest, RepeatHeavyRunsKeepTheirDigests) {
   const auto payload = io::read_file(golden_path());
   ASSERT_TRUE(payload.has_value()) << "missing golden file " << golden_path();
   const auto committed = parse(*payload);
   ASSERT_TRUE(committed.count("calibration") != 0);
-  if (committed.at("calibration") != compute(tuples().front())) {
+  if (!calibration_holds(*payload, compute(tuples().front()))) {
+    if (HasFailure()) return;
     GTEST_SKIP() << "this toolchain produces different trajectories than the "
                     "one that wrote the goldens; not enforced here";
   }

@@ -95,9 +95,12 @@ struct CliOptions {
   --threads T     block-parallel lanes inside the engine (default 1;
                   aggregate, heterogeneous and exact engines); results are
                   bit-identical for every T
-  --compiled      run the protocol as a CompiledPopulation on the engines'
-                  fast path (sf only, aggregate/heterogeneous engines;
-                  bit-identical to the interpreted run; SF's rounds are
+  --compiled      run SF as a CompiledPopulation instead of SourceFilter
+                  (sf only, aggregate/heterogeneous engines; bit-identical
+                  to the interpreted run, fault flags included: the fault
+                  layer hands the untouched agents to the population, so
+                  --byz and --crash-rate keep its fast path and --p-drop
+                  runs each agent's compiled transition; SF's rounds are
                   closed-form shifts of its state ids (slope * k + offset),
                   no tables; 1.05-1.3x the interpreted speed on the SF rows
                   of BENCH_compiled_path.json, the THM4 grid's s1 = 1
