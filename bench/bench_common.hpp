@@ -24,10 +24,13 @@ inline void header(const std::string& id, const std::string& claim) {
 // Default calibrated schedule constant (see DESIGN.md, substitutions).
 inline constexpr C1 kC1 = kDefaultC1;
 
+// SF as its compiled population: every scheduler cell runs on
+// AggregateEngine, where the closed-form rules realize SourceFilter's
+// trajectory in less time and memory (DESIGN.md §13).
 inline ProtocolFactory sf_factory(const PopulationConfig& pop, Holdings h,
                                   Delta delta, C1 c1 = kC1) {
   return [pop, h, delta, c1](Rng&) -> std::unique_ptr<PullProtocol> {
-    return std::make_unique<SourceFilter>(pop, h, delta, c1);
+    return make_compiled_sf(pop, make_sf_schedule(pop, h, delta, c1));
   };
 }
 
@@ -48,6 +51,8 @@ inline ProtocolFactory ssf_factory(const PopulationConfig& pop,
 // content-addressed result cache (ExperimentCell::protocol_digest).
 inline std::uint64_t sf_digest(const PopulationConfig& pop, Holdings h,
                                Delta delta, C1 c1 = kC1) {
+  // The key names SF's law, not the class that runs it: SourceFilter and
+  // the compiled population are bit-identical, so one key serves both.
   return CellKey()
       .str("SourceFilter")
       .u64(pop.n)

@@ -193,8 +193,8 @@ struct FullRun {
   RunResult result;
 };
 
-// One run() over the planned horizon, the way a user of --compiled runs
-// it: the per-round opinion count included.
+// One run() over the planned horizon, the way the CLI and the theorem
+// tables run SF: the per-round opinion count included.
 FullRun full_run(const Config& cfg, Path path) {
   Setup s = make_setup(cfg);
   PullProtocol& protocol = pick_protocol(s, path);

@@ -10,7 +10,7 @@
 //   * the current kernel at several lane counts, each reported as
 //     rounds/sec and as a speedup over the legacy serial baseline;
 //   * for aggregate configs, one compiled-fast-path row (DESIGN.md §13):
-//     the mirrored CompiledPopulation under set_compiled(true), one lane —
+//     SF as its CompiledPopulation under AggregateEngine, one lane —
 //     the focused compiled-vs-interpreted comparison lives in
 //     perf_compiled_path, this row just keeps the kernel bench's speedup
 //     ladder complete (legacy → kernel → compiled) in one JSON.
@@ -117,7 +117,7 @@ constexpr std::uint64_t kTimingSeed = 1;
 
 // The compiled fast path runs the SF population as a CompiledPopulation
 // (same schedule as make_protocol, so the horizon and per-round work match)
-// under AggregateEngine with set_compiled(true): single lane.
+// under AggregateEngine: single lane.
 double time_compiled_rounds(const Config& cfg, std::uint64_t rounds) {
   const PopulationConfig pop{.n = cfg.n, .s1 = 1, .s0 = 0};
   const SfSchedule schedule =
@@ -125,7 +125,6 @@ double time_compiled_rounds(const Config& cfg, std::uint64_t rounds) {
   const auto protocol = make_compiled_sf(pop, schedule);
   const auto noise = NoiseMatrix::uniform(2, 0.2);
   AggregateEngine engine;
-  engine.set_compiled(true);
   Rng rng(kTimingSeed);
   const std::uint64_t horizon = protocol->planned_rounds();
   engine.step(*protocol, noise, Holdings{cfg.h}, 0, rng);  // warm-up (untimed)

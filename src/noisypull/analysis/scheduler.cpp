@@ -44,7 +44,6 @@ namespace fs = std::filesystem;
 // a store of record, but corruption is preserved as evidence, never
 // silently swallowed.
 constexpr const char* kCacheMagic = "noisypull-cell-cache";
-constexpr std::uint64_t kLegacyRecordFormatVersion = 1;
 
 std::string cache_file_name(std::uint64_t key) {
   std::ostringstream os;
@@ -57,28 +56,6 @@ std::string hex16(std::uint64_t v) {
   std::ostringstream os;
   os << std::hex << std::setfill('0') << std::setw(16) << v;
   return os.str();
-}
-
-// Legacy v1 body: one line per repetition, no checksum, no steady fields.
-bool parse_v1_body(std::istream& in, std::uint64_t reps,
-                   std::vector<RepOutcome>& outcomes) {
-  outcomes.reserve(reps);
-  for (std::uint64_t r = 0; r < reps; ++r) {
-    std::uint64_t index = 0;
-    int correct = 0;
-    int stable = 0;
-    RepOutcome o;
-    in >> index >> correct >> stable >> o.rounds_run >> o.first_all_correct >>
-        o.correct_at_end;
-    if (!in || index != r || (correct != 0 && correct != 1) ||
-        (stable != 0 && stable != 1)) {
-      return false;
-    }
-    o.all_correct_at_end = correct == 1;
-    o.stable = stable == 1;
-    outcomes.push_back(o);
-  }
-  return true;
 }
 
 bool parse_v2_body(std::istream& in, std::uint64_t reps,
@@ -170,7 +147,6 @@ CacheEntry load_cache_entry(const fs::path& path, std::uint64_t key,
     entry = parse_cache_entry(*payload, key);
     switch (entry.status) {
       case CacheEntryStatus::kHit:
-      case CacheEntryStatus::kMigrated:
         return entry;
       case CacheEntryStatus::kTruncatedHeader:
       case CacheEntryStatus::kChecksumMismatch:
@@ -252,7 +228,6 @@ RepOutcome to_outcome(const ChurnResult& r) noexcept {
 std::string_view to_string(CacheEntryStatus status) noexcept {
   switch (status) {
     case CacheEntryStatus::kHit: return "hit";
-    case CacheEntryStatus::kMigrated: return "migrated";
     case CacheEntryStatus::kMissing: return "missing";
     case CacheEntryStatus::kTruncatedHeader: return "truncated-header";
     case CacheEntryStatus::kWrongFormatVersion: return "wrong-format-version";
@@ -282,26 +257,6 @@ CacheEntry parse_cache_entry(std::string_view payload, std::uint64_t key) {
   }
   if (magic != kCacheMagic) {
     entry.status = CacheEntryStatus::kMalformedRecord;
-    return entry;
-  }
-
-  if (version == kLegacyRecordFormatVersion) {
-    std::uint64_t stored_key = 0;
-    std::uint64_t reps = 0;
-    if (!(head >> std::hex >> stored_key >> std::dec >> reps)) {
-      entry.status = CacheEntryStatus::kTruncatedHeader;
-      return entry;
-    }
-    if (stored_key != key) {
-      entry.status = CacheEntryStatus::kKeyMismatch;
-      return entry;
-    }
-    if (!parse_v1_body(in, reps, entry.outcomes)) {
-      entry.outcomes.clear();
-      entry.status = CacheEntryStatus::kMalformedRecord;
-      return entry;
-    }
-    entry.status = CacheEntryStatus::kMigrated;
     return entry;
   }
 
@@ -633,12 +588,7 @@ std::vector<CellStats> run_experiment(const std::vector<ExperimentCell>& cells,
       st.frontier = usable;
       st.next_issue = usable;  // the cached prefix is never recomputed
       st.cached = usable;
-      // A migrated v1 entry is valid data in a stale layout: claiming zero
-      // on-disk reps forces the final store to rewrite it as v2 even when
-      // this run computes nothing new.
-      st.cached_file_reps = entry.status == CacheEntryStatus::kMigrated
-                                ? 0
-                                : entry.outcomes.size();
+      st.cached_file_reps = entry.outcomes.size();
     }
   }
 

@@ -45,8 +45,7 @@
 // Cache self-healing: every entry carries a CRC-32 over its record body
 // (format v2); corrupt, truncated, or wrong-version entries are quarantined
 // to a `.quarantine/` sidecar — preserving the evidence — and recomputed.
-// v1 entries (no checksum) still parse and are rewritten as v2 on the next
-// store.  All durable I/O goes through common/atomic_io, where
+// All durable I/O goes through common/atomic_io, where
 // tests/test_chaos.cpp injects torn writes, short reads, rename failures,
 // and ENOSPC; under any such FsFaultPlan the scheduler must never crash,
 // hang, or change statistics.
@@ -77,9 +76,9 @@ inline constexpr std::uint64_t kCellCacheSchemaVersion = 4;
 
 // Version of the on-disk cache *record layout*, independent of the key
 // schema above: v2 added the entry CRC and the steady-state outcome fields.
-// Deliberately NOT folded into the cache key — v1 files keep their names
-// and migrate on read (parse legacy, rewrite as v2 on the next store), so a
-// layout change never throws away valid trajectories.
+// Not folded into the cache key: a file in any other layout is quarantined
+// as wrong-format-version and recomputed.  (v1 files were written only
+// under key schema 1, so no current key names one.)
 inline constexpr std::uint64_t kCacheRecordFormatVersion = 2;
 
 // Incremental FNV-1a digest builder for cache keys.  The scheduler folds
@@ -277,7 +276,6 @@ struct SchedulerOptions {
 // the regression tests can pin the diagnosis of each corruption class.
 enum class CacheEntryStatus {
   kHit,                 // current format, checksum and key verified
-  kMigrated,            // valid legacy v1 entry (no checksum) — rewrite due
   kMissing,             // no file
   kTruncatedHeader,     // header line incomplete (torn write at the start)
   kWrongFormatVersion,  // parsed header, unknown record format version
@@ -294,7 +292,7 @@ struct CacheEntry {
 };
 
 // Parses a cache file payload for the cell identified by `key`.  Outcomes
-// are returned only for kHit / kMigrated.
+// are returned only for kHit.
 CacheEntry parse_cache_entry(std::string_view payload, std::uint64_t key);
 
 // Serializes the prefix [0, reps) of `outcomes` in the current (v2)

@@ -1,7 +1,6 @@
-// Parameter grid helpers and wall-clock timing for the bench harness.
+// Parameter grid helpers for the bench harness.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -14,18 +13,5 @@ std::vector<std::uint64_t> geometric_grid(std::uint64_t lo, std::uint64_t hi,
 
 // `points` evenly spaced values covering [lo, hi] inclusive; points ≥ 2.
 std::vector<double> linear_grid(double lo, double hi, std::size_t points);
-
-class Stopwatch {
- public:
-  Stopwatch() : start_(clock::now()) {}
-  void reset() { start_ = clock::now(); }
-  double seconds() const {
-    return std::chrono::duration<double>(clock::now() - start_).count();
-  }
-
- private:
-  using clock = std::chrono::steady_clock;
-  clock::time_point start_;
-};
 
 }  // namespace noisypull

@@ -126,6 +126,9 @@ class PullProtocol {
   virtual std::uint64_t planned_rounds() const { return 0; }
 
   // Compiled-population handle (see CompiledAccess).  The default: none.
+  // Read only under Engine::set_compiled, whose one non-test user is
+  // perfbench's forwarding ObservedProtocol; both go once the library owns
+  // run telemetry (ROADMAP).
   virtual CompiledAccess compiled_access() { return {}; }
 };
 

@@ -66,6 +66,8 @@ class FaultyEngine final : public Engine {
   // The decorator never steps agents itself: thread-count and compiled
   // toggles belong to the inner engine doing the work.  The proxy offers no
   // compiled_access(), so the toggle never lets the inner engine bypass it.
+  // The compiled forwarding serves perfbench and the identity tests only
+  // and goes with Engine::set_compiled (ROADMAP, run telemetry).
   void set_threads(unsigned lanes) override { inner_.set_threads(lanes); }
   unsigned threads() const noexcept override { return inner_.threads(); }
   void set_compiled(bool enabled) override { inner_.set_compiled(enabled); }

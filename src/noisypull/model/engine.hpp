@@ -90,7 +90,10 @@ class Engine {
   // substreams, identical replay digest — so it is excluded from
   // experiment cache keys (tests/test_compiled_path.cpp pins the
   // bit-identity).  Off by default; the other engines accept and ignore
-  // the setting.
+  // the setting.  Its only non-test reader is perfbench, whose
+  // ObservedProtocol forwards compiled_access(); the CLI and the benches
+  // hand the engine a bare population and never set it.  It goes with
+  // ObservedProtocol once the library owns run telemetry (ROADMAP).
   virtual void set_compiled(bool enabled) { compiled_ = enabled; }
   virtual bool compiled() const noexcept { return compiled_; }
 

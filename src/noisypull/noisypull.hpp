@@ -48,5 +48,4 @@
 #include "noisypull/sim/runner.hpp"
 #include "noisypull/theory/bounds.hpp"
 #include "noisypull/theory/exact_chain.hpp"
-#include "noisypull/theory/protocol_automata.hpp"
 #include "noisypull/theory/two_party.hpp"

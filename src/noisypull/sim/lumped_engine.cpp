@@ -7,8 +7,8 @@
 #include "noisypull/common/check.hpp"
 #include "noisypull/common/fnv.hpp"
 #include "noisypull/common/overflow.hpp"
+#include "noisypull/core/automaton/protocol_automata.hpp"
 #include "noisypull/rng/binomial.hpp"
-#include "noisypull/theory/protocol_automata.hpp"
 
 namespace noisypull {
 
@@ -208,48 +208,10 @@ void LumpedEngine::step(Holdings h, std::uint64_t round, Rng& rng) {
 
 RunResult run_lumped(LumpedEngine& engine, Opinion correct,
                      const RunConfig& cfg, Rng& rng) {
-  std::uint64_t rounds = cfg.max_rounds;
-  if (rounds == 0) rounds = engine.planned_rounds();
-  NOISYPULL_CHECK(rounds > 0,
-                  "max_rounds is 0 and the engine has no planned horizon");
-
-  const std::uint64_t n = engine.num_agents();
-  RunResult result;
-  if (cfg.record_trajectory) result.trajectory.reserve(rounds);
-
-  std::uint64_t streak_start = kNever;
-  for (std::uint64_t t = 0; t < rounds; ++t) {
-    if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-      throw OperationCancelled();
-    }
-    engine.step(Holdings{cfg.h}, t, rng);
-    const std::uint64_t good = engine.count_correct(correct);
-    if (cfg.record_trajectory) result.trajectory.push_back(good);
-    if (good == n) {
-      if (streak_start == kNever) streak_start = t;
-    } else {
-      streak_start = kNever;
-    }
-  }
-  result.rounds_run = rounds;
-  result.correct_at_end = engine.count_correct(correct);
-  result.all_correct_at_end = result.correct_at_end == n;
-  result.first_all_correct = streak_start;
-
-  if (cfg.stability_window > 0) {
-    bool held = result.all_correct_at_end;
-    for (std::uint64_t t = rounds; held && t < rounds + cfg.stability_window;
-         ++t) {
-      if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-        throw OperationCancelled();
-      }
-      engine.step(Holdings{cfg.h}, t, rng);
-      held = engine.count_correct(correct) == n;
-      ++result.rounds_run;
-    }
-    result.stable = held;
-  }
-  return result;
+  return detail::run_rounds(
+      engine.planned_rounds(), engine.num_agents(), cfg,
+      [&](std::uint64_t t) { engine.step(Holdings{cfg.h}, t, rng); },
+      [&] { return engine.count_correct(correct); });
 }
 
 LumpedSetup make_lumped_sf(const PopulationConfig& pop,

@@ -21,17 +21,12 @@ std::uint64_t count_correct(const PushProtocol& protocol, Opinion correct) {
 
 namespace {
 
-// Shared run loop: the PULL and PUSH engines expose the same step()
-// signature, so the bookkeeping (trajectory, streaks, stability) is common.
+// The PULL and PUSH engines expose the same step() signature; the lanes and
+// compiled toggles are set here, the bookkeeping is detail::run_rounds.
 template <typename Protocol, typename EngineT>
 RunResult run_impl(Protocol& protocol, EngineT& engine,
                    const NoiseMatrix& noise, Opinion correct,
                    const RunConfig& cfg, Rng& rng) {
-  std::uint64_t rounds = cfg.max_rounds;
-  if (rounds == 0) rounds = protocol.planned_rounds();
-  NOISYPULL_CHECK(rounds > 0,
-                  "max_rounds is 0 and the protocol has no planned horizon");
-
   if (cfg.engine_threads != 0) {
     // PushEngine has no block-parallel kernel; the constraint keeps the
     // shared loop compiling for both engine families.
@@ -44,44 +39,12 @@ RunResult run_impl(Protocol& protocol, EngineT& engine,
       engine.set_compiled(true);
     }
   }
-
-  const std::uint64_t n = protocol.num_agents();
-  RunResult result;
-  if (cfg.record_trajectory) result.trajectory.reserve(rounds);
-
-  std::uint64_t streak_start = kNever;  // start of the current all-correct run
-  for (std::uint64_t t = 0; t < rounds; ++t) {
-    if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-      throw OperationCancelled();
-    }
-    engine.step(protocol, noise, Holdings{cfg.h}, t, rng);
-    const std::uint64_t good = count_correct(protocol, correct);
-    if (cfg.record_trajectory) result.trajectory.push_back(good);
-    if (good == n) {
-      if (streak_start == kNever) streak_start = t;
-    } else {
-      streak_start = kNever;
-    }
-  }
-  result.rounds_run = rounds;
-  result.correct_at_end = count_correct(protocol, correct);
-  result.all_correct_at_end = result.correct_at_end == n;
-  result.first_all_correct = streak_start;
-
-  if (cfg.stability_window > 0) {
-    bool held = result.all_correct_at_end;
-    for (std::uint64_t t = rounds; held && t < rounds + cfg.stability_window;
-         ++t) {
-      if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-        throw OperationCancelled();
-      }
-      engine.step(protocol, noise, Holdings{cfg.h}, t, rng);
-      held = count_correct(protocol, correct) == n;
-      ++result.rounds_run;
-    }
-    result.stable = held;
-  }
-  return result;
+  return detail::run_rounds(
+      protocol.planned_rounds(), protocol.num_agents(), cfg,
+      [&](std::uint64_t t) {
+        engine.step(protocol, noise, Holdings{cfg.h}, t, rng);
+      },
+      [&] { return count_correct(protocol, correct); });
 }
 
 }  // namespace

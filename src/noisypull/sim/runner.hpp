@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "noisypull/common/cancel.hpp"
+#include "noisypull/common/check.hpp"
 #include "noisypull/model/engine.hpp"
 #include "noisypull/core/protocol.hpp"
 #include "noisypull/push/push_engine.hpp"
@@ -47,7 +48,9 @@ struct RunConfig {
   // effective only when the protocol exposes a CompiledPopulation.
   // Trajectory-invariant like engine_threads, and excluded from the
   // experiment cache key for the same reason.  Ignored by engines without
-  // the knob.
+  // the knob.  Only perfbench's traced and untraced runs set it (see
+  // Engine::set_compiled); it goes with them once the library owns run
+  // telemetry (ROADMAP).
   bool compiled = false;
 
   // Polled once per round; when set, the run unwinds with
@@ -69,6 +72,62 @@ struct RunResult {
   std::uint64_t correct_at_end = 0;       // # agents correct after last round
   std::vector<std::uint64_t> trajectory;  // per-round correct counts (opt-in)
 };
+
+namespace detail {
+
+// Definition 2's bookkeeping, shared by run(), run_push() and run_lumped():
+// runs cfg.max_rounds rounds (`planned` when that is 0), records the
+// trajectory and the start of the final all-correct streak, then requires
+// consensus through cfg.stability_window extra rounds.  `step(t)` executes
+// round t and `count()` returns how many of the `n` agents hold the correct
+// opinion; both are template parameters so the per-round calls inline.
+template <typename Step, typename Count>
+RunResult run_rounds(std::uint64_t planned, std::uint64_t n,
+                     const RunConfig& cfg, Step&& step, Count&& count) {
+  const std::uint64_t rounds = cfg.max_rounds != 0 ? cfg.max_rounds : planned;
+  NOISYPULL_CHECK(rounds > 0,
+                  "max_rounds is 0 and the run has no planned horizon");
+
+  RunResult result;
+  if (cfg.record_trajectory) result.trajectory.reserve(rounds);
+  const auto poll_cancel = [&] {
+    if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
+      throw OperationCancelled();
+    }
+  };
+
+  std::uint64_t streak_start = kNever;  // start of the current all-correct run
+  for (std::uint64_t t = 0; t < rounds; ++t) {
+    poll_cancel();
+    step(t);
+    const std::uint64_t good = count();
+    if (cfg.record_trajectory) result.trajectory.push_back(good);
+    if (good == n) {
+      if (streak_start == kNever) streak_start = t;
+    } else {
+      streak_start = kNever;
+    }
+  }
+  result.rounds_run = rounds;
+  result.correct_at_end = count();
+  result.all_correct_at_end = result.correct_at_end == n;
+  result.first_all_correct = streak_start;
+
+  if (cfg.stability_window > 0) {
+    bool held = result.all_correct_at_end;
+    for (std::uint64_t t = rounds; held && t < rounds + cfg.stability_window;
+         ++t) {
+      poll_cancel();
+      step(t);
+      held = count() == n;
+      ++result.rounds_run;
+    }
+    result.stable = held;
+  }
+  return result;
+}
+
+}  // namespace detail
 
 // Number of agents currently holding `correct`.
 std::uint64_t count_correct(const PullProtocol& protocol, Opinion correct);

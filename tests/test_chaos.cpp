@@ -8,7 +8,7 @@
 //   * cache self-healing: every corruption class (torn header, wrong format
 //     version, checksum mismatch, key mismatch, malformed body) is diagnosed
 //     distinctly, quarantined — never silently swallowed — and recomputed to
-//     the same statistics; legacy v1 entries migrate on read.
+//     the same statistics; a v1-layout file is one more wrong format.
 //   * checkpoint/resume + degradation: a sweep killed mid-run and restarted
 //     with the same manifest reports statistics bit-identical to an
 //     uninterrupted run (including under adaptive early stopping and across
@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -283,21 +284,17 @@ TEST(CacheEntry, DiagnosesEveryCorruptionClassDistinctly) {
             to_string(CacheEntryStatus::kMalformedRecord));
 }
 
-TEST(CacheEntry, LegacyV1EntryParsesAsMigrated) {
+TEST(CacheEntry, LegacyV1EntryParsesAsWrongFormatVersion) {
+  // v1 records (no CRC, no steady fields) were written only under cache
+  // key schema 1; this build reads none of them, even under a matching key.
   const std::uint64_t key = 0x00000000000000FFULL;
   std::ostringstream v1;
   v1 << "noisypull-cell-cache 1 00000000000000ff 2\n"
      << "0 1 1 10 4 100\n"
      << "1 0 0 12 " << kNever << " 93\n";
   const CacheEntry entry = parse_cache_entry(v1.str(), key);
-  ASSERT_EQ(entry.status, CacheEntryStatus::kMigrated);
-  ASSERT_EQ(entry.outcomes.size(), 2u);
-  EXPECT_TRUE(entry.outcomes[0].all_correct_at_end);
-  EXPECT_EQ(entry.outcomes[0].first_all_correct, 4u);
-  EXPECT_FALSE(entry.outcomes[1].all_correct_at_end);
-  // v1 predates the steady-state fields; they default to zero.
-  EXPECT_EQ(entry.outcomes[0].mean_correct_fraction, 0.0);
-  EXPECT_EQ(entry.outcomes[0].resets, 0u);
+  EXPECT_EQ(entry.status, CacheEntryStatus::kWrongFormatVersion);
+  EXPECT_TRUE(entry.outcomes.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -364,8 +361,8 @@ TEST(Chaos, FutureFormatVersionIsQuarantinedNotParsed) {
                          (file.filename().string() + ".wrong-format-version")));
 }
 
-TEST(Chaos, V1EntryMigratesOnReadAndUpgradesOnDisk) {
-  const fs::path dir = scratch("np_chaos_migrate");
+TEST(Chaos, V1EntryIsQuarantinedAndRecomputed) {
+  const fs::path dir = scratch("np_chaos_v1");
   const std::vector<ExperimentCell> cells = {
       truncated_cell(pop(100, 1, 0), 0.3, 303)};
   SchedulerOptions opts{.threads = 1,
@@ -374,8 +371,8 @@ TEST(Chaos, V1EntryMigratesOnReadAndUpgradesOnDisk) {
   const auto cold = run_experiment(cells, opts);
   const fs::path file = only_cache_file(dir);
 
-  // Downgrade the entry to the v1 layout (no CRC, no steady fields) — what
-  // a cache directory written by the previous release looks like.
+  // Rewrite the entry in the v1 layout (no CRC, no steady fields) under
+  // the current key: this build reads only the current layout.
   const CacheEntry parsed =
       parse_cache_entry(slurp(file), cold[0].cache_key);
   ASSERT_EQ(parsed.status, CacheEntryStatus::kHit);
@@ -393,12 +390,16 @@ TEST(Chaos, V1EntryMigratesOnReadAndUpgradesOnDisk) {
     std::ofstream out(file, std::ios::trunc | std::ios::binary);
     out << v1.str();
   }
+  EXPECT_EQ(parse_cache_entry(v1.str(), cold[0].cache_key).status,
+            CacheEntryStatus::kWrongFormatVersion);
 
-  const auto migrated = run_experiment(cells, opts);
-  expect_same(cold[0], migrated[0]);
-  EXPECT_EQ(migrated[0].reps_computed, 0u);  // the v1 data was trusted
-  EXPECT_EQ(migrated[0].reps_cached, 3u);
-  // ... and the file was rewritten in the current format.
+  const auto healed = run_experiment(cells, opts);
+  expect_same(cold[0], healed[0]);
+  EXPECT_EQ(healed[0].reps_computed, 3u);
+  EXPECT_EQ(healed[0].cache_quarantined, 1u);
+  EXPECT_TRUE(fs::exists(dir / ".quarantine" /
+                         (file.filename().string() + ".wrong-format-version")));
+  // The recomputed entry is stored in the current format.
   EXPECT_EQ(parse_cache_entry(slurp(file), cold[0].cache_key).status,
             CacheEntryStatus::kHit);
 }

@@ -207,6 +207,50 @@ TEST(RunLumped, MirrorsRunnerBookkeeping) {
   }
 }
 
+// run_lumped shares the runner's bookkeeping: an unset cancel token leaves
+// a run with a stability window unchanged, and a set one unwinds before the
+// first round is stepped.
+TEST(RunLumped, CancelTokenIsPolledAndTrajectoryInvariantWhileUnset) {
+  const PopulationConfig pop{.n = 200, .s1 = 1, .s0 = 0};
+  const SfSchedule sched =
+      make_sf_schedule(pop, Holdings{pop.n}, Delta{0.1}, kDefaultC1);
+  RunConfig cfg;
+  cfg.h = pop.n;
+  cfg.stability_window = 4;
+  cfg.record_trajectory = true;
+
+  auto plain = make_lumped_sf(pop, sched, NoiseMatrix::uniform(2, 0.1));
+  Rng plain_rng(kSeed, 3);
+  const RunResult a =
+      run_lumped(*plain.engine, pop.correct_opinion(), cfg, plain_rng);
+  // Consensus at the horizon, so the window's rounds run too.
+  ASSERT_TRUE(a.all_correct_at_end);
+  EXPECT_GT(a.rounds_run, sched.total_rounds());
+
+  CancelToken token;
+  cfg.cancel = &token;
+  auto polled = make_lumped_sf(pop, sched, NoiseMatrix::uniform(2, 0.1));
+  Rng polled_rng(kSeed, 3);
+  const RunResult b =
+      run_lumped(*polled.engine, pop.correct_opinion(), cfg, polled_rng);
+  EXPECT_EQ(a.all_correct_at_end, b.all_correct_at_end);
+  EXPECT_EQ(a.stable, b.stable);
+  EXPECT_EQ(a.rounds_run, b.rounds_run);
+  EXPECT_EQ(a.first_all_correct, b.first_all_correct);
+  EXPECT_EQ(a.correct_at_end, b.correct_at_end);
+  EXPECT_EQ(a.trajectory, b.trajectory);
+  EXPECT_EQ(plain.engine->replay_digest(), polled.engine->replay_digest());
+
+  token.cancel();
+  auto cancelled = make_lumped_sf(pop, sched, NoiseMatrix::uniform(2, 0.1));
+  const std::uint64_t initial = cancelled.engine->replay_digest();
+  Rng cancelled_rng(kSeed, 3);
+  EXPECT_THROW(
+      run_lumped(*cancelled.engine, pop.correct_opinion(), cfg, cancelled_rng),
+      OperationCancelled);
+  EXPECT_EQ(cancelled.engine->replay_digest(), initial);
+}
+
 TEST(RunLumped, SsfBuilderInstallsConvergenceDeadline) {
   const PopulationConfig pop{.n = 30, .s1 = 1, .s0 = 0};
   const MemoryBudget m{8};

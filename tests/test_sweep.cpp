@@ -40,15 +40,5 @@ TEST(LinearGrid, Validation) {
   EXPECT_THROW(linear_grid(1, 0, 3), std::invalid_argument);
 }
 
-TEST(Stopwatch, IsMonotone) {
-  Stopwatch sw;
-  const double a = sw.seconds();
-  const double b = sw.seconds();
-  EXPECT_GE(b, a);
-  EXPECT_GE(a, 0.0);
-  sw.reset();
-  EXPECT_LE(sw.seconds(), b + 1.0);
-}
-
 }  // namespace
 }  // namespace noisypull

@@ -44,7 +44,6 @@ struct CliOptions {
   std::string engine = "aggregate";   // aggregate | exact | sequential
                                       // | heterogeneous
   std::uint64_t threads = 1;          // block-parallel lanes inside the engine
-  bool compiled = false;              // compiled automaton fast path (sf)
   std::string order;                  // sequential activation order ("" = random)
   bool trajectory = false;            // print per-round correct counts
   bool verify_replay = false;         // run twice, compare replay digests
@@ -95,18 +94,6 @@ struct CliOptions {
   --threads T     block-parallel lanes inside the engine (default 1;
                   aggregate, heterogeneous and exact engines); results are
                   bit-identical for every T
-  --compiled      run SF as a CompiledPopulation instead of SourceFilter
-                  (sf only, aggregate/heterogeneous engines; bit-identical
-                  to the interpreted run, fault flags included: the fault
-                  layer hands the untouched agents to the population, so
-                  --byz and --crash-rate keep its fast path and --p-drop
-                  runs each agent's compiled transition; SF's rounds are
-                  closed-form shifts of its state ids (slope * k + offset),
-                  no tables; 1.05-1.3x the interpreted speed on the SF rows
-                  of BENCH_compiled_path.json, the THM4 grid's s1 = 1
-                  cell included, about 1x at h = n, where both paths
-                  spend the round drawing binomials, in a third of the
-                  interpreted memory — see DESIGN.md s13)
   --order O       random | ascending | descending      (sequential engine)
   --trajectory    print per-round correct counts of repetition 0
   --verify-replay run the whole configuration twice with identical seeds and
@@ -211,7 +198,6 @@ CliOptions parse_args(int argc, char** argv) {
     else if (a == "--corruption") opt.corruption = need_value(i++);
     else if (a == "--engine") opt.engine = need_value(i++);
     else if (a == "--threads") opt.threads = parse_u64(need_value(i++));
-    else if (a == "--compiled") opt.compiled = true;
     else if (a == "--order") opt.order = need_value(i++);
     else if (a == "--trajectory") opt.trajectory = true;
     else if (a == "--verify-replay") opt.verify_replay = true;
@@ -348,15 +334,19 @@ PullSetup make_pull_setup(const CliOptions& opt, std::uint64_t h, Rng& init) {
 
   const Opinion correct = pop.correct_opinion();
   if (opt.protocol == "sf") {
-    if (opt.compiled) {
-      const SfSchedule schedule =
-          make_sf_schedule(pop, Holdings{h}, Delta{opt.delta}, C1{opt.c1});
-      return {make_compiled_sf(pop, schedule),
+    // Both representations run the same trajectory (DESIGN.md §13).  On
+    // the aggregate engines the compiled population applies each agent's
+    // drawn count as a closed-form rule, in less time and memory; the exact
+    // and sequential engines hand agents to per-agent update(), where
+    // SourceFilter is faster.
+    if (opt.engine == "aggregate" || opt.engine == "heterogeneous") {
+      return {make_compiled_sf(pop, make_sf_schedule(pop, Holdings{h},
+                                                     Delta{opt.delta},
+                                                     C1{opt.c1})),
               NoiseMatrix::uniform(2, opt.delta), correct};
     }
     return {std::make_unique<SourceFilter>(pop, Holdings{h}, Delta{opt.delta},
                                            C1{opt.c1}),
-
             NoiseMatrix::uniform(2, opt.delta), correct};
   }
   // Budget for protocols with no intrinsic horizon: 20 memory cycles for
@@ -455,6 +445,34 @@ struct PullOutcome {
                "correct"}};
 };
 
+// The run configuration of repetition `rep`; only repetition 0 records its
+// trajectory.
+RunConfig rep_config(const CliOptions& opt, std::uint64_t h,
+                     std::uint64_t max_rounds, std::uint64_t rep) {
+  return RunConfig{.h = h,
+                   .max_rounds = max_rounds,
+                   .stability_window = opt.stability,
+                   .record_trajectory = opt.trajectory && rep == 0};
+}
+
+// Folds repetition `rep`'s result into the outcome: its success, its
+// replay digest, its trajectory (repetition 0) and its table row.
+void record_rep(const CliOptions& opt, std::uint64_t rep, const RunResult& r,
+                std::uint64_t digest, PullOutcome& out) {
+  out.successes += r.all_correct_at_end ? 1 : 0;
+  out.digests.push_back(digest);
+  if (rep == 0) out.trajectory = r.trajectory;
+  out.table.cell(rep)
+      .cell(r.all_correct_at_end ? "yes" : "no")
+      .cell(opt.stability == 0 ? "-" : (r.stable ? "yes" : "no"))
+      .cell(r.first_all_correct == kNever
+                ? std::string("never")
+                : std::to_string(r.first_all_correct))
+      .cell(r.rounds_run)
+      .cell(r.correct_at_end)
+      .end_row();
+}
+
 // Lumped-engine repetitions: histogram dynamics instead of agent records,
 // so population size is a configuration value (n = 10¹² works).  SF/SSF
 // only; fault injection and adversarial corruption act on individual agent
@@ -487,25 +505,9 @@ int run_lumped_reps(const CliOptions& opt, std::uint64_t h, PullOutcome& out) {
       setup = make_lumped_ssf(pop, Holdings{h}, MemoryBudget{m},
                               NoiseMatrix::uniform(4, opt.delta));
     }
-    const auto r =
-        run_lumped(*setup.engine, correct,
-                   RunConfig{.h = h,
-                             .max_rounds = opt.max_rounds,
-                             .stability_window = opt.stability,
-                             .record_trajectory = opt.trajectory && rep == 0},
-                   rng);
-    out.successes += r.all_correct_at_end ? 1 : 0;
-    out.digests.push_back(setup.engine->replay_digest());
-    if (rep == 0) out.trajectory = r.trajectory;
-    out.table.cell(rep)
-        .cell(r.all_correct_at_end ? "yes" : "no")
-        .cell(opt.stability == 0 ? "-" : (r.stable ? "yes" : "no"))
-        .cell(r.first_all_correct == kNever
-                  ? std::string("never")
-                  : std::to_string(r.first_all_correct))
-        .cell(r.rounds_run)
-        .cell(r.correct_at_end)
-        .end_row();
+    const auto r = run_lumped(*setup.engine, correct,
+                              rep_config(opt, h, opt.max_rounds, rep), rng);
+    record_rep(opt, rep, r, setup.engine->replay_digest(), out);
   }
   return 0;
 }
@@ -546,17 +548,9 @@ int run_pull_reps(const CliOptions& opt, std::uint64_t h, PullOutcome& out) {
     if (budget == 0 && setup.protocol->planned_rounds() == 0) {
       budget = setup.default_rounds;
     }
-    const auto r =
-        run(*setup.protocol, *eng, setup.noise, setup.correct,
-            RunConfig{.h = h,
-                      .max_rounds = budget,
-                      .stability_window = opt.stability,
-                      .record_trajectory = opt.trajectory && rep == 0,
-                      .compiled = opt.compiled},
-            rng);
-    out.successes += r.all_correct_at_end ? 1 : 0;
-    out.digests.push_back(eng->replay_digest());
-    if (rep == 0) out.trajectory = r.trajectory;
+    const auto r = run(*setup.protocol, *eng, setup.noise, setup.correct,
+                       rep_config(opt, h, budget, rep), rng);
+    record_rep(opt, rep, r, eng->replay_digest(), out);
     if (faulty) {
       const auto& fs = faulty->stats();
       out.fault_totals.byzantine_agents = fs.byzantine_agents;
@@ -565,15 +559,6 @@ int run_pull_reps(const CliOptions& opt, std::uint64_t h, PullOutcome& out) {
       out.fault_totals.dropped_observations += fs.dropped_observations;
       out.fault_totals.burst_rounds += fs.burst_rounds;
     }
-    out.table.cell(rep)
-        .cell(r.all_correct_at_end ? "yes" : "no")
-        .cell(opt.stability == 0 ? "-" : (r.stable ? "yes" : "no"))
-        .cell(r.first_all_correct == kNever
-                  ? std::string("never")
-                  : std::to_string(r.first_all_correct))
-        .cell(r.rounds_run)
-        .cell(r.correct_at_end)
-        .end_row();
   }
   return 0;
 }
@@ -638,12 +623,10 @@ bool rejects_ignored_flags(const CliOptions& opt) {
 }
 
 // The same silent wrong table, scoped by engine: a flag only some engines
-// read.  The lumped engine runs SSF with stale_flush = 0 and no lanes, only
-// the sequential engine has an activation order, and only the aggregate
-// engines (one channel or per-agent channels) take the compiled fast path.
+// read.  The lumped engine runs SSF with stale_flush = 0 and no lanes, and
+// only the sequential engine has an activation order.
 bool rejects_ignored_engine_flags(const CliOptions& opt) {
   const std::string& e = opt.engine;
-  const bool aggregate = e == "aggregate" || e == "heterogeneous";
   const struct {
     const char* flag;
     bool set;
@@ -653,8 +636,8 @@ bool rejects_ignored_engine_flags(const CliOptions& opt) {
       {"--stale-flush", opt.stale_flush > 0, e != "lumped",
        "aggregate | heterogeneous | exact | sequential"},
       {"--order", !opt.order.empty(), e == "sequential", "sequential"},
-      {"--compiled", opt.compiled, aggregate, "aggregate | heterogeneous"},
-      {"--threads", opt.threads != 1, aggregate || e == "exact",
+      {"--threads", opt.threads != 1,
+       e == "aggregate" || e == "heterogeneous" || e == "exact",
        "aggregate | heterogeneous | exact"},
   };
   for (const auto& f : flags) {
@@ -671,13 +654,6 @@ int run_cli(const CliOptions& opt) {
   const std::uint64_t h = opt.h == 0 ? opt.n : opt.h;
 
   if (rejects_ignored_flags(opt) || rejects_ignored_engine_flags(opt)) {
-    return 2;
-  }
-
-  // The compiled fast path runs the closed-form SF mirror (core/automaton);
-  // the other families have no compiled counterpart.
-  if (opt.compiled && opt.protocol != "sf") {
-    std::fprintf(stderr, "error: --compiled supports --protocol sf only\n");
     return 2;
   }
 
